@@ -153,7 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    budget = Budget.from_env()
+    try:
+        budget = Budget.from_env()
+    except ValueError as e:
+        raise CliError(str(e))
     if args.budget_nodes is not None:
         budget.max_nodes = args.budget_nodes
     if args.witness_letters is not None:
@@ -454,6 +457,9 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except ElaborationError as e:
         print(f"seqsolve: error: outside the supported fragment: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("seqsolve: error: input nested too deeply", file=sys.stderr)
         return 3
 
 

@@ -4,7 +4,9 @@ Every Dfa is kept canonical: complete (a transition for every letter,
 with an explicit dead state when needed), restricted to reachable
 states, minimized, and relabeled by breadth-first search in letter
 order. Canonical form makes structural equality coincide with language
-equality, so automata can serve as memoization keys, and it keeps the
+equality, and each canonical automaton is interned, so one language is
+one object: equality and hashing are by identity, at C speed, and
+automata serve as cheap memoization keys. Canonical form also keeps the
 set of automata generated by repeated intersections and start/accept
 surgery finite, which the solver's termination argument relies on.
 
@@ -21,7 +23,7 @@ ALPHABET = "abcd"
 _IDX = {c: i for i, c in enumerate(ALPHABET)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dfa:
     delta: tuple[tuple[int, int, int, int], ...]
     start: int
@@ -99,7 +101,7 @@ class Dfa:
 
 
 # The solver calls these on the same automata over and over while
-# searching, so memoize; automata are immutable.
+# searching, so memoize; automata are immutable and interned.
 
 
 @lru_cache(maxsize=None)
@@ -135,8 +137,12 @@ def _is_singleton(d: Dfa) -> bool:
     return d.intersect(lit(w).complement()).is_empty()
 
 
+_interned: dict[tuple, Dfa] = {}  # (delta, accepting) -> the one instance
+
+
 def _canon(delta, start, accepting) -> Dfa:
-    """Restrict to reachable states, minimize, relabel canonically."""
+    """Restrict to reachable states, minimize, relabel canonically, and
+    return the interned instance of the result."""
     n = len(delta)
     # reachable
     order = [start]
@@ -179,7 +185,11 @@ def _canon(delta, start, accepting) -> Dfa:
         out[label[c]] = tuple(label[cls[t]] for t in delta[s])
         if s in accepting:
             acc.add(label[c])
-    return Dfa(tuple(out), 0, frozenset(acc))
+    key = (tuple(out), frozenset(acc))
+    d = _interned.get(key)
+    if d is None:
+        d = _interned[key] = Dfa(key[0], 0, key[1])
+    return d
 
 
 def make_dfa(delta, start, accepting) -> Dfa:

@@ -68,16 +68,21 @@ def _paren(text: str, need: bool) -> str:
     return f"({text})" if need else text
 
 
-def _matrix(m: Matrix, ctx: int) -> str:
+def _matrix(m: Matrix, ctx: int, bar: bool = False) -> str:
+    """``bar``: a ``|`` follows the text unless it is parenthesized (an
+    Or, Imp or Iff met with it set always is). A regex reads on across a
+    ``|``, even one after a closing parenthesis of its own, so an ``in``
+    atom is parenthesized whole there."""
     match m:
         case BoolLit(value=v):
             return "true" if v else "false"
         case Not(arg=a):
-            return "!" + _matrix(a, _NOT)
+            return "!" + _matrix(a, _NOT, bar)
         case And(left=l, right=r):
-            return _paren(f"{_matrix(l, _NOT)} & {_matrix(r, _AND)}", ctx > _AND)
+            p = ctx > _AND
+            return _paren(f"{_matrix(l, _NOT)} & {_matrix(r, _AND, bar and not p)}", p)
         case Or(left=l, right=r):
-            return _paren(f"{_matrix(l, _AND)} | {_matrix(r, _OR)}", ctx > _OR)
+            return _paren(f"{_matrix(l, _AND, True)} | {_matrix(r, _OR)}", ctx > _OR)
         case Imp(left=l, right=r):
             return _paren(f"{_matrix(l, _OR)} => {_matrix(r, _IMP)}", ctx > _IMP)
         case Iff(left=l, right=r):
@@ -85,7 +90,7 @@ def _matrix(m: Matrix, ctx: int) -> str:
         case SeqEq(left=l, right=r):
             return f"{print_seq_term(l)} = {print_seq_term(r)}"
         case InRe(arg=t, regex=rx):
-            return f"{print_seq_term(t)} in {print_regex(rx)}"
+            return _paren(f"{print_seq_term(t)} in {print_regex(rx)}", bar)
         case IntCmp(op=op, left=l, right=r):
             return f"{print_int_term(l)} {op} {print_int_term(r)}"
         case LenCmp(arg=t, op=op, bound=k):

@@ -11,11 +11,17 @@ transformations:
     x = <letter> x     when x faces a letter on the other side
     x = y x / y = x y  when two variables face each other
 
+Inside the search every side is a plain str: letters are "abcd", and
+each word variable is interned once to its own code point above them
+(from U+10000), so a transformation is str.replace and a side is
+ground when max(side) <= "d". Clauses are converted on the way in and
+assignments mapped back to variable names on the way out.
+
 Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
 an intermediate automaton state for the boundary. States are memoized
-under a canonical form (automata are canonical by construction, so
-equal language means equal key), the frontier is ordered by how many
+under a canonical form (automata are interned canonical instances, so
+one language is one object), the frontier is ordered by how many
 letters a branch has committed to, and an exact length abstraction
 (Gaussian elimination over the equation length constraints) discards
 systems whose lengths cannot balance.
@@ -39,7 +45,6 @@ from .dfa import ALPHABET, Dfa, lit, union
 from .elaborate import Elaboration, elaborate
 from . import oracle
 from .encode import (
-    L,
     V,
     WAnd,
     WBool,
@@ -50,10 +55,9 @@ from .encode import (
     WordProblem,
     decode_word,
     encode_elaboration,
-    letters,
 )
 
-Side = tuple
+Side = str  # letters "abcd" and interned variable code points
 Eq = tuple  # (Side, Side)
 
 
@@ -72,7 +76,11 @@ class Budget:
         b = Budget()
         nodes = os.environ.get("SEQSOLVE_BUDGET_NODES")
         if nodes:
-            b.max_nodes = int(nodes)
+            b.max_nodes = int(nodes) if nodes.strip().isdecimal() else 0
+            if b.max_nodes <= 0:
+                raise ValueError(
+                    f"SEQSOLVE_BUDGET_NODES must be a positive integer, not {nodes!r}"
+                )
         return b
 
 
@@ -174,62 +182,53 @@ def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
 # ---------------------------------------------------------------------------
 # sides and substitutions
 
+_names: list[str] = []  # code point - 0x10000 -> variable name
+_codes: dict[str, str] = {}  # variable name -> code point
 
-def _subst_side(side: Side, x: str, repl: Side) -> Side:
-    if not any(isinstance(t, V) and t.name == x for t in side):
-        return side
-    out = []
-    for t in side:
-        if isinstance(t, V) and t.name == x:
-            out.extend(repl)
-        else:
-            out.append(t)
-    return tuple(out)
+
+def _var(name: str) -> str:
+    c = _codes.get(name)
+    if c is None:
+        c = _codes[name] = chr(0x10000 + len(_names))
+        _names.append(name)
+    return c
+
+
+def _name(c: str) -> str:
+    return _names[ord(c) - 0x10000]
+
+
+def _side(toks) -> Side:
+    return "".join(_var(t.name) if isinstance(t, V) else t.ch for t in toks)
+
+
+def _on_strings(c: Clause):
+    """(eqs, diseqs, members) of a clause, on str sides and code points."""
+    return (
+        [(_side(u), _side(v)) for u, v in c.eqs],
+        [(_side(u), _side(v)) for u, v in c.diseqs],
+        {_var(x): d for x, d in c.members.items()},
+    )
 
 
 def _subst_eqs(eqs: list, x: str, repl: Side) -> list:
-    return [(_subst_side(u, x, repl), _subst_side(v, x, repl)) for u, v in eqs]
+    return [(u.replace(x, repl), v.replace(x, repl)) for u, v in eqs]
 
 
 def _strip(u: Side, v: Side) -> Eq:
+    n = min(len(u), len(v))
     i = 0
-    while i < len(u) and i < len(v) and u[i] == v[i]:
+    while i < n and u[i] == v[i]:
         i += 1
-    u, v = u[i:], v[i:]
-    while u and v and u[-1] == v[-1]:
-        u, v = u[:-1], v[:-1]
-    return u, v
-
-
-def _ground(side: Side) -> bool:
-    return all(isinstance(t, L) for t in side)
-
-
-def _word_of(side: Side) -> str:
-    return "".join(t.ch for t in side)
-
-
-def _side_vars(side: Side):
-    return [t.name for t in side if isinstance(t, V)]
-
-
-def _tok_key(t):
-    return (0, t.ch) if isinstance(t, L) else (1, t.name)
-
-
-def _side_key(side: Side):
-    return (len(side), tuple(_tok_key(t) for t in side))
+    j = 0
+    while j < n - i and u[-1 - j] == v[-1 - j]:
+        j += 1
+    return u[i : len(u) - j], v[i : len(v) - j]
 
 
 def _canon(eqs: list, members: dict):
-    oriented = []
-    for u, v in eqs:
-        if _side_key(v) < _side_key(u):
-            u, v = v, u
-        oriented.append((u, v))
-    oriented.sort(key=lambda e: (_side_key(e[0]), _side_key(e[1])))
-    mem = tuple(sorted(members.items()))
-    return tuple(oriented), mem
+    oriented = sorted((u, v) if u <= v else (v, u) for u, v in eqs)
+    return tuple(oriented), tuple(sorted(members.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def _simplify(eqs: list, diseqs: list, members: dict):
                 return "fail"
             if d.is_singleton():
                 del members[x]
-                substitute(x, letters(d.shortest_word()))
+                substitute(x, d.shortest_word())
                 return "again"
 
         for i, (u0, v0) in enumerate(eqs):
@@ -272,33 +271,32 @@ def _simplify(eqs: list, diseqs: list, members: dict):
                 return "again"
             if not u or not v:
                 rest = u or v
-                if any(isinstance(t, L) for t in rest):
-                    return "fail"
-                x = rest[0].name
+                if min(rest) <= "d":
+                    return "fail"  # a letter faces eps
+                x = rest[0]
                 if x in members:
                     if not members[x].accepts(""):
                         return "fail"
                     del members[x]
                 eqs = eqs[:i] + [(u, v)] + eqs[i + 1 :]
-                substitute(x, ())
+                substitute(x, "")
                 return "again"
-            if isinstance(u[0], L) and isinstance(v[0], L):
+            if u[0] <= "d" and v[0] <= "d":
                 return "fail"  # heads differ after stripping
-            if len(v) == 1 and isinstance(v[0], V):
+            if len(v) == 1 and v > "d":
                 u, v = v, u
-            if len(u) == 1 and isinstance(u[0], V):
-                x = u[0].name
-                if _ground(v):
-                    w = _word_of(v)
+            if len(u) == 1 and u > "d":
+                x = u
+                if max(v) <= "d":
                     if x in members:
-                        if not members[x].accepts(w):
+                        if not members[x].accepts(v):
                             return "fail"
                         del members[x]
                     eqs = eqs[:i] + eqs[i + 1 :]
                     substitute(x, v)
                     return "again"
-                if len(v) == 1 and isinstance(v[0], V):
-                    y = v[0].name
+                if len(v) == 1 and v > "d":
+                    y = v
                     if x in members:
                         d = members.pop(x)
                         d = members[y].intersect(d) if y in members else d
@@ -308,7 +306,7 @@ def _simplify(eqs: list, diseqs: list, members: dict):
                     eqs = eqs[:i] + eqs[i + 1 :]
                     substitute(x, v)
                     return "again"
-                if x not in members and x not in _side_vars(v):
+                if x not in members and x not in v:
                     eqs = eqs[:i] + eqs[i + 1 :]
                     substitute(x, v)
                     return "again"
@@ -323,10 +321,10 @@ def _simplify(eqs: list, diseqs: list, members: dict):
             u, v = _strip(u0, v0)
             if not u and not v:
                 return "fail"  # the sides are equal
-            if (not u or not v) and _ground(u or v):
+            if (not u or not v) and max(u or v) <= "d":
                 diseqs = diseqs[:i] + diseqs[i + 1 :]
                 return "again"  # a nonempty ground word differs from eps
-            if u and v and isinstance(u[0], L) and isinstance(v[0], L):
+            if u and v and u[0] <= "d" and v[0] <= "d":
                 diseqs = diseqs[:i] + diseqs[i + 1 :]
                 return "again"  # differing head letters, trivially true
             if (u, v) != (u0, v0):
@@ -353,9 +351,7 @@ def _replay(log: list, sigma: dict) -> dict:
     had at that point."""
     sigma = dict(sigma)
     for x, repl in reversed(log):
-        sigma[x] = "".join(
-            sigma.get(t.name, "") if isinstance(t, V) else t.ch for t in repl
-        )
+        sigma[x] = "".join(sigma.get(c, "") if c > "d" else c for c in repl)
     return sigma
 
 
@@ -377,14 +373,14 @@ def _length_infeasible(eqs: list, members: dict) -> bool:
     for u, v in eqs:
         coeffs = Counter()
         const = 0
-        for t in u:
-            if isinstance(t, V):
-                coeffs[t.name] += 1
+        for c in u:
+            if c > "d":
+                coeffs[c] += 1
             else:
                 const -= 1
-        for t in v:
-            if isinstance(t, V):
-                coeffs[t.name] -= 1
+        for c in v:
+            if c > "d":
+                coeffs[c] -= 1
             else:
                 const += 1
         coeffs = {x: Fraction(c) for x, c in coeffs.items() if c}
@@ -412,7 +408,7 @@ def _length_infeasible(eqs: list, members: dict) -> bool:
             if const != 0:
                 return True
             continue
-        pivot = min(coeffs)
+        pivot = min(coeffs, key=_name)
         factor = coeffs.pop(pivot)
         pc = {y: -c / factor for y, c in coeffs.items()}
         solved[pivot] = (pc, const / factor)
@@ -495,10 +491,9 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
             return "sat", sigma
 
         u, v = eqs[0]
-        rest = eqs[1:]
-        if isinstance(u[0], L):
+        if u[0] <= "d":
             u, v = v, u
-        x = u[0].name
+        x = u[0]
         other = v[0]
 
         def try_eps(z: str):
@@ -507,10 +502,10 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
                 if not mem[z].accepts(""):
                     return
                 del mem[z]
-            emit(key, g, [(z, ())], _subst_eqs(eqs, z, ()), mem, 0)
+            emit(key, g, [(z, "")], _subst_eqs(eqs, z, ""), mem, 0)
 
-        if isinstance(other, L):
-            alpha = other.ch
+        if other <= "d":
+            alpha = other
             try_eps(x)
             mem = dict(members)
             ok = True
@@ -521,21 +516,14 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
                 else:
                     mem[x] = d
             if ok:
-                emit(
-                    key,
-                    g,
-                    [(x, (L(alpha), V(x)))],
-                    _subst_eqs(eqs, x, (L(alpha), V(x))),
-                    mem,
-                    1,
-                )
+                emit(key, g, [(x, alpha + x)], _subst_eqs(eqs, x, alpha + x), mem, 1)
         else:
-            y = other.name
+            y = other
             try_eps(x)
             try_eps(y)
             for longer, shorter in ((x, y), (y, x)):
                 # longer = shorter . longer'
-                repl = (V(shorter), V(longer))
+                repl = shorter + longer
                 new_eqs = _subst_eqs(eqs, longer, repl)
                 blog = [(longer, repl)]
                 if longer in members:
@@ -565,7 +553,7 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
 def _components(eqs: list, members: dict):
     """Split a system into independent parts linked by shared
     variables."""
-    items = [("eq", e, set(_side_vars(e[0]) + _side_vars(e[1]))) for e in eqs]
+    items = [("eq", e, {c for c in e[0] + e[1] if c > "d"}) for e in eqs]
     items += [("mem", (x, d), {x}) for x, d in members.items()]
     parent = list(range(len(items)))
 
@@ -602,17 +590,12 @@ def _any_letter():
 def _diseq_branches(u: Side, v: Side, n: int):
     """The fourteen ways two words can differ: a common prefix followed
     by different letters, or one side a strict prefix of the other."""
-    w, s1, s2, l = (
-        V(f"$dw{n}"),
-        V(f"$da{n}"),
-        V(f"$db{n}"),
-        f"$dl{n}",
-    )
+    w, s1, s2, l = (_var(f"${p}{n}") for p in ("dw", "da", "db", "dl"))
     out = []
     for a, b in itertools.permutations(ALPHABET, 2):
-        out.append(([(u, (w, L(a), s1)), (v, (w, L(b), s2))], {}))
-    out.append(([(v, u + (V(l), s1))], {l: _any_letter()}))
-    out.append(([(u, v + (V(l), s1))], {l: _any_letter()}))
+        out.append(([(u, w + a + s1), (v, w + b + s2)], {}))
+    out.append(([(v, u + l + s1)], {l: _any_letter()}))
+    out.append(([(u, v + l + s1)], {l: _any_letter()}))
     return out
 
 
@@ -677,14 +660,15 @@ def solve_problem(wp: WordProblem, budget: Budget | None = None):
     except ClauseCapExceeded:
         ctl.overflowed = True
         return "unknown", None, ctl, 0
-    pending = list(clauses)
+    # converted as the first level reaches each clause, so that only the
+    # clauses still unknown after it are held twice
+    pending = map(_on_strings, clauses)
     for allowance in _LEVELS:
         still_unknown = []
         for clause in pending:
-            st, sigma = _solve_constraints(
-                clause.eqs, clause.diseqs, clause.members, ctl, allowance
-            )
+            st, sigma = _solve_constraints(*clause, ctl, allowance)
             if st == "sat":
+                sigma = {_name(c): w for c, w in sigma.items()}
                 return "sat", sigma, ctl, len(clauses)
             if st == "unknown":
                 still_unknown.append(clause)

@@ -266,6 +266,27 @@ def test_bad_budget_value_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_budget_environment_exits_3(capsys, monkeypatch, tmp_path, value):
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . x = 1\n")
+    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", value)
+    code, out, err = run_cli(capsys, "sat", str(src))
+    assert code == 3 and out == ""
+    assert err == (
+        "seqsolve: error: SEQSOLVE_BUDGET_NODES must be a positive integer, "
+        f"not {value!r}\n"
+    )
+
+
+def test_deeply_nested_input_exits_3(capsys, tmp_path):
+    src = tmp_path / "deep.seq"
+    src.write_text("exists x . " + " & ".join(["first(x) == 1"] * 2000) + "\n")
+    code, out, err = run_cli(capsys, "sat", str(src))
+    assert code == 3
+    assert err == "seqsolve: error: input nested too deeply\n"
+
+
 @pytest.fixture
 def commutation_file(tmp_path):
     # satisfiable, but pre-search filters cannot close it: the search

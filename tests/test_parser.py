@@ -5,6 +5,8 @@ Truth sources: expected ASTs are hand-built from the grammar
 round-trip and error cases are [TRIVIAL] properties of the interface.
 """
 
+import random
+
 import pytest
 
 from seqsolve.ast import (
@@ -42,6 +44,7 @@ from seqsolve.ast import (
 )
 from seqsolve.parser import FragmentError, ParseError, parse_formula, parse_matrix
 from seqsolve.printer import print_formula, print_matrix
+from seqsolve.randgen import gen_formula
 
 
 # [DERIVED] hand-built trees
@@ -197,6 +200,21 @@ def test_print_parse_round_trip(src):
 def test_printer_matrix_round_trip_under_negation():
     m = parse_matrix("!(a = eps & b = eps) | !c = eps")
     assert parse_matrix(print_matrix(m)) == m
+
+
+def test_printer_parenthesizes_membership_before_or():
+    # a regex reads on across "|", so the atom itself needs the parentheses
+    m = parse_matrix("(x in INT* -2 INT*) | -2 = x[2:2]")
+    assert print_matrix(m) == "(x in INT* -2 INT*) | -2 = x[2:2]"
+    assert parse_matrix(print_matrix(m)) == m
+    assert print_matrix(parse_matrix("y = y | x in INT*")) == "y = y | x in INT*"
+
+
+def test_printed_random_formulas_parse_and_reprint_identically():
+    rng = random.Random(0)
+    for _ in range(500):
+        text = print_formula(gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2))
+        assert print_formula(parse_formula(text)) == text
 
 
 # error reporting

@@ -7,6 +7,11 @@ Unsatisfiable entries were cross-checked by exhausting the same
 bounded domains.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from seqsolve import oracle
@@ -40,6 +45,7 @@ from seqsolve.wordsolver import (
     _replay,
     _simplify,
     _strip,
+    _var,
 )
 
 BUDGET = Budget(max_nodes=200_000)
@@ -105,107 +111,99 @@ def test_dnf_clause_cap():
 # ---------------------------------------------------------------------------
 # simplification
 
+# Inside the search a side is a str: letters "abcd" and one interned code
+# point per variable.
+X, Y, Z, U, W = (_var(n) for n in "xyzuw")
+
 
 def test_strip_common_affixes():
-    u = (L("a"), V("x"), L("b"))
-    v = (L("a"), V("y"), L("c"), L("b"))
-    assert _strip(u, v) == ((V("x"),), (V("y"), L("c")))
+    assert _strip("a" + X + "b", "a" + Y + "cb") == (X, Y + "c")
 
 
 def test_simplify_resolves_ground_equation():
-    ok, eqs, diseqs, members, log = _simplify(
-        [((L("a"), L("b")), (L("a"), L("b")))], [], {}
-    )
+    ok, eqs, diseqs, members, log = _simplify([("ab", "ab")], [], {})
     assert ok == "ok" and eqs == []
 
 
 def test_simplify_rejects_ground_mismatch():
-    assert _simplify([((L("a"),), (L("b"),))], [], {})[0] == "fail"
+    assert _simplify([("a", "b")], [], {})[0] == "fail"
 
 
 def test_simplify_pins_single_variable():
-    ok, eqs, _, _, log = _simplify([((V("x"), L("a")), (L("b"), L("a")))], [], {})
+    ok, eqs, _, _, log = _simplify([(X + "a", "ba")], [], {})
     assert ok == "ok" and eqs == []
-    assert ("x", (L("b"),)) in log
+    assert (X, "b") in log
 
 
 def test_simplify_empty_side_forces_empty_variables():
-    ok, eqs, _, _, log = _simplify([((V("x"), V("y")), ())], [], {})
+    ok, eqs, _, _, log = _simplify([(X + Y, "")], [], {})
     assert ok == "ok" and eqs == []
-    assert ("x", ()) in log and ("y", ()) in log
+    assert (X, "") in log and (Y, "") in log
 
 
 def test_simplify_empty_side_against_letter_fails():
-    assert _simplify([((L("a"),), ())], [], {})[0] == "fail"
+    assert _simplify([("a", "")], [], {})[0] == "fail"
 
 
 def test_simplify_applies_singleton_membership():
-    ok, eqs, _, members, log = _simplify(
-        [((V("x"),), (V("y"),))], [], {"x": lit("ab")}
-    )
+    ok, eqs, _, members, log = _simplify([(X, Y)], [], {X: lit("ab")})
     assert ok == "ok"
-    assert eqs == [] and ("y", (L("a"), L("b"))) in log or ("x", (L("a"), L("b"))) in log
+    assert eqs == [] and (Y, "ab") in log or (X, "ab") in log
 
 
 def test_simplify_rejects_empty_membership():
     empty = lit("a").intersect(lit("b"))
-    assert _simplify([], [], {"x": empty})[0] == "fail"
+    assert _simplify([], [], {X: empty})[0] == "fail"
 
 
 def test_simplify_merges_variable_aliases():
     d1 = union(lit(""), lit("a"))
     d2 = union(lit("a"), lit("b"))
-    ok, eqs, _, members, log = _simplify(
-        [((V("x"),), (V("y"),))], [], {"x": d1, "y": d2}
-    )
+    ok, eqs, _, members, log = _simplify([(X, Y)], [], {X: d1, Y: d2})
     assert ok == "ok" and eqs == []
     # the memberships intersect to just "a", pinning both variables
     assert members == {}
     sigma = _replay(log, {})
-    assert sigma == {"x": "a", "y": "a"}
+    assert sigma == {X: "a", Y: "a"}
 
 
 def test_simplify_eliminates_defined_variable():
-    ok, eqs, _, _, log = _simplify([((V("x"),), (V("y"), V("z")))], [], {})
+    ok, eqs, _, _, log = _simplify([(X, Y + Z)], [], {})
     assert ok == "ok" and eqs == []
-    assert ("x", (V("y"), V("z"))) in log
+    assert (X, Y + Z) in log
 
 
 def test_simplify_solves_tail_recursion_by_stripping():
     # x = y x is x-suffix stripping away, forcing y empty
-    ok, eqs, _, _, log = _simplify([((V("x"),), (V("y"), V("x")))], [], {})
+    ok, eqs, _, _, log = _simplify([(X, Y + X)], [], {})
     assert ok == "ok" and eqs == []
-    assert ("y", ()) in log
+    assert (Y, "") in log
 
 
 def test_simplify_keeps_occurs_check_equation():
-    ok, eqs, _, _, _ = _simplify([((V("x"),), (V("y"), V("x"), V("z")))], [], {})
+    ok, eqs, _, _, _ = _simplify([(X, Y + X + Z)], [], {})
     assert ok == "ok"
     assert eqs  # x also occurs inside the right side, so it is not defined by it
 
 
 def test_simplify_fails_on_equal_disequation_sides():
-    assert _simplify([], [((V("x"), L("a")), (V("x"), L("a")))], {})[0] == "fail"
+    assert _simplify([], [(X + "a", X + "a")], {})[0] == "fail"
 
 
 def test_simplify_drops_settled_disequations():
-    ok, _, diseqs, _, _ = _simplify(
-        [],
-        [((L("a"),), ()), ((L("a"), V("x")), (L("b"), V("y")))],
-        {},
-    )
+    ok, _, diseqs, _, _ = _simplify([], [("a", ""), ("a" + X, "b" + Y)], {})
     assert ok == "ok" and diseqs == []
 
 
 def test_replay_restores_time_ordered_values():
-    log = [("x", (V("y"), L("a"))), ("y", (L("b"),))]
+    log = [(X, Y + "a"), (Y, "b")]
     sigma = _replay(log, {})
-    assert sigma == {"y": "b", "x": "ba"}
+    assert sigma == {Y: "b", X: "ba"}
 
 
 def test_canon_orients_symmetric_equations():
-    e1 = [((V("x"), V("y")), (L("a"),))]
-    e2 = [((L("a"),), (V("x"), V("y")))]
+    e1 = [(X + Y, "a")]
+    e2 = [("a", X + Y)]
     assert _canon(e1, {}) == _canon(e2, {})
 
 
@@ -214,28 +212,24 @@ def test_canon_orients_symmetric_equations():
 
 
 def test_length_rejects_strict_growth():
-    assert _length_infeasible([((V("x"),), (V("x"), L("a")))], {})
+    assert _length_infeasible([(X, X + "a")], {})
 
 
 def test_length_accepts_balanced_system():
-    assert not _length_infeasible(
-        [((V("x"), V("y")), (V("y"), V("x")))], {}
-    )
+    assert not _length_infeasible([(X + Y, Y + X)], {})
 
 
 def test_length_rejects_fractional_solution():
-    assert _length_infeasible([((V("x"), V("x")), (L("a"), L("a"), L("a")))], {})
+    assert _length_infeasible([(X + X, "aaa")], {})
 
 
 def test_length_rejects_negative_solution():
-    assert _length_infeasible([((V("x"), V("x"), L("a")), (V("x"),))], {})
+    assert _length_infeasible([(X + X + "a", X)], {})
 
 
 def test_length_checks_forced_length_against_membership():
-    assert _length_infeasible([((V("x"),), (L("a"), L("a")))], {"x": lit("b")})
-    assert not _length_infeasible(
-        [((V("x"),), (L("a"), L("a")))], {"x": lit("bb")}
-    )
+    assert _length_infeasible([(X, "aa")], {X: lit("b")})
+    assert not _length_infeasible([(X, "aa")], {X: lit("bb")})
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +237,17 @@ def test_length_checks_forced_length_against_membership():
 
 
 def test_diseq_branch_count_and_freshness():
-    b1 = _diseq_branches((V("x"),), (V("y"),), 1)
-    b2 = _diseq_branches((V("x"),), (V("y"),), 2)
+    b1 = _diseq_branches(X, Y, 1)
+    b2 = _diseq_branches(X, Y, 2)
     assert len(b1) == len(b2) == 14
-    names1 = {t.name for eqs, _ in b1 for u, v in eqs for t in u + v if isinstance(t, V)}
-    names2 = {t.name for eqs, _ in b2 for u, v in eqs for t in u + v if isinstance(t, V)}
-    assert names1 & names2 == {"x", "y"}
+    names1 = {c for eqs, _ in b1 for u, v in eqs for c in u + v if c > "d"}
+    names2 = {c for eqs, _ in b2 for u, v in eqs for c in u + v if c > "d"}
+    assert names1 & names2 == {X, Y}
 
 
 def test_components_split_independent_systems():
-    eqs = [((V("x"),), (V("y"),)), ((V("u"),), (L("a"),))]
-    members = {"w": bstar_dfa()}
+    eqs = [(X, Y), (U, "a")]
+    members = {W: bstar_dfa()}
     groups = _components(eqs, members)
     assert len(groups) == 3
     sizes = sorted((len(e), len(m)) for e, m in groups)
@@ -261,8 +255,8 @@ def test_components_split_independent_systems():
 
 
 def test_components_join_on_shared_variable():
-    eqs = [((V("x"),), (V("y"),)), ((V("y"),), (V("z"),))]
-    groups = _components(eqs, {"z": bstar_dfa()})
+    eqs = [(X, Y), (Y, Z)]
+    groups = _components(eqs, {Z: bstar_dfa()})
     assert len(groups) == 1
 
 
@@ -315,6 +309,41 @@ def test_unsatisfiable(src):
     assert r.status == "unsat"
     names = tuple(f.prefix) if f.quantifier else tuple(sorted(matrix_vars(f.matrix)))
     assert oracle.brute_force_sat(f.matrix, names, Bounds(max_len=2, values=(-1, 0, 1))) is None
+
+
+def test_variables_named_like_letters():
+    # the word variables of a, b, c and d must not meet the letters "abcd"
+    f = parse_formula(
+        "exists a, b, c, d . a = b ++ c & b = 1 & c = d ++ d & d = 2 ++ -1"
+        " & a ++ 3 = 1 ++ rest(a) ++ 3"
+    )
+    r = check_sat(f, BUDGET)
+    assert r.status == "sat"
+    assert r.witness == {"a": (1, 2, -1, 2, -1), "b": (1,), "c": (2, -1, 2, -1), "d": (2, -1)}
+    assert oracle.matrix_value(f.matrix, r.witness)
+
+
+def test_cold_and_warm_tables_agree():
+    # in a fresh interpreter the first solve interns every variable and
+    # automaton it meets; the second finds them all interned already
+    src = "exists x, y . x ++ y = y ++ x & !(x = y) & first(y) < first(x)"
+    code = (
+        "from seqsolve.parser import parse_formula\n"
+        "from seqsolve.wordsolver import Budget, check_sat\n"
+        f"f = parse_formula({src!r})\n"
+        "for _ in range(2):\n"
+        "    r = check_sat(f, Budget())\n"
+        "    print(r.status, r.witness, r.nodes, r.clauses)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    cold, warm = proc.stdout.splitlines()
+    assert cold == warm
+    status, *_, nodes, _ = cold.split()
+    assert status == "sat" and int(nodes) > 0
 
 
 def test_universal_sentence_reported_as_sat():
