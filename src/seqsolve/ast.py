@@ -248,6 +248,16 @@ class LenCmp:
 
 
 @dataclass(frozen=True)
+class Sorted:
+    """Adjacent elements of the argument are nondecreasing. Only
+    program annotations produce it; the VC generator expands or drops
+    it before a condition reaches the solver."""
+
+    arg: SeqTerm
+    loc: Span | None = _loc_field()
+
+
+@dataclass(frozen=True)
 class BoolLit:
     value: bool
     loc: Span | None = _loc_field()
@@ -287,7 +297,7 @@ class Iff:
     loc: Span | None = _loc_field()
 
 
-Atom = Union[SeqEq, InRe, IntCmp, LenCmp, BoolLit]
+Atom = Union[SeqEq, InRe, IntCmp, LenCmp, Sorted, BoolLit]
 Matrix = Union[Atom, Not, And, Or, Imp, Iff]
 
 FORALL = "forall"
@@ -305,9 +315,6 @@ class Formula:
 
     def is_universal(self) -> bool:
         return self.quantifier in (None, FORALL)
-
-    def is_existential(self) -> bool:
-        return self.quantifier in (None, EXISTS)
 
 
 def qf(matrix: Matrix) -> Formula:
@@ -364,7 +371,7 @@ def atom_seq_terms(a: Atom) -> Iterator[SeqTerm]:
             yield from seq_subterms(r)
         case InRe(t, _):
             yield from seq_subterms(t)
-        case LenCmp(t, _, _):
+        case LenCmp(t, _, _) | Sorted(t):
             yield from seq_subterms(t)
         case IntCmp(_, l, r):
             yield from _seq_in_int(l)
@@ -389,7 +396,7 @@ def free_vars(f: Formula) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Structural substitution (used by the VC generator and the rewriters).
+# Structural substitution (used by the VC generator).
 
 
 def subst_in_seq(t: SeqTerm, env: dict[str, SeqTerm]) -> SeqTerm:
@@ -432,6 +439,8 @@ def subst_in_matrix(m: Matrix, env: dict[str, SeqTerm]) -> Matrix:
             return IntCmp(op, subst_in_int(l, env), subst_in_int(r, env))
         case LenCmp(t, op, k):
             return LenCmp(subst_in_seq(t, env), op, k)
+        case Sorted(t):
+            return Sorted(subst_in_seq(t, env))
         case BoolLit(_):
             return m
         case Not(a):
@@ -447,14 +456,6 @@ def subst_in_matrix(m: Matrix, env: dict[str, SeqTerm]) -> Matrix:
     raise TypeError(f"not a matrix node: {m!r}")
 
 
-def subst_in_formula(f: Formula, env: dict[str, SeqTerm]) -> Formula:
-    """Substitute free variables only; prefix variables shadow the env."""
-    trimmed = {k: v for k, v in env.items() if k not in f.prefix}
-    if not trimmed:
-        return f
-    return Formula(f.quantifier, f.prefix, subst_in_matrix(f.matrix, trimmed))
-
-
 def conj(parts: list[Matrix]) -> Matrix:
     """Right-nested conjunction of a non-empty list (True when empty)."""
     if not parts:
@@ -464,11 +465,3 @@ def conj(parts: list[Matrix]) -> Matrix:
         out = And(p, out)
     return out
 
-
-def disj(parts: list[Matrix]) -> Matrix:
-    if not parts:
-        return BoolLit(False)
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out

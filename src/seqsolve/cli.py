@@ -64,7 +64,7 @@ _STATUS_EXIT = {
 class RunConfig:
     command: str
     input: Path
-    budget: Budget
+    budget: Budget | None  # sat, valid and vc only
     bounds: Bounds
     format: str = "text"
     stop_after: str = "encode"
@@ -110,25 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
+
+    solver = _ArgumentParser(add_help=False)
+    solver.add_argument(
         "--budget-nodes", type=_positive, default=None,
         help="search node budget (beats SEQSOLVE_BUDGET_NODES)",
     )
-    common.add_argument(
+    solver.add_argument(
         "--witness-letters", type=_positive, default=None,
         help="longest witness word explored per variable",
     )
-    common.add_argument(
+    solver.add_argument(
         "--clause-cap", type=_positive, default=None,
         help="largest clause count accepted after normalization",
     )
-    common.add_argument(
-        "--jobs", type=_positive, default=1,
-        help="parallel workers for independent obligations (default 1)",
-    )
 
-    sub.add_parser("sat", parents=[common], help="decide satisfiability")
-    sub.add_parser("valid", parents=[common], help="decide validity")
+    sub.add_parser("sat", parents=[common, solver], help="decide satisfiability")
+    sub.add_parser("valid", parents=[common, solver], help="decide validity")
 
     enc = sub.add_parser("encode", parents=[common], help="dump the encoding")
     enc.add_argument(
@@ -145,14 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated element pool",
     )
 
-    vc = sub.add_parser("vc", parents=[common], help="verification conditions")
+    vc = sub.add_parser("vc", parents=[common, solver], help="verification conditions")
     vc.add_argument(
         "--discharge", action="store_true", help="run the solver on each condition"
+    )
+    vc.add_argument(
+        "--jobs", type=_positive, default=1,
+        help="parallel workers for independent obligations (default 1)",
     )
     return parser
 
 
-def _config(args) -> RunConfig:
+def _budget(args) -> Budget | None:
+    """The search budget of the commands that search, else None."""
+    if not hasattr(args, "budget_nodes"):
+        return None
     try:
         budget = Budget.from_env()
     except ValueError as e:
@@ -163,6 +168,10 @@ def _config(args) -> RunConfig:
         budget.witness_letters = args.witness_letters
     if args.clause_cap is not None:
         budget.clause_cap = args.clause_cap
+    return budget
+
+
+def _config(args) -> RunConfig:
     bounds = Bounds(
         max_len=getattr(args, "max_len", 3),
         values=getattr(args, "values", (-2, -1, 0, 1, 2)),
@@ -170,12 +179,12 @@ def _config(args) -> RunConfig:
     return RunConfig(
         command=args.command,
         input=args.input,
-        budget=budget,
+        budget=_budget(args),
         bounds=bounds,
         format=args.format,
         stop_after=getattr(args, "stop_after", "encode"),
         do_discharge=getattr(args, "discharge", False),
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -225,49 +234,48 @@ def _report_skeleton(config: RunConfig, status: str) -> dict:
     }
 
 
+def _verdict(
+    config: RunConfig,
+    status: str,
+    fields: dict,
+    note: str | None = None,
+    witness: dict | None = None,
+    counterexample: dict | None = None,
+    reason: str = "",
+) -> int:
+    """Print the res-1 report of one decision and return its exit
+    code. ``fields`` follow the status in the JSON, ``note`` in the
+    text."""
+    report = _report_skeleton(config, status) | fields
+    text = [f"status: {status}"] + ([note] if note else [])
+    for key, env in (("witness", witness), ("counterexample", counterexample)):
+        if env is not None:
+            report[key] = _env_json(env)
+            text.append(f"{key}:")
+            _env_lines(env, text)
+    if status == "unknown":
+        report["reason"] = reason
+        text.append(f"reason: {reason}")
+    _emit(config, report, text)
+    return _STATUS_EXIT[status]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _run_sat(config: RunConfig) -> int:
+def _run_check(config: RunConfig) -> int:
     f = _load_formula(config.input)
-    r = check_sat(f, config.budget)
-    report = _report_skeleton(config, r.status)
-    report["nodes"] = r.nodes
-    report["clauses"] = r.clauses
-    text = [f"status: {r.status}"]
-    if r.status == "sat":
-        report["witness"] = _env_json(r.witness)
-        text.append("witness:")
-        _env_lines(r.witness, text)
-    elif r.status == "unsat" and r.counterexample is not None:
-        # a universal input was refuted
-        report["counterexample"] = _env_json(r.counterexample)
-        text.append("counterexample:")
-        _env_lines(r.counterexample, text)
-    elif r.status == "unknown":
-        report["reason"] = r.reason
-        text.append(f"reason: {r.reason}")
-    _emit(config, report, text)
-    return _STATUS_EXIT[r.status]
-
-
-def _run_valid(config: RunConfig) -> int:
-    f = _load_formula(config.input)
-    r = check_valid(f, config.budget)
-    report = _report_skeleton(config, r.status)
-    report["nodes"] = r.nodes
-    report["clauses"] = r.clauses
-    text = [f"status: {r.status}"]
-    if r.status == "invalid":
-        report["counterexample"] = _env_json(r.counterexample)
-        text.append("counterexample:")
-        _env_lines(r.counterexample, text)
-    elif r.status == "unknown":
-        report["reason"] = r.reason
-        text.append(f"reason: {r.reason}")
-    _emit(config, report, text)
-    return _STATUS_EXIT[r.status]
+    check = check_sat if config.command == "sat" else check_valid
+    r = check(f, config.budget)
+    return _verdict(
+        config,
+        r.status,
+        {"nodes": r.nodes, "clauses": r.clauses},
+        witness=r.witness,
+        counterexample=r.counterexample,
+        reason=r.reason,
+    )
 
 
 def _side_text(side) -> str:
@@ -337,31 +345,16 @@ def _run_encode(config: RunConfig) -> int:
 def _run_oracle(config: RunConfig) -> int:
     f = _load_formula(config.input)
     bounds = config.bounds
+    fields = {"bounds": {"max_len": bounds.max_len, "values": list(bounds.values)}}
     note = f"bounded: max_len={bounds.max_len} values={list(bounds.values)}"
     if f.quantifier == FORALL:
         cex = brute_force_sat(Not(f.matrix), f.prefix, bounds)
         status = "invalid" if cex is not None else "valid"
-        report = _report_skeleton(config, status)
-        report["bounds"] = {"max_len": bounds.max_len, "values": list(bounds.values)}
-        text = [f"status: {status}", note]
-        if cex is not None:
-            report["counterexample"] = _env_json(cex)
-            text.append("counterexample:")
-            _env_lines(cex, text)
-        _emit(config, report, text)
-        return _STATUS_EXIT[status]
+        return _verdict(config, status, fields, note, counterexample=cex)
     names = f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))
     witness = brute_force_sat(f.matrix, names, bounds)
     status = "sat" if witness is not None else "unsat"
-    report = _report_skeleton(config, status)
-    report["bounds"] = {"max_len": bounds.max_len, "values": list(bounds.values)}
-    text = [f"status: {status}", note]
-    if witness is not None:
-        report["witness"] = _env_json(witness)
-        text.append("witness:")
-        _env_lines(witness, text)
-    _emit(config, report, text)
-    return _STATUS_EXIT[status]
+    return _verdict(config, status, fields, note, witness=witness)
 
 
 def _discharge_one(payload: tuple[VC, Budget]) -> Discharge:
@@ -438,8 +431,8 @@ def _run_vc(config: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "sat": _run_sat,
-    "valid": _run_valid,
+    "sat": _run_check,
+    "valid": _run_check,
     "encode": _run_encode,
     "oracle": _run_oracle,
     "vc": _run_vc,

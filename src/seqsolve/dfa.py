@@ -45,9 +45,6 @@ class Dfa:
     def is_empty(self) -> bool:
         return not self.accepting  # canonical: all states reachable
 
-    def is_universal(self) -> bool:
-        return len(self.accepting) == self.n
-
     def shortest_word(self) -> str | None:
         """Length-lexicographically least accepted word, None if empty."""
         if self.start in self.accepting:
@@ -67,10 +64,6 @@ class Dfa:
                     nxt.append((t, word + ch))
             frontier = nxt
         return None
-
-    def min_length(self) -> int | None:
-        w = self.shortest_word()
-        return None if w is None else len(w)
 
     def complement(self) -> Dfa:
         return _complement(self)
@@ -95,9 +88,6 @@ class Dfa:
     def is_singleton(self) -> bool:
         """Does the language consist of exactly one word?"""
         return _is_singleton(self)
-
-    def contains(self, other: Dfa) -> bool:
-        return other.intersect(self.complement()).is_empty()
 
 
 # The solver calls these on the same automata over and over while
@@ -344,12 +334,3 @@ def power(d: Dfa, k: int) -> Dfa:
 def empty_dfa() -> Dfa:
     return make_dfa([(0, 0, 0, 0)], 0, [])
 
-
-@lru_cache(maxsize=None)
-def epsilon_dfa() -> Dfa:
-    return lit("")
-
-
-@lru_cache(maxsize=None)
-def universal_dfa() -> Dfa:
-    return make_dfa([(0, 0, 0, 0)], 0, [0])

@@ -81,7 +81,6 @@ from .ast import (
     ZStar,
     ZUnion,
     conj,
-    matrix_vars,
 )
 
 

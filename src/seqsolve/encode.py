@@ -37,7 +37,6 @@ which is what makes the case splits cheap to discharge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union

@@ -309,74 +309,3 @@ def brute_force_sat(
             return env
     return None
 
-
-def relevant_values(f: Formula, extra: int = 1) -> tuple[int, ...]:
-    """A value pool for enumeration: every integer constant that occurs
-    in the formula, a band of ``extra`` values around each, and 0 and 1."""
-    consts: set[int] = {0, 1}
-
-    def regex(r: ZRegex):
-        match r:
-            case ZLit(value=k):
-                consts.add(k)
-            case ZSet(values=vs):
-                consts.update(vs)
-            case ZCat(parts=ps) | ZUnion(parts=ps):
-                for p in ps:
-                    regex(p)
-            case ZStar(arg=a) | ZPlus(arg=a) | ZPow(arg=a):
-                regex(a)
-            case _:
-                pass
-
-    def intt(i: IntTerm):
-        match i:
-            case IConst(value=k):
-                consts.add(k)
-            case IAdd(left=l, right=r) | ISub(left=l, right=r):
-                intt(l)
-                intt(r)
-            case IOfSeq(arg=t):
-                seq(t)
-            case _:
-                pass
-
-    def seq(t: SeqTerm):
-        match t:
-            case SInt(value=i):
-                intt(i)
-            case SConcat(left=l, right=r):
-                seq(l)
-                seq(r)
-            case SSub(arg=a) | SRev(arg=a):
-                seq(a)
-            case _:
-                pass
-
-    def mat(m: Matrix):
-        match m:
-            case Not(arg=a):
-                mat(a)
-            case And(left=l, right=r) | Or(left=l, right=r) | Imp(left=l, right=r) | Iff(left=l, right=r):
-                mat(l)
-                mat(r)
-            case SeqEq(left=l, right=r):
-                seq(l)
-                seq(r)
-            case InRe(arg=t, regex=rx):
-                seq(t)
-                regex(rx)
-            case LenCmp(arg=t):
-                seq(t)
-            case IntCmp(left=l, right=r):
-                intt(l)
-                intt(r)
-            case _:
-                pass
-
-    mat(f.matrix)
-    out: set[int] = set()
-    for k in consts:
-        for d in range(-extra, extra + 1):
-            out.add(k + d)
-    return tuple(sorted(out))

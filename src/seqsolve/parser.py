@@ -28,6 +28,18 @@ Grammar sketch (see README for the full reference)::
 `=` is equality of sequences; `==`, `!=`, `<`, `<=`, `>`, `>=` compare
 integers (a sequence in an integer position denotes its first element).
 Comments run from `#` to end of line.
+
+Program annotations (``annotations=True``, used by the VC generator)
+add three forms, each recognised only when followed by ``(``::
+
+    atom    := ... | "sorted" "(" term ")"
+    prim    := ... | "top" "(" term ")" | "old" "(" ident ")"
+
+``top(t)`` is ``last(t)``, ``old(x)`` is the snapshot variable
+``$old_x`` (the value of x at program entry) and ``sorted(t)`` is a
+``Sorted`` atom. Names starting with ``$`` are reserved for generated
+variables and are always rejected, so a snapshot variable only ever
+comes from ``old``.
 """
 
 from __future__ import annotations
@@ -63,6 +75,7 @@ from .ast import (
     SVar,
     SeqEq,
     SeqTerm,
+    Sorted,
     Span,
     ZAny,
     ZCat,
@@ -81,6 +94,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.msg = message
         self.line = line
         self.col = col
 
@@ -89,6 +103,9 @@ class FragmentError(ParseError):
     """Raised when the input is syntactically fine but outside the
     supported decidable fragment."""
 
+
+# old(x) in an annotation denotes this variable, x's value at entry.
+OLD_PREFIX = "$old_"
 
 # Tokens reserved for extensions that would make the logic undecidable:
 # equal-length comparisons, per-value counting, and element sums.
@@ -212,10 +229,10 @@ class _PTerm:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], allow_internal_names: bool = False):
+    def __init__(self, toks: list[Token], annotations: bool = False):
         self.toks = toks
         self.pos = 0
-        self.allow_internal = allow_internal_names
+        self.annotations = annotations
 
     # -- token plumbing ----------------------------------------------------
 
@@ -235,6 +252,10 @@ class _Parser:
     def at_kw(self, text: str) -> bool:
         t = self.peek()
         return t.kind == "ident" and t.text == text
+
+    def at_annotation(self, name: str) -> bool:
+        """At an annotation form: ``name`` followed by ``(``."""
+        return self.annotations and self.at_kw(name) and self.peek(1).text == "("
 
     def expect_punct(self, text: str) -> Token:
         t = self.peek()
@@ -266,7 +287,7 @@ class _Parser:
             )
         if t.text in KEYWORDS:
             raise ParseError(f"{t.text!r} is a keyword", t.line, t.col)
-        if t.text.startswith("$") and not self.allow_internal:
+        if t.text.startswith("$"):
             raise ParseError(
                 "names starting with '$' are reserved for generated variables",
                 t.line,
@@ -361,6 +382,12 @@ class _Parser:
             return BoolLit(False, loc=self._span(start))
         if self.at_kw("len"):
             return self.len_atom()
+        if self.at_annotation("sorted"):
+            self.next()
+            self.next()
+            t = self.coerce_seq(self.term())
+            self.expect_punct(")")
+            return Sorted(t, loc=self._span(start))
         if self.at_punct("("):
             # Either a parenthesised matrix or a parenthesised term; try the
             # matrix reading first and fall back when a term context follows.
@@ -494,12 +521,20 @@ class _Parser:
         if self.at_kw("eps"):
             self.next()
             return _PTerm("eps", self._span(t))
-        if t.kind == "ident" and t.text in ("first", "last", "rest", "rev"):
+        builtin = t.kind == "ident" and t.text in ("first", "last", "rest", "rev")
+        if builtin or self.at_annotation("top"):
             self.next()
             self.expect_punct("(")
             arg = self.term()
             self.expect_punct(")")
-            return _PTerm(t.text, self._span(t), args=(arg,))
+            kind = "last" if t.text == "top" else t.text
+            return _PTerm(kind, self._span(t), args=(arg,))
+        if self.at_annotation("old"):
+            self.next()
+            self.next()
+            name = self.ident().text
+            self.expect_punct(")")
+            return _PTerm("var", self._span(t), name=OLD_PREFIX + name)
         if self.at_punct("("):
             self.next()
             inner = self.term()
@@ -628,27 +663,26 @@ class _Parser:
         raise self.err(f"expected a regex, found {t.text or 'end of input'!r}")
 
 
-def parse_formula(src: str, allow_internal_names: bool = False) -> Formula:
-    """Parse a formula; raises ParseError/FragmentError on bad input.
-
-    ``allow_internal_names`` admits '$'-prefixed variables, which the
-    rewriting passes generate; user-facing input keeps them reserved.
-    """
-    return _Parser(tokenize(src), allow_internal_names).formula()
+def parse_formula(src: str) -> Formula:
+    """Parse a formula; raises ParseError/FragmentError on bad input."""
+    return _Parser(tokenize(src)).formula()
 
 
-def parse_matrix(src: str, allow_internal_names: bool = False) -> Matrix:
-    """Parse a bare matrix (no quantifier prefix allowed)."""
-    f = parse_formula(src, allow_internal_names)
+def parse_matrix(src: str, annotations: bool = False) -> Matrix:
+    """Parse a bare matrix (no quantifier prefix allowed);
+    ``annotations`` admits old(x), top(t) and sorted(t)."""
+    p = _Parser(tokenize(src), annotations)
+    start = p.peek()
+    f = p.formula()
     if f.quantifier is not None:
-        raise ParseError("a quantifier prefix is not allowed here", 1, 1)
+        raise ParseError("a quantifier prefix is not allowed here", start.line, start.col)
     return f.matrix
 
 
-def parse_seq_term(src: str, allow_internal_names: bool = False) -> SeqTerm:
+def parse_seq_term(src: str, annotations: bool = False) -> SeqTerm:
     """Parse a single sequence-valued term, e.g. an assignment right
-    side in a program file."""
-    p = _Parser(tokenize(src), allow_internal_names)
+    side in a program file; ``annotations`` admits old(x) and top(t)."""
+    p = _Parser(tokenize(src), annotations)
     t = p.coerce_seq(p.term())
     tok = p.peek()
     if tok.kind != "eof":

@@ -4,7 +4,8 @@ Printing drops the explicit coercion nodes (an integer used as a
 sequence, a sequence used as an integer): the surface syntax leaves
 them implicit and the parser reintroduces them deterministically, so
 ``parse(print(f))`` equals ``f`` modulo source locations for every tree
-the parser can produce.
+the parser can produce (a ``sorted(t)`` atom reparses in annotation
+mode).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .ast import (
     SVar,
     SeqEq,
     SeqTerm,
+    Sorted,
     ZAny,
     ZCat,
     ZLit,
@@ -95,6 +97,8 @@ def _matrix(m: Matrix, ctx: int, bar: bool = False) -> str:
             return f"{print_int_term(l)} {op} {print_int_term(r)}"
         case LenCmp(arg=t, op=op, bound=k):
             return f"len({print_seq_term(t)}) {op} {k}"
+        case Sorted(arg=t):
+            return f"sorted({print_seq_term(t)})"
     raise TypeError(f"not a matrix node: {m!r}")
 
 

@@ -18,9 +18,12 @@ A program file (.sqp) is line oriented::
               | from ... invariant <matrix> until <matrix> loop ... end
 
 push/pop/extend are assignment sugar (s := s ++ e, s := s[1:-1],
-r := r ++ e) and top(s) abbreviates last(s). Annotations are surface
-formulas extended with old(x), the value of x at entry, and
-sorted(t), shorthand for "adjacent elements of t are nondecreasing".
+r := r ++ e). Annotations and assigned terms are read by the formula
+parser in annotation mode, which adds three forms: top(s) is last(s),
+old(x) is the value of x at entry (a snapshot variable, equated with
+x in the hypotheses of the entry condition), and sorted(t), "adjacent
+elements of t are nondecreasing", is a Sorted atom. Parse errors give
+the line and column of the program text.
 
 Verification conditions come from backward weakest preconditions:
 assignments substitute, assume adds an implication, assert a
@@ -42,7 +45,7 @@ and discharge reports "undetermined" instead of "invalid".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ast import (
@@ -63,12 +66,16 @@ from .ast import (
     SVar,
     SeqEq,
     SeqTerm,
+    Sorted,
+    atom_seq_terms,
+    atoms,
     conj,
     matrix_vars,
+    seq_subterms,
     subst_in_matrix,
 )
 from .elaborate import ElaborationError, elaborate
-from .parser import ParseError, parse_matrix, parse_seq_term
+from .parser import OLD_PREFIX, ParseError, parse_matrix, parse_seq_term
 from .wordsolver import Budget, check_valid
 
 
@@ -170,61 +177,6 @@ class VC:
 
 
 # ---------------------------------------------------------------------------
-# annotation rewriting: old(x), top(s), sorted(t)
-
-_OLD_RE = re.compile(r"\bold\s*\(\s*([A-Za-z_]\w*)\s*\)")
-_TOP_RE = re.compile(r"\btop\s*\(")
-_SORTED_RE = re.compile(r"\bsorted\s*\(")
-
-_MARKER_PREFIX = "$sorted"
-
-
-class _Rewriter:
-    """Shared across one program so marker names stay unique."""
-
-    def __init__(self, variables: tuple[str, ...]):
-        self.variables = variables
-        self.markers = 0
-        self.old_names: set[str] = set()
-
-    def _snapshot(self, m: re.Match) -> str:
-        name = m.group(1)
-        if name not in self.variables:
-            raise VcError(f"old({name}): {name!r} is not a program variable")
-        self.old_names.add(name)
-        return f"$old_{name}"
-
-    def rewrite(self, src: str) -> str:
-        if "$" in src:
-            raise VcError("names starting with '$' are reserved in programs")
-        src = _TOP_RE.sub("last(", src)
-        src = _OLD_RE.sub(self._snapshot, src)
-        out = []
-        pos = 0
-        while (m := _SORTED_RE.search(src, pos)) is not None:
-            depth, i = 1, m.end()
-            while i < len(src) and depth:
-                depth += {"(": 1, ")": -1}.get(src[i], 0)
-                i += 1
-            if depth:
-                raise VcError("unbalanced parentheses in sorted(...)")
-            self.markers += 1
-            out.append(src[pos : m.start()])
-            out.append(f"({_MARKER_PREFIX}{self.markers} = ({src[m.end():i - 1]}))")
-            pos = i
-        out.append(src[pos:])
-        return "".join(out)
-
-
-def _is_marker(t) -> bool:
-    return isinstance(t, SVar) and t.name.startswith(_MARKER_PREFIX)
-
-
-def _has_marker(m: Matrix) -> bool:
-    return any(v.startswith(_MARKER_PREFIX) for v in matrix_vars(m))
-
-
-# ---------------------------------------------------------------------------
 # .sqp parsing
 
 
@@ -235,17 +187,19 @@ def _strip_comment(line: str) -> str:
 class _ProgramParser:
     def __init__(self, text: str, path: str):
         self.path = path
-        self.rows = [
-            (n, s)
-            for n, raw in enumerate(text.splitlines(), start=1)
-            if (s := _strip_comment(raw).strip())
-        ]
+        self.rows = []
+        self.indent: dict[int, int] = {}
+        for n, raw in enumerate(text.splitlines(), start=1):
+            if s := _strip_comment(raw).strip():
+                self.rows.append((n, s))
+                self.indent[n] = len(raw) - len(raw.lstrip())
         self.i = 0
-        self.rewriter: _Rewriter | None = None
         self.variables: tuple[str, ...] = ()
+        self.old_names: set[str] = set()
 
-    def err(self, line: int, msg: str) -> VcError:
-        return VcError(f"{self.path}:{line}: {msg}")
+    def err(self, line: int, msg: str, col: int | None = None) -> VcError:
+        where = f"{line}:{col}" if col is not None else f"{line}"
+        return VcError(f"{self.path}:{where}: {msg}")
 
     def peek(self) -> tuple[int, str]:
         if self.i >= len(self.rows):
@@ -260,17 +214,32 @@ class _ProgramParser:
 
     # -- annotations and terms ----------------------------------------------
 
-    def annotation(self, src: str, line: int) -> Matrix:
+    def _parse(self, line: int, row: str, start: int, end: int | None, term: bool):
+        """Parse row[start:end], an annotation or (``term``) a sequence
+        term, so that errors carry the columns of the source line."""
+        src = " " * (self.indent[line] + start) + row[start:end]
+        what = "term" if term else "annotation"
         try:
-            return parse_matrix(self.rewriter.rewrite(src), allow_internal_names=True)
-        except (ParseError, VcError) as e:
-            raise self.err(line, f"bad annotation: {e}") from e
+            out = (parse_seq_term if term else parse_matrix)(src, annotations=True)
+        except ParseError as e:
+            raise self.err(line, f"bad {what}: {e.msg}", e.col) from e
+        terms = seq_subterms(out) if term else (
+            t for a in atoms(out) for t in atom_seq_terms(a)
+        )
+        for t in terms:
+            if isinstance(t, SVar) and t.name.startswith(OLD_PREFIX):
+                x = t.name[len(OLD_PREFIX) :]
+                if x not in self.variables:
+                    msg = f"bad {what}: old({x}): {x!r} is not a program variable"
+                    raise self.err(line, msg, t.loc.col)
+                self.old_names.add(x)
+        return out
 
-    def seq_term(self, src: str, line: int) -> SeqTerm:
-        try:
-            return parse_seq_term(self.rewriter.rewrite(src), allow_internal_names=True)
-        except (ParseError, VcError) as e:
-            raise self.err(line, f"bad term: {e}") from e
+    def annotation(self, line: int, row: str, start: int, end: int | None = None) -> Matrix:
+        return self._parse(line, row, start, end, term=False)
+
+    def seq_term(self, line: int, row: str, start: int, end: int | None = None) -> SeqTerm:
+        return self._parse(line, row, start, end, term=True)
 
     def check_assignable(self, name: str, line: int) -> None:
         if name not in self.variables:
@@ -296,12 +265,11 @@ class _ProgramParser:
             if not re.fullmatch(r"[A-Za-z_]\w*", v) or v in seen:
                 raise self.err(line, f"bad variable list entry {v!r}")
             seen.add(v)
-        self.rewriter = _Rewriter(self.variables)
 
         requires: list[Matrix] = []
         while self.peek()[1].startswith("require"):
             line, row = self.take()
-            requires.append(self.annotation(row[len("require") :], line))
+            requires.append(self.annotation(line, row, len("require")))
 
         line, row = self.take()
         if row != "do":
@@ -312,7 +280,7 @@ class _ProgramParser:
         ensures: list[Matrix] = []
         while self.peek()[1].startswith("ensure"):
             line, row = self.take()
-            ensures.append(self.annotation(row[len("ensure") :], line))
+            ensures.append(self.annotation(line, row, len("ensure")))
         line, row = self.peek()
         if row:
             raise self.err(line, f"unexpected trailing line {row!r}")
@@ -324,7 +292,7 @@ class _ProgramParser:
             requires=conj(requires),
             body=body,
             ensures=conj(ensures),
-            old_names=tuple(sorted(self.rewriter.old_names)),
+            old_names=tuple(sorted(self.old_names)),
             path=self.path,
         )
 
@@ -350,16 +318,16 @@ class _ProgramParser:
             self.check_assignable(name, line)
             return Havoc(name, line)
         if head == "assume":
-            return Assume(self.annotation(row[len("assume") :], line), line)
+            return Assume(self.annotation(line, row, len("assume")), line)
         if head == "assert":
-            return Assert(self.annotation(row[len("assert") :], line), line)
+            return Assert(self.annotation(line, row, len("assert")), line)
         if m := re.fullmatch(r"(push|pop|extend)\s*\((.*)\)", row):
-            return self.sugar(m.group(1), m.group(2), line)
+            return self.sugar(m.group(1), line, row, m.start(2))
         if m := re.fullmatch(r"([A-Za-z_]\w*)\s*:=\s*(.+)", row):
             self.check_assignable(m.group(1), line)
-            return Assign(m.group(1), self.seq_term(m.group(2), line), line)
+            return Assign(m.group(1), self.seq_term(line, row, m.start(2)), line)
         if m := re.fullmatch(r"if\s+(.+?)\s+then", row):
-            cond = self.annotation(m.group(1), line)
+            cond = self.annotation(line, row, m.start(1), m.end(1))
             then = self.block(("else", "end"))
             orelse: tuple[Stmt, ...] = ()
             if self.peek()[1] == "else":
@@ -371,8 +339,9 @@ class _ProgramParser:
             return self.loop(line)
         raise UnsupportedStatement(f"{self.path}:{line}: cannot parse {row!r}")
 
-    def sugar(self, op: str, args_src: str, line: int) -> Assign:
-        args = _split_args(args_src)
+    def sugar(self, op: str, line: int, row: str, start: int) -> Assign:
+        """push/pop/extend, whose arguments are row[start:-1]."""
+        args = _split_args(row[start:-1])
         if op == "pop":
             if len(args) != 1:
                 raise self.err(line, "pop takes one argument")
@@ -383,7 +352,7 @@ class _ProgramParser:
             raise self.err(line, f"{op} takes two arguments")
         s = args[0].strip()
         self.check_assignable(s, line)
-        e = self.seq_term(args[1], line)
+        e = self.seq_term(line, row, start + len(args[0]) + 1, -1)
         return Assign(s, SConcat(SVar(s), e), line)
 
     def loop(self, line: int) -> Loop:
@@ -392,11 +361,11 @@ class _ProgramParser:
         if not row.startswith("invariant"):
             raise MissingInvariant(f"{self.path}:{line}: loop has no invariant")
         self.take()
-        invariant = self.annotation(row[len("invariant") :], inv_line)
+        invariant = self.annotation(inv_line, row, len("invariant"))
         until_line, row = self.take()
         if not row.startswith("until"):
             raise self.err(until_line, f"expected 'until', found {row!r}")
-        exit_cond = self.annotation(row[len("until") :], until_line)
+        exit_cond = self.annotation(until_line, row, len("until"))
         loop_line, row = self.take()
         if row != "loop":
             raise self.err(loop_line, f"expected 'loop', found {row!r}")
@@ -501,7 +470,7 @@ def wp(stmts, post: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# sorted markers
+# sorted(...) expansion
 
 
 class _PolarityError(ValueError):
@@ -527,9 +496,9 @@ class _Expander:
 
     def walk(self, m: Matrix, positive: bool) -> Matrix:
         match m:
-            case SeqEq(left=l, right=r) if _is_marker(l):
+            case Sorted(arg=t):
                 if positive:
-                    return self.expansion(r)
+                    return self.expansion(t)
                 self.weakened = True
                 return BoolLit(True)
             case Not(arg=a):
@@ -541,7 +510,7 @@ class _Expander:
             case Imp(left=l, right=r):
                 return Imp(self.walk(l, not positive), self.walk(r, positive))
             case Iff():
-                if _has_marker(m):
+                if any(isinstance(a, Sorted) for a in atoms(m)):
                     raise _PolarityError(
                         "sorted(...) under <=> has no polarity to expand at"
                     )
@@ -670,7 +639,7 @@ def vcs(program: Program) -> list[VC]:
     concl = _wp_seq(program.body, program.ensures, st)
 
     snapshots: list[Matrix] = [
-        SeqEq(SVar(f"$old_{x}"), SVar(x)) for x in program.old_names
+        SeqEq(SVar(OLD_PREFIX + x), SVar(x)) for x in program.old_names
     ]
     entry_hyps = tuple(snapshots) + (
         (program.requires,) if program.requires != BoolLit(True) else ()

@@ -701,18 +701,13 @@ def _decode_witness(sigma: dict, f: Formula, elab: Elaboration) -> dict:
 
 def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
     """Decide satisfiability. A universal formula is treated as the
-    sentence it denotes: its negation is searched for a counterexample."""
+    sentence it denotes: it is sat when valid, and unsat with the
+    counterexample when invalid."""
     budget = budget or Budget.from_env()
     if f.quantifier == FORALL:
-        inner = check_sat(Formula(EXISTS, f.prefix, Not(f.matrix)), budget)
-        out = SolverResult(
-            status={"sat": "unsat", "unsat": "sat", "unknown": "unknown"}[inner.status],
-            counterexample=inner.witness,
-            nodes=inner.nodes,
-            clauses=inner.clauses,
-            reason=inner.reason,
-        )
-        return out
+        r = check_valid(f, budget)
+        r.status = {"valid": "sat", "invalid": "unsat", "unknown": "unknown"}[r.status]
+        return r
 
     elab = elaborate(f, EXISTS)
     wp = encode_elaboration(elab)

@@ -86,6 +86,19 @@ def test_sat_witness_reported(capsys):
         assert doc["witness"] is not None
 
 
+def test_sat_of_holding_universal_reports_no_witness(capsys):
+    # a universal formula is sat when it holds; sat and valid share one
+    # path, and the refutation of the negation leaves nothing to print
+    path = str(CORPUS / "sorted_123.seq")
+    code, doc = run_json(capsys, "sat", path)
+    assert code == 0 and doc["status"] == "sat" and "witness" not in doc
+    jsonschema.validate(doc, RES_SCHEMA)
+    assert run_cli(capsys, "sat", path) == (0, "status: sat\n", "")
+    code, doc = run_json(capsys, "sat", str(CORPUS / "sorted_21.seq"))
+    assert code == 1 and doc["status"] == "unsat"
+    assert doc["counterexample"] is not None
+
+
 # ---------------------------------------------------------------------------
 # encode command and its stages
 
@@ -233,6 +246,17 @@ def test_vc_failing_program_exits_1(capsys, tmp_path):
     assert bad and bad[0]["counterexample"] is not None
 
 
+def test_vc_sorted_under_iff_is_unencodable_exit_2(capsys, tmp_path):
+    src = tmp_path / "iff.sqp"
+    src.write_text("program p(x, y)\ndo\n  skip\nend\nensure sorted(x) <=> sorted(y)\n")
+    code, doc = run_json(capsys, "vc", str(src), "--discharge")
+    assert code == 2 and doc["status"] == "unknown"
+    [vc] = doc["vcs"]
+    assert vc["formula"] == "forall x, y . true => (sorted(x) <=> sorted(y))"
+    assert vc["verdict"] == "unencodable"
+    jsonschema.validate(doc, RES_SCHEMA)
+
+
 def test_vc_parse_error_exits_3(capsys, tmp_path):
     src = tmp_path / "bad.sqp"
     src.write_text("program p(x)\ndo\n  frobnicate x\nend\nensure x = x\n")
@@ -277,6 +301,35 @@ def test_bad_budget_environment_exits_3(capsys, monkeypatch, tmp_path, value):
         "seqsolve: error: SEQSOLVE_BUDGET_NODES must be a positive integer, "
         f"not {value!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--budget-nodes", "5"),
+        ("encode", "--witness-letters", "5"),
+        ("oracle", "--clause-cap", "5"),
+        ("sat", "--jobs", "2"),
+        ("valid", "--jobs", "2"),
+        ("encode", "--jobs", "2"),
+    ],
+)
+def test_flags_only_where_they_act(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "f.seq", *argv[1:])
+    assert code == 3 and "unrecognized arguments" in err
+
+
+def test_budget_environment_read_only_by_searching_commands(
+    capsys, monkeypatch, tmp_path
+):
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . x = 1\n")
+    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", "abc")
+    assert run_cli(capsys, "oracle", str(src))[0] == 0
+    assert run_cli(capsys, "encode", str(src))[0] == 0
+    for command, path in (("valid", src), ("vc", PROGRAMS / "reverse.sqp")):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 3 and "SEQSOLVE_BUDGET_NODES" in err
 
 
 def test_deeply_nested_input_exits_3(capsys, tmp_path):

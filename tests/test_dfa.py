@@ -9,14 +9,12 @@ from seqsolve.dfa import (
     Dfa,
     concat,
     empty_dfa,
-    epsilon_dfa,
     lit,
     make_dfa,
     plus,
     power,
     star,
     union,
-    universal_dfa,
 )
 
 MAXLEN = 5
@@ -37,9 +35,9 @@ A, B, C = lit("ab"), lit("b"), union(lit("a"), lit("cd"))
 
 def test_lit():
     assert lang(lit("ab")) == {"ab"}
-    assert lang(epsilon_dfa()) == {""}
+    assert lang(lit("")) == {""}
     assert lang(empty_dfa()) == set()
-    assert lang(universal_dfa()) == set(words())
+    assert lang(empty_dfa().complement()) == set(words())
 
 
 def test_union_and_intersection_match_set_ops():
@@ -79,12 +77,12 @@ def test_canonical_equality_is_language_equality():
 def test_emptiness_universality_singleton():
     assert A.intersect(B).is_empty()
     assert not A.is_empty()
-    assert universal_dfa().is_universal()
-    assert A.union(A.complement()).is_universal()
+    assert empty_dfa().complement().complement().is_empty()
+    assert A.union(A.complement()).complement().is_empty()
     assert A.is_singleton()
     assert not C.is_singleton()
     assert not empty_dfa().is_singleton()
-    assert epsilon_dfa().is_singleton()
+    assert lit("").is_singleton()
 
 
 def test_shortest_word_is_length_lex_least():
@@ -94,7 +92,7 @@ def test_shortest_word_is_length_lex_least():
     assert d2.shortest_word() == "ab"
     assert empty_dfa().shortest_word() is None
     assert star(B).shortest_word() == ""
-    assert d.min_length() == 1
+    assert len(d.shortest_word()) == 1
 
 
 def test_derivative():
@@ -120,12 +118,12 @@ def test_state_surgery_splits_language():
 
 
 def test_containment():
-    assert star(C).contains(C.union(epsilon_dfa()))
-    assert not C.contains(star(C))
+    assert C.union(lit("")).intersect(star(C).complement()).is_empty()
+    assert not star(C).intersect(C.complement()).is_empty()
 
 
 def test_make_dfa_canonicalizes():
     # two redundant states collapsing to the one-state universal DFA
     d = make_dfa([(1, 1, 1, 1), (0, 0, 0, 0)], 0, [0, 1])
-    assert d == universal_dfa()
+    assert d == empty_dfa().complement()
     assert d.n == 1

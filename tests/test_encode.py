@@ -109,7 +109,7 @@ def test_frame_language():
     assert ls.accepts("acaadbaacbba")
     assert not ls.accepts("ada")
     assert not ls.accepts("acab")
-    assert f.min_length() == 3
+    assert len(f.shortest_word()) == 3
 
 
 # ---------------------------------------------------------------------------

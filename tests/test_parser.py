@@ -32,6 +32,7 @@ from seqsolve.ast import (
     SSub,
     SVar,
     SeqEq,
+    Sorted,
     ZAny,
     ZCat,
     ZLit,
@@ -42,7 +43,13 @@ from seqsolve.ast import (
     ZUnion,
     qf,
 )
-from seqsolve.parser import FragmentError, ParseError, parse_formula, parse_matrix
+from seqsolve.parser import (
+    FragmentError,
+    ParseError,
+    parse_formula,
+    parse_matrix,
+    parse_seq_term,
+)
 from seqsolve.printer import print_formula, print_matrix
 from seqsolve.randgen import gen_formula
 
@@ -241,12 +248,45 @@ def test_same_quantifier_groups_merge():
     assert f.prefix == ("x", "y", "z")
 
 
-def test_dollar_names_rejected_unless_internal():
-    with pytest.raises(ParseError):
-        parse_matrix("$h1 = eps")
-    assert parse_matrix("$h1 = eps", allow_internal_names=True) == SeqEq(
-        SVar("$h1"), SEmpty()
+def test_dollar_names_always_rejected():
+    for annotations in (False, True):
+        with pytest.raises(ParseError, match="reserved") as e:
+            parse_matrix("x = $h1", annotations=annotations)
+        assert (e.value.line, e.value.col) == (1, 5)
+    with pytest.raises(ParseError, match="reserved"):
+        parse_formula("exists $old_x . $old_x = eps")
+
+
+def test_annotation_forms():
+    m = parse_matrix("sorted(top(s) ++ x) & old(a) = rest(a)", annotations=True)
+    assert m == And(
+        Sorted(SConcat(SSub(SVar("s"), 0, 0), SVar("x"))),
+        SeqEq(SVar("$old_a"), SSub(SVar("a"), 2, 0)),
     )
+    assert parse_seq_term("old(a) ++ top(s)", annotations=True) == SConcat(
+        SVar("$old_a"), SSub(SVar("s"), 0, 0)
+    )
+    # only with the flag, and only as a call: otherwise plain names
+    assert parse_matrix("old = top", annotations=True) == SeqEq(SVar("old"), SVar("top"))
+    with pytest.raises(ParseError):
+        parse_matrix("sorted(x)")
+    with pytest.raises(ParseError):
+        parse_seq_term("old(a)")
+
+
+def test_annotation_errors_point_at_the_source():
+    with pytest.raises(ParseError) as e:
+        parse_matrix("sorted(x & y)", annotations=True)
+    assert (e.value.msg, e.value.col) == ("expected ')', found '&'", 10)
+    with pytest.raises(ParseError) as e:
+        parse_matrix("old(a ++ b) = a", annotations=True)
+    assert (e.value.msg, e.value.col) == ("expected ')', found '++'", 7)
+
+
+def test_sorted_prints_and_reparses():
+    m = parse_matrix("sorted(x ++ y) <=> !sorted(rev(x))", annotations=True)
+    assert print_matrix(m) == "sorted(x ++ y) <=> !sorted(rev(x))"
+    assert parse_matrix(print_matrix(m), annotations=True) == m
 
 
 def test_error_positions():

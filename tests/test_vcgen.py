@@ -19,9 +19,11 @@ from seqsolve.ast import (
     IOfSeq,
     Not,
     SConcat,
+    SRev,
     SSub,
     SVar,
     SeqEq,
+    Sorted,
     conj,
 )
 from seqsolve.oracle import Bounds, formula_value, iter_envs, matrix_value
@@ -96,9 +98,7 @@ def test_push_pop_extend_are_assignments():
 
 def test_old_rewrites_to_snapshot_variable():
     prog = parse_program(REVERSE)
-    assert prog.ensures == parse_matrix(
-        "rev(res) = $old_a", allow_internal_names=True
-    )
+    assert prog.ensures == SeqEq(SRev(SVar("res")), SVar("$old_a"))
 
 
 def test_if_else_and_assert_parse():
@@ -124,6 +124,51 @@ def test_statement_errors():
         parse_program("program p(x)\ndo\nassume $h = x\nend\n")  # reserved name
     with pytest.raises(VcError):
         parse_program("program p(x)\ndo\nassume old(q) = x\nend\n")  # not a variable
+
+
+def annotation_error(text):
+    with pytest.raises(VcError) as e:
+        parse_program(text)
+    return str(e.value)
+
+
+def test_annotation_error_points_at_the_users_text():
+    # the stray ')' is column 27 of the annotation, 35 of the line
+    msg = annotation_error(
+        "program p(a, b)\ndo\n  assert sorted(a) & old(b) = a & )\nend\n"
+    )
+    assert msg == "<string>:3:35: bad annotation: expected a term, found ')'"
+
+
+def test_sorted_argument_error_mentions_only_the_users_tokens():
+    msg = annotation_error("program p(x, y)\ndo\nskip\nend\nensure sorted(x & y)\n")
+    assert msg == "<string>:5:17: bad annotation: expected ')', found '&'"
+    assert "=" not in msg
+
+
+def test_dollar_name_in_program_rejected_with_column():
+    msg = annotation_error("program p(x)\ndo\n  assume $h = x\nend\n")
+    assert msg == (
+        "<string>:3:10: bad annotation: "
+        "names starting with '$' are reserved for generated variables"
+    )
+    msg = annotation_error("program p(x)\ndo\n  x := x ++ $old_x\nend\n")
+    assert msg.startswith("<string>:3:13: bad term: names starting with '$'")
+
+
+def test_old_of_non_variable_errors_with_its_line():
+    msg = annotation_error("program p(x)\ndo\n  assume old(z) = x\nend\n")
+    assert msg == "<string>:3:10: bad annotation: old(z): 'z' is not a program variable"
+    msg = annotation_error("program p(x)\ndo\n  push(x, old(q))\nend\n")
+    assert msg == "<string>:3:11: bad term: old(q): 'q' is not a program variable"
+
+
+def test_old_names_come_from_every_annotation_and_term():
+    prog = parse_program(
+        "program p(a, b, c)\nrequire len(old(c)) == 1\ndo\n"
+        "  a := old(b)\nend\nensure a = b\n"
+    )
+    assert prog.old_names == ("b", "c")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -177,13 +222,13 @@ def test_wp_havoc_uses_fresh_name():
 
 
 def test_wp_substitution_example_sorted_extend():
-    # wp(res := res ++ v, sorted(res)) is sorted(res ++ v): the marker
-    # argument is substituted like any other term.
+    # wp(res := res ++ v, sorted(res)) is sorted(res ++ v): the
+    # argument of sorted is substituted like any other term.
     prog = parse_program(
         "program p(res, v)\ndo\nextend(res, v)\nend\nensure sorted(res)\n"
     )
     got = wp(prog.body, prog.ensures)
-    assert got == SeqEq(SVar("$sorted1"), SConcat(SVar("res"), SVar("v")))
+    assert got == Sorted(SConcat(SVar("res"), SVar("v")))
 
 
 def test_snapshot_never_captured():
@@ -321,9 +366,9 @@ def test_sorted_hypothesis_dropped_and_flagged():
     )
     [vc] = vcs(prog)
     assert vc.weakened
-    # the dropped hypothesis leaves no marker and no residue behind
+    # the dropped hypothesis leaves no sorted atom and no residue behind
     text = print_formula(vc.formula)
-    assert "$sorted" not in text
+    assert "sorted" not in text
     assert "true" not in text
     r = discharge([vc])[0]
     assert r.verdict == "undetermined"
@@ -335,6 +380,11 @@ def test_sorted_under_iff_is_unencodable():
     )
     [vc] = vcs(prog)
     assert vc.unencodable
+    # the condition names only the program's variables
+    assert vc.formula.prefix == ("x", "y")
+    assert print_formula(vc.formula) == (
+        "forall x, y . true => (sorted(x) <=> sorted(y))"
+    )
     r = discharge([vc])[0]
     assert r.verdict == "unencodable"
 
