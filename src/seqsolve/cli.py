@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .elaborate import ElaborationError, elaborate
-from .encode import L, V, WordProblem, encode_elaboration
+from .encode import L, V, LiteralTooLarge, WordProblem, encode_elaboration
 from .oracle import Bounds, brute_force_sat
 from .parser import ParseError, parse_formula
 from .printer import print_formula
@@ -36,7 +36,7 @@ from .vcgen import (
     Discharge,
     VcError,
     discharge,
-    parse_program_file,
+    parse_program,
     vcs,
     worst_exit,
 )
@@ -214,11 +214,17 @@ def _emit(config: RunConfig, report: dict, text: list[str]) -> None:
         print("\n".join(text))
 
 
-def _load_formula(path: Path) -> Formula:
+def _read_source(path: Path) -> str:
     try:
-        src = path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: {e}")
+
+
+def _load_formula(path: Path) -> Formula:
+    src = _read_source(path)
     try:
         return parse_formula(src)
     except ParseError as e:
@@ -382,10 +388,9 @@ def _vc_json(vc: VC, result: Discharge | None) -> dict:
 
 
 def _run_vc(config: RunConfig) -> int:
+    src = _read_source(config.input)
     try:
-        program = parse_program_file(config.input)
-    except OSError as e:
-        raise CliError(f"cannot read {config.input}: {e.strerror or e}")
+        program = parse_program(src, str(config.input))
     except (VcError, ParseError) as e:
         raise CliError(str(e))
     conditions = vcs(program)
@@ -445,7 +450,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _config(args)
         return _COMMANDS[config.command](config)
-    except CliError as e:
+    except (CliError, LiteralTooLarge) as e:
         print(f"seqsolve: error: {e}", file=sys.stderr)
         return 3
     except ElaborationError as e:

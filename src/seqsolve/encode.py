@@ -89,7 +89,24 @@ class DecodeError(ValueError):
     pass
 
 
+class LiteralTooLarge(ValueError):
+    pass
+
+
+# Magnitudes are spelled in unary, so the encoding of a literal is as
+# long as its value and the work on it grows at least as fast: a formula
+# with a literal of 10^5 already runs for more than 30 s. Past this
+# bound a literal is refused rather than left to exhaust time or memory
+# (above sys.maxsize its spelling cannot be built at all).
+MAX_MAGNITUDE = 10**6
+
+
 def encode_int(k: int) -> str:
+    if abs(k) > MAX_MAGNITUDE:
+        raise LiteralTooLarge(
+            f"integer literal {k} is too large to encode"
+            f" (magnitudes are unary, at most {MAX_MAGNITUDE})"
+        )
     if k >= 0:
         return "ac" + "b" * k + "a"
     return "ad" + "b" * (-k) + "a"

@@ -26,6 +26,12 @@ letters a branch has committed to, and an exact length abstraction
 (Gaussian elimination over the equation length constraints) discards
 systems whose lengths cannot balance.
 
+Every node is a fixpoint of cheap rewrite rules (_simplify). A child
+starts from its parent's fixpoint and re-examines only what its branch
+touched: the equations the branch substitution changed and the
+memberships the branch wrote. The rules fire in the same order as on
+a full rescan of the child.
+
 A satisfiable system yields a word assignment, rebuilt by replaying the
 substitution trail backwards; callers decode it and verify it against
 the reference semantics before reporting.
@@ -237,15 +243,31 @@ def _canon(eqs: list, members: dict):
 _FAIL = ("fail", None, None, None, None)
 
 
-def _simplify(eqs: list, diseqs: list, members: dict):
+def _simplify(
+    eqs: list, diseqs: list, members: dict, step: tuple | None = None, written=()
+):
     """Fixpoint of the cheap rules: affix stripping, ground resolution,
     forced-empty sides, pinned variables (singleton automata, one-sided
     variables), and variable merging. Returns (ok, eqs, diseqs,
-    members, log); the log records substitutions for witness replay."""
+    members, log); the log records substitutions for witness replay.
+
+    A search child passes its parent's fixpoint as eqs, its branch
+    substitution as step and the membership keys the branch wrote as
+    written; its log starts with step. Equations the substitution
+    leaves alone and memberships the branch did not write were settled
+    in the parent and are not examined again, and the rules fire in
+    the same order as on the substituted child with nothing settled."""
     eqs = list(eqs)
     diseqs = list(diseqs)
     members = dict(members)
     log: list[tuple[str, Side]] = []
+    # An equation is settled once a scan passes it with no rule firing.
+    # Whether a rule fires on it depends only on the equation and, for a
+    # variable it defines, on that variable having no membership; a
+    # membership is dropped only when its variable is substituted away,
+    # so a settled equation stays settled while it stands.
+    settled = set()
+    dirty = set(members)  # keys whose membership may be empty or a singleton
 
     def substitute(x: str, repl: Side):
         nonlocal eqs, diseqs
@@ -253,18 +275,30 @@ def _simplify(eqs: list, diseqs: list, members: dict):
         diseqs = _subst_eqs(diseqs, x, repl)
         log.append((x, repl))
 
+    if step is not None:
+        settled = set(eqs)
+        dirty = set(written)
+        substitute(*step)
+
     def eq_step() -> str:
         """Apply at most one rule; 'fail', 'again' or 'done'."""
         nonlocal eqs
-        for x, d in members.items():
-            if d.is_empty():
-                return "fail"
-            if d.is_singleton():
-                del members[x]
-                substitute(x, d.shortest_word())
-                return "again"
+        if dirty:
+            for x, d in members.items():
+                if x not in dirty:
+                    continue
+                dirty.discard(x)
+                if d.is_empty():
+                    return "fail"
+                if d.is_singleton():
+                    del members[x]
+                    substitute(x, d.shortest_word())
+                    return "again"
+            dirty.clear()
 
         for i, (u0, v0) in enumerate(eqs):
+            if (u0, v0) in settled:
+                continue
             u, v = _strip(u0, v0)
             if not u and not v:
                 eqs = eqs[:i] + eqs[i + 1 :]
@@ -303,6 +337,7 @@ def _simplify(eqs: list, diseqs: list, members: dict):
                         if d.is_empty():
                             return "fail"
                         members[y] = d
+                        dirty.add(y)
                     eqs = eqs[:i] + eqs[i + 1 :]
                     substitute(x, v)
                     return "again"
@@ -313,6 +348,7 @@ def _simplify(eqs: list, diseqs: list, members: dict):
             if (u, v) != (u0, v0):
                 eqs = eqs[:i] + [(u, v)] + eqs[i + 1 :]
                 return "again"
+            settled.add((u0, v0))
         return "done"
 
     def diseq_step() -> str:
@@ -455,12 +491,12 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
     capped = False
     start_nodes = ctl.nodes
 
-    def emit(parent_key, g, branch_log, eqs, members, extra_letters):
+    def emit(parent_key, g, eqs, step, members, written, extra_letters):
         nonlocal capped
-        res = _simplify(eqs, [], members)
+        res = _simplify(eqs, [], members, step, written)
         if res[0] == "fail":
             return
-        _, eqs2, _, members2, slog = res
+        _, eqs2, _, members2, elog = res
         g2 = g + extra_letters
         if g2 > ctl.budget.witness_letters:
             capped = True
@@ -468,7 +504,7 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
         key = _canon(eqs2, members2)
         if key in visited or key in store:
             return
-        store[key] = (eqs2, members2, parent_key, branch_log + slog, g2)
+        store[key] = (eqs2, members2, parent_key, elog, g2)
         heapq.heappush(heap, (g2, _total_len(eqs2), next(tick), key))
 
     while heap:
@@ -502,7 +538,7 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
                 if not mem[z].accepts(""):
                     return
                 del mem[z]
-            emit(key, g, [(z, "")], _subst_eqs(eqs, z, ""), mem, 0)
+            emit(key, g, eqs, (z, ""), mem, (), 0)
 
         if other <= "d":
             alpha = other
@@ -516,16 +552,14 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
                 else:
                     mem[x] = d
             if ok:
-                emit(key, g, [(x, alpha + x)], _subst_eqs(eqs, x, alpha + x), mem, 1)
+                emit(key, g, eqs, (x, alpha + x), mem, (x,), 1)
         else:
             y = other
             try_eps(x)
             try_eps(y)
             for longer, shorter in ((x, y), (y, x)):
                 # longer = shorter . longer'
-                repl = shorter + longer
-                new_eqs = _subst_eqs(eqs, longer, repl)
-                blog = [(longer, repl)]
+                step = (longer, shorter + longer)
                 if longer in members:
                     d = members[longer]
                     for q in range(d.n):
@@ -540,9 +574,9 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
                                 continue
                         mem[shorter] = head
                         mem[longer] = tail
-                        emit(key, g, blog, new_eqs, mem, 0)
+                        emit(key, g, eqs, step, mem, (shorter, longer), 0)
                 else:
-                    emit(key, g, blog, new_eqs, dict(members), 0)
+                    emit(key, g, eqs, step, members, (), 0)
 
     if capped:
         ctl.capped = True

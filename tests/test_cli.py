@@ -273,6 +273,27 @@ def test_missing_file_exits_3(capsys):
     assert code == 3 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["sat", "valid", "encode", "oracle", "vc"])
+def test_non_utf8_file_exits_3(capsys, tmp_path, command):
+    src = tmp_path / "f.seq"
+    src.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, str(src))
+    assert code == 3 and out == ""
+    assert err.startswith(f"seqsolve: error: cannot read {src}: ")
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("command", ["sat", "valid", "encode"])
+def test_literal_too_large_to_encode_exits_3(capsys, tmp_path, command):
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . first(x) == 99999999999999999999\n")
+    code, out, err = run_cli(capsys, command, str(src))
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "seqsolve: error: integer literal 99999999999999999999 is too large"
+    )
+
+
 def test_formula_syntax_error_exits_3(capsys, tmp_path):
     src = tmp_path / "f.seq"
     src.write_text("exists x . x = = 1\n")

@@ -34,8 +34,10 @@ from seqsolve.ast import (
 )
 from seqsolve.elaborate import Elaboration, ElaborationError
 from seqsolve.encode import (
+    MAX_MAGNITUDE,
     DecodeError,
     L,
+    LiteralTooLarge,
     V,
     WAnd,
     WBool,
@@ -79,6 +81,13 @@ CODEC_CASES = [
 @pytest.mark.parametrize("k,expected", CODEC_CASES)
 def test_encode_int_frozen(k, expected):
     assert encode_int(k) == expected
+
+
+def test_encode_int_refuses_magnitudes_past_the_bound():
+    assert len(encode_int(-MAX_MAGNITUDE)) == MAX_MAGNITUDE + 3
+    for k in (MAX_MAGNITUDE + 1, -MAX_MAGNITUDE - 1, 10**20):
+        with pytest.raises(LiteralTooLarge, match=str(k)):
+            encode_int(k)
 
 
 def test_decode_inverts_encode():

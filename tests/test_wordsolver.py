@@ -8,13 +8,14 @@ bounded domains.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from seqsolve import oracle
+from seqsolve import oracle, wordsolver
 from seqsolve.ast import matrix_vars
 from seqsolve.dfa import lit, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
@@ -26,11 +27,14 @@ from seqsolve.encode import (
     WIn,
     WNot,
     WOr,
+    WordProblem,
     bstar_dfa,
     encode_elaboration,
+    wconj,
 )
 from seqsolve.oracle import Bounds
 from seqsolve.parser import parse_formula
+from seqsolve.randgen import gen_quadratic_clause
 from seqsolve.wordsolver import (
     Budget,
     ClauseCapExceeded,
@@ -45,10 +49,24 @@ from seqsolve.wordsolver import (
     _replay,
     _simplify,
     _strip,
+    _subst_eqs,
     _var,
 )
 
 BUDGET = Budget(max_nodes=200_000)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _quadratic_problems() -> list[WordProblem]:
+    """The 200 quadratic clauses of rng seed 1 as word problems."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(200):
+        eqs = gen_quadratic_clause(rng)
+        names = tuple(sorted({t.name for l, r in eqs for t in l + r if isinstance(t, V)}))
+        matrix = wconj([WEq(l, r) for l, r in eqs])
+        out.append(WordProblem("existential", names, matrix, names))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +211,52 @@ def test_simplify_fails_on_equal_disequation_sides():
 def test_simplify_drops_settled_disequations():
     ok, _, diseqs, _, _ = _simplify([], [("a", ""), ("a" + X, "b" + Y)], {})
     assert ok == "ok" and diseqs == []
+
+
+def test_incremental_simplify_matches_full_rescan(monkeypatch):
+    # Every search child is simplified from its parent's fixpoint with
+    # only what the branch touched unsettled; simplifying the substituted
+    # child with nothing settled must fire the same rules in the same order.
+    simplify = wordsolver._simplify
+    children = with_written = 0
+
+    def both(eqs, diseqs, members, step=None, written=()):
+        nonlocal children, with_written
+        res = simplify(eqs, diseqs, members, step, written)
+        if step is not None:
+            children += 1
+            with_written += bool(written)
+            full = simplify(_subst_eqs(eqs, *step), diseqs, members)
+            assert res[0] == full[0]
+            if res[0] == "ok":
+                _, eqs1, diseqs1, members1, log1 = res
+                _, eqs2, diseqs2, members2, log2 = full
+                assert (eqs1, diseqs1) == (eqs2, diseqs2)
+                assert list(members1.items()) == list(members2.items())
+                assert log1 == [step] + log2
+        return res
+
+    monkeypatch.setattr(wordsolver, "_simplify", both)
+    f = parse_formula((CORPUS / "comparison_viol.seq").read_text())
+    assert check_valid(f, BUDGET).status == "invalid"
+    for wp in _quadratic_problems():
+        solve_problem(wp, BUDGET)
+    assert children > 5_000 and with_written > 1_000
+
+
+def test_incremental_simplify_rechecks_merged_membership():
+    # the substitution turns the settled x z = y w into x = y; merging
+    # the aliases intersects their memberships down to the singleton "a"
+    d1 = union(lit(""), lit("a"))
+    d2 = union(lit("a"), lit("b"))
+    parent = [(X + Z, Y + W)]
+    members = {X: d1, Y: d2}
+    assert _simplify(parent, [], members)[1] == parent  # a fixpoint
+    ok, eqs, _, members2, log = _simplify(parent, [], members, (W, Z))
+    assert ok == "ok" and eqs == [] and members2 == {}
+    assert _replay(log, {}) == {X: "a", Y: "a", W: ""}
+    full = _simplify(_subst_eqs(parent, W, Z), [], members)
+    assert full == ("ok", [], [], {}, log[1:])
 
 
 def test_replay_restores_time_ordered_values():
@@ -391,6 +455,27 @@ def test_universal_problem_cannot_be_solved_directly():
     wp = encode_elaboration(elab)
     with pytest.raises(ValueError):
         solve_problem(wp, BUDGET)
+
+
+# The search's exploration, pinned: (file, status, nodes, clauses,
+# counterexample). A change that moves these figures must update them
+# and say why in CHANGES.md.
+EXPLORATION = [
+    ("comparison_hold.seq", "valid", 7485, 144, None),
+    ("comparison_viol.seq", "invalid", 6714, 144, {"h": (4, 5), "t": (7,), "v": (5,)}),
+    ("mergesort_final_vc.seq", "valid", 3500, 4, None),
+]
+
+
+@pytest.mark.parametrize("name,status,nodes,clauses,counterexample", EXPLORATION)
+def test_search_exploration_pinned(name, status, nodes, clauses, counterexample):
+    r = check_valid(parse_formula((CORPUS / name).read_text()), BUDGET)
+    assert (r.status, r.nodes, r.clauses) == (status, nodes, clauses)
+    assert r.counterexample == counterexample
+
+
+def test_quadratic_exploration_pinned():
+    assert sum(solve_problem(wp, BUDGET)[2].nodes for wp in _quadratic_problems()) == 79
 
 
 # ---------------------------------------------------------------------------
