@@ -10,7 +10,7 @@ denotes the singleton sequence holding that value.  The coercion nodes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,6 @@ class ZPow:
 
 ZRegex = Union[ZLit, ZAny, ZSet, ZCat, ZUnion, ZStar, ZPlus, ZPow]
 
-Z_EPSILON = ZCat(())
-
 
 # ---------------------------------------------------------------------------
 # Sequence terms.
@@ -170,16 +168,6 @@ SeqTerm = Union[SVar, SEmpty, SInt, SConcat, SSub, SRev]
 
 
 @dataclass(frozen=True)
-class IZero:
-    loc: Span | None = _loc_field()
-
-
-@dataclass(frozen=True)
-class IOne:
-    loc: Span | None = _loc_field()
-
-
-@dataclass(frozen=True)
 class IConst:
     value: int
     loc: Span | None = _loc_field()
@@ -207,14 +195,13 @@ class ISub:
     loc: Span | None = _loc_field()
 
 
-IntTerm = Union[IZero, IOne, IConst, IOfSeq, IAdd, ISub]
+IntTerm = Union[IConst, IOfSeq, IAdd, ISub]
 
 
 # ---------------------------------------------------------------------------
 # Atoms and boolean structure.
 
 INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
-CORE_INT_OPS = ("==", "<")
 
 
 @dataclass(frozen=True)
@@ -324,6 +311,18 @@ def qf(matrix: Matrix) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Traversal helpers.
+#
+# The iterators read a tree; the maps rebuild one. map_atoms rebuilds
+# the Boolean skeleton of a matrix and hands each atom to a function.
+# map_terms rewrites a sequence or integer term top-down, crossing the
+# coercions, and map_atom_terms applies it to every term of an atom. A
+# pass that only changes atoms is an atom function over these maps and
+# writes no recursion of its own. Rebuilt nodes carry no source location.
+# The elaborator runs atoms, map_atoms and map_terms over every node
+# several times per formula, so they dispatch on exact node types where
+# a match statement would try its cases one by one.
+
+_CONNECTIVES = frozenset((Not, And, Or, Imp, Iff))
 
 
 def seq_subterms(t: SeqTerm) -> Iterator[SeqTerm]:
@@ -354,13 +353,15 @@ def _seq_in_int(i: IntTerm) -> Iterator[SeqTerm]:
 
 def atoms(m: Matrix) -> Iterator[Atom]:
     """Yield every atom of a matrix, left to right."""
-    match m:
-        case Not(a):
-            yield from atoms(a)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b):
-            yield from atoms(a)
-            yield from atoms(b)
-        case _:
+    todo = [m]
+    while todo:
+        m = todo.pop()
+        kind = type(m)
+        if kind is Not:
+            todo.append(m.arg)
+        elif kind in _CONNECTIVES:
+            todo += (m.right, m.left)
+        else:
             yield m
 
 
@@ -395,65 +396,54 @@ def free_vars(f: Formula) -> set[str]:
     return matrix_vars(f.matrix) - set(f.prefix)
 
 
-# ---------------------------------------------------------------------------
-# Structural substitution (used by the VC generator).
+def map_atoms(m: Matrix, f: Callable[[Atom], Matrix]) -> Matrix:
+    """Rebuild the connectives of m, replacing each atom a by f(a);
+    atoms are visited left to right."""
+    kind = type(m)
+    if kind not in _CONNECTIVES:
+        return f(m)
+    if kind is Not:
+        return Not(map_atoms(m.arg, f))
+    return kind(map_atoms(m.left, f), map_atoms(m.right, f))
 
 
-def subst_in_seq(t: SeqTerm, env: dict[str, SeqTerm]) -> SeqTerm:
-    match t:
-        case SVar(name):
-            return env.get(name, t)
-        case SEmpty():
-            return t
-        case SInt(i):
-            return SInt(subst_in_int(i, env))
-        case SConcat(a, b):
-            return SConcat(subst_in_seq(a, env), subst_in_seq(b, env))
-        case SSub(a, lo, hi):
-            return SSub(subst_in_seq(a, env), lo, hi)
-        case SRev(a):
-            return SRev(subst_in_seq(a, env))
-    raise TypeError(f"not a sequence term: {t!r}")
+Term = Union[SeqTerm, IntTerm]
 
 
-def subst_in_int(i: IntTerm, env: dict[str, SeqTerm]) -> IntTerm:
-    match i:
-        case IZero() | IOne() | IConst(_):
-            return i
-        case IOfSeq(s):
-            return IOfSeq(subst_in_seq(s, env))
-        case IAdd(a, b):
-            return IAdd(subst_in_int(a, env), subst_in_int(b, env))
-        case ISub(a, b):
-            return ISub(subst_in_int(a, env), subst_in_int(b, env))
-    raise TypeError(f"not an integer term: {i!r}")
+def map_terms(t: Term, f: Callable[[Term], Term | None]) -> Term:
+    """Rewrite a term top-down: where f(t) is not None it replaces t,
+    otherwise t is rebuilt around its rewritten children, left to
+    right. Crosses the SInt/IOfSeq coercions; f decides whether a
+    replacement itself is rewritten further."""
+    out = f(t)
+    if out is not None:
+        return out
+    kind = type(t)
+    if kind is SConcat or kind is IAdd or kind is ISub:
+        return kind(map_terms(t.left, f), map_terms(t.right, f))
+    if kind is SInt:
+        return SInt(map_terms(t.value, f))
+    if kind is IOfSeq or kind is SRev:
+        return kind(map_terms(t.arg, f))
+    if kind is SSub:
+        return SSub(map_terms(t.arg, f), t.lo, t.hi)
+    return t
 
 
-def subst_in_matrix(m: Matrix, env: dict[str, SeqTerm]) -> Matrix:
-    match m:
+def map_atom_terms(a: Atom, f: Callable[[Term], Term | None]) -> Atom:
+    """Apply map_terms with f to every term of an atom, left to right."""
+    match a:
         case SeqEq(l, r):
-            return SeqEq(subst_in_seq(l, env), subst_in_seq(r, env))
-        case InRe(t, rx):
-            return InRe(subst_in_seq(t, env), rx)
+            return SeqEq(map_terms(l, f), map_terms(r, f))
         case IntCmp(op, l, r):
-            return IntCmp(op, subst_in_int(l, env), subst_in_int(r, env))
+            return IntCmp(op, map_terms(l, f), map_terms(r, f))
+        case InRe(t, rx):
+            return InRe(map_terms(t, f), rx)
         case LenCmp(t, op, k):
-            return LenCmp(subst_in_seq(t, env), op, k)
+            return LenCmp(map_terms(t, f), op, k)
         case Sorted(t):
-            return Sorted(subst_in_seq(t, env))
-        case BoolLit(_):
-            return m
-        case Not(a):
-            return Not(subst_in_matrix(a, env))
-        case And(a, b):
-            return And(subst_in_matrix(a, env), subst_in_matrix(b, env))
-        case Or(a, b):
-            return Or(subst_in_matrix(a, env), subst_in_matrix(b, env))
-        case Imp(a, b):
-            return Imp(subst_in_matrix(a, env), subst_in_matrix(b, env))
-        case Iff(a, b):
-            return Iff(subst_in_matrix(a, env), subst_in_matrix(b, env))
-    raise TypeError(f"not a matrix node: {m!r}")
+            return Sorted(map_terms(t, f))
+    return a
 
 
 def conj(parts: list[Matrix]) -> Matrix:

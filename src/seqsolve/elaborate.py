@@ -17,6 +17,12 @@ and force the fresh variables to carry the intended values, so gluing
 them on with "and" (existential reading) or "implies" (universal
 reading) preserves meaning in either direction.
 
+The stages run in order: reversal, subranges, length bounds, negations,
+arithmetic. Each stage except negation pushing is an atom rewrite: a
+function on one atom that ast.map_atoms runs over the Boolean skeleton,
+with any change inside terms made by a rule that ast.map_terms runs
+top-down over each term of the atom.
+
 Reversal has no core form. It is removed in two stages. First rev is
 pushed inward:
 
@@ -51,9 +57,7 @@ from .ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
     ISub,
-    IZero,
     Iff,
     Imp,
     InRe,
@@ -71,6 +75,7 @@ from .ast import (
     SVar,
     SeqEq,
     SeqTerm,
+    Term,
     ZAny,
     ZCat,
     ZLit,
@@ -80,7 +85,13 @@ from .ast import (
     ZSet,
     ZStar,
     ZUnion,
+    atom_seq_terms,
+    atoms,
     conj,
+    map_atom_terms,
+    map_atoms,
+    map_terms,
+    seq_subterms,
 )
 
 
@@ -173,36 +184,18 @@ def _rev_of(t: SeqTerm) -> SeqTerm:
     raise TypeError(f"not a sequence term: {t!r}")
 
 
-def _push_rev_seq(t: SeqTerm) -> SeqTerm:
+def _push_rev(t: Term) -> Term | None:
+    # map_terms rule: push rev below t, bottom-up
     match t:
-        case SVar() | SEmpty():
-            return t
-        case SInt(value=i):
-            return SInt(_push_rev_int(i))
-        case SConcat(left=l, right=r):
-            return SConcat(_push_rev_seq(l), _push_rev_seq(r))
-        case SSub(arg=a, lo=k1, hi=k2):
-            return SSub(_push_rev_seq(a), k1, k2)
         case SRev(arg=a):
-            return _rev_of(_push_rev_seq(a))
-    raise TypeError(f"not a sequence term: {t!r}")
-
-
-def _push_rev_int(i: IntTerm) -> IntTerm:
-    match i:
-        case IZero() | IOne() | IConst():
-            return i
-        case IOfSeq(arg=t):
-            t = _push_rev_seq(t)
-            if isinstance(t, SRev):
+            return _rev_of(map_terms(a, _push_rev))
+        case IOfSeq(arg=a):
+            a = map_terms(a, _push_rev)
+            if isinstance(a, SRev):
                 # first element of a reversal is the last element
-                return IOfSeq(SSub(t.arg, 0, 0))
-            return IOfSeq(t)
-        case IAdd(left=l, right=r):
-            return IAdd(_push_rev_int(l), _push_rev_int(r))
-        case ISub(left=l, right=r):
-            return ISub(_push_rev_int(l), _push_rev_int(r))
-    raise TypeError(f"not an integer term: {i!r}")
+                return IOfSeq(SSub(a.arg, 0, 0))
+            return IOfSeq(a)
+    return None
 
 
 def _is_short(t: SeqTerm) -> bool:
@@ -210,43 +203,21 @@ def _is_short(t: SeqTerm) -> bool:
     return isinstance(t, (SEmpty, SInt))
 
 
-def _push_rev_matrix(m: Matrix) -> Matrix:
-    match m:
-        case BoolLit():
-            return m
-        case Not(arg=a):
-            return Not(_push_rev_matrix(a))
-        case And(left=l, right=r):
-            return And(_push_rev_matrix(l), _push_rev_matrix(r))
-        case Or(left=l, right=r):
-            return Or(_push_rev_matrix(l), _push_rev_matrix(r))
-        case Imp(left=l, right=r):
-            return Imp(_push_rev_matrix(l), _push_rev_matrix(r))
-        case Iff(left=l, right=r):
-            return Iff(_push_rev_matrix(l), _push_rev_matrix(r))
-        case SeqEq(left=l, right=r):
-            l, r = _push_rev_seq(l), _push_rev_seq(r)
-            # rev(t) = rev(u) iff t = u; rev(t) = short iff t = short
-            if isinstance(l, SRev) and isinstance(r, SRev):
-                return SeqEq(l.arg, r.arg)
-            if isinstance(l, SRev) and _is_short(r):
-                return SeqEq(l.arg, r)
-            if isinstance(r, SRev) and _is_short(l):
-                return SeqEq(l, r.arg)
+def _push_rev_atom(a: Atom) -> Atom:
+    a = map_atom_terms(a, _push_rev)
+    match a:
+        # rev(t) = rev(u) iff t = u; rev(t) = short iff t = short
+        case SeqEq(left=SRev(arg=l), right=SRev(arg=r)):
             return SeqEq(l, r)
-        case InRe(arg=t, regex=rx):
-            t = _push_rev_seq(t)
-            if isinstance(t, SRev):
-                return InRe(t.arg, rev_regex(rx))
-            return InRe(t, rx)
-        case LenCmp(arg=t, op=op, bound=k):
-            t = _push_rev_seq(t)
-            if isinstance(t, SRev):
-                t = t.arg  # reversal preserves length
-            return LenCmp(t, op, k)
-        case IntCmp(op=op, left=l, right=r):
-            return IntCmp(op, _push_rev_int(l), _push_rev_int(r))
-    raise TypeError(f"not a matrix node: {m!r}")
+        case SeqEq(left=SRev(arg=l), right=r) if _is_short(r):
+            return SeqEq(l, r)
+        case SeqEq(left=l, right=SRev(arg=r)) if _is_short(l):
+            return SeqEq(l, r)
+        case InRe(arg=SRev(arg=t), regex=rx):
+            return InRe(t, rev_regex(rx))
+        case LenCmp(arg=SRev(arg=t), op=op, bound=k):
+            return LenCmp(t, op, k)  # reversal preserves length
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -254,56 +225,12 @@ def _push_rev_matrix(m: Matrix) -> Matrix:
 
 
 def _marked_vars(m: Matrix) -> set[str]:
-    found: set[str] = set()
-
-    def seq(t: SeqTerm):
-        match t:
-            case SRev(arg=SVar(name=n)):
-                found.add(n)
-            case SRev(arg=a):
-                seq(a)
-            case SConcat(left=l, right=r):
-                seq(l)
-                seq(r)
-            case SSub(arg=a):
-                seq(a)
-            case SInt(value=i):
-                intt(i)
-            case _:
-                pass
-
-    def intt(i: IntTerm):
-        match i:
-            case IOfSeq(arg=t):
-                seq(t)
-            case IAdd(left=l, right=r) | ISub(left=l, right=r):
-                intt(l)
-                intt(r)
-            case _:
-                pass
-
-    def mat(m: Matrix):
-        match m:
-            case BoolLit():
-                pass
-            case Not(arg=a):
-                mat(a)
-            case And(left=l, right=r) | Or(left=l, right=r) | Imp(left=l, right=r) | Iff(left=l, right=r):
-                mat(l)
-                mat(r)
-            case SeqEq(left=l, right=r):
-                seq(l)
-                seq(r)
-            case InRe(arg=t):
-                seq(t)
-            case LenCmp(arg=t):
-                seq(t)
-            case IntCmp(left=l, right=r):
-                intt(l)
-                intt(r)
-
-    mat(m)
-    return found
+    return {
+        t.arg.name
+        for a in atoms(m)
+        for t in atom_seq_terms(a)
+        if isinstance(t, SRev) and isinstance(t.arg, SVar)
+    }
 
 
 class _RevTransfer:
@@ -318,90 +245,49 @@ class _RevTransfer:
             "supported fragment"
         )
 
-    def seq(self, t: SeqTerm) -> SeqTerm:
+    def term(self, t: Term) -> Term | None:
+        # map_terms rule; after pushing, rev sits on variables only
         match t:
-            case SVar(name=n):
-                if n in self.marked:
-                    self.fail(n)
-                return t
-            case SEmpty():
-                return t
-            case SInt(value=i):
-                return SInt(self.intt(i))
-            case SConcat(left=l, right=r):
-                return SConcat(self.seq(l), self.seq(r))
+            case SVar(name=n) if n in self.marked:
+                self.fail(n)
             case SSub(arg=SVar(name=n), lo=k1, hi=k2) if n in self.marked:
                 if k1 != k2:
                     self.fail(n)
                 return SSub(SVar(self.map[n]), 1 - k1, 1 - k1)
-            case SSub(arg=a, lo=k1, hi=k2):
-                return SSub(self.seq(a), k1, k2)
             case SRev(arg=SVar(name=n)):
                 return SVar(self.map[n])
-        raise TypeError(f"unexpected term during reversal transfer: {t!r}")
-
-    def intt(self, i: IntTerm) -> IntTerm:
-        match i:
-            case IZero() | IOne() | IConst():
-                return i
             case IOfSeq(arg=SVar(name=n)) if n in self.marked:
                 # first element of x is the last element of rev(x)
                 return IOfSeq(SSub(SVar(self.map[n]), 0, 0))
-            case IOfSeq(arg=t):
-                return IOfSeq(self.seq(t))
-            case IAdd(left=l, right=r):
-                return IAdd(self.intt(l), self.intt(r))
-            case ISub(left=l, right=r):
-                return ISub(self.intt(l), self.intt(r))
-        raise TypeError(f"not an integer term: {i!r}")
+        return None
 
-    def mat(self, m: Matrix) -> Matrix:
-        match m:
-            case BoolLit():
-                return m
-            case Not(arg=a):
-                return Not(self.mat(a))
-            case And(left=l, right=r):
-                return And(self.mat(l), self.mat(r))
-            case Or(left=l, right=r):
-                return Or(self.mat(l), self.mat(r))
-            case Imp(left=l, right=r):
-                return Imp(self.mat(l), self.mat(r))
-            case Iff(left=l, right=r):
-                return Iff(self.mat(l), self.mat(r))
+    def atom(self, a: Atom) -> Atom:
+        match a:
             case SeqEq(left=SVar(name=n), right=r) if n in self.marked and _is_short(r):
-                return SeqEq(SVar(self.map[n]), self.seq(r))
+                return SeqEq(SVar(self.map[n]), map_terms(r, self.term))
             case SeqEq(left=l, right=SVar(name=n)) if n in self.marked and _is_short(l):
-                return SeqEq(self.seq(l), SVar(self.map[n]))
-            case SeqEq(left=SVar(name=a), right=SVar(name=b)) if (
-                a in self.marked and b in self.marked
+                return SeqEq(map_terms(l, self.term), SVar(self.map[n]))
+            case SeqEq(left=SVar(name=x), right=SVar(name=y)) if (
+                x in self.marked and y in self.marked
             ):
-                return SeqEq(SVar(self.map[a]), SVar(self.map[b]))
-            case SeqEq(left=l, right=r):
-                return SeqEq(self.seq(l), self.seq(r))
+                return SeqEq(SVar(self.map[x]), SVar(self.map[y]))
             case InRe(arg=SVar(name=n), regex=rx) if n in self.marked:
                 return InRe(SVar(self.map[n]), rev_regex(rx))
-            case InRe(arg=t, regex=rx):
-                return InRe(self.seq(t), rx)
             case LenCmp(arg=SVar(name=n), op=op, bound=k) if n in self.marked:
                 return LenCmp(SVar(self.map[n]), op, k)
-            case LenCmp(arg=t, op=op, bound=k):
-                return LenCmp(self.seq(t), op, k)
-            case IntCmp(op=op, left=l, right=r):
-                return IntCmp(op, self.intt(l), self.intt(r))
-        raise TypeError(f"not a matrix node: {m!r}")
+        return map_atom_terms(a, self.term)
 
 
 def eliminate_rev(m: Matrix) -> tuple[Matrix, dict[str, str]]:
     """Remove all rev() nodes, renaming variables through the reversal
     bijection where needed. Returns the rewritten matrix and the map
     from abstracted original variables to their reversal names."""
-    m = _push_rev_matrix(m)
+    m = map_atoms(m, _push_rev_atom)
     marked = _marked_vars(m)
     if not marked:
         return m, {}
     tr = _RevTransfer(marked)
-    return tr.mat(m), tr.map
+    return map_atoms(m, tr.atom), tr.map
 
 
 # ---------------------------------------------------------------------------
@@ -441,181 +327,32 @@ class _Fresh:
         return name
 
 
-def _fold_first(m: Matrix) -> Matrix:
-    """Rewrite fst(t[1:1]) to fst(t). The two agree on every sequence:
-    both pick the first element when t is nonempty and denote 0 when t
-    is empty. Folding before subrange expansion avoids a pointless
-    split for the common first(t) sugar in integer position."""
-
-    def seq(t: SeqTerm) -> SeqTerm:
-        match t:
-            case SSub(arg=a, lo=k1, hi=k2):
-                return SSub(seq(a), k1, k2)
-            case SConcat(left=l, right=r):
-                return SConcat(seq(l), seq(r))
-            case SInt(value=i):
-                return SInt(intt(i))
-            case SRev(arg=a):
-                return SRev(seq(a))
-            case _:
-                return t
-
-    def intt(i: IntTerm) -> IntTerm:
-        match i:
-            case IOfSeq(arg=t):
-                t = seq(t)
-                while isinstance(t, SSub) and t.lo == 1 and t.hi == 1:
-                    t = t.arg
-                return IOfSeq(t)
-            case IAdd(left=l, right=r):
-                return IAdd(intt(l), intt(r))
-            case ISub(left=l, right=r):
-                return ISub(intt(l), intt(r))
-            case _:
-                return i
-
-    def mat(m: Matrix) -> Matrix:
-        match m:
-            case Not(arg=a):
-                return Not(mat(a))
-            case And(left=l, right=r):
-                return And(mat(l), mat(r))
-            case Or(left=l, right=r):
-                return Or(mat(l), mat(r))
-            case Imp(left=l, right=r):
-                return Imp(mat(l), mat(r))
-            case Iff(left=l, right=r):
-                return Iff(mat(l), mat(r))
-            case SeqEq(left=l, right=r):
-                return SeqEq(seq(l), seq(r))
-            case InRe(arg=t, regex=rx):
-                return InRe(seq(t), rx)
-            case LenCmp(arg=t, op=op, bound=k):
-                return LenCmp(seq(t), op, k)
-            case IntCmp(op=op, left=l, right=r):
-                return IntCmp(op, intt(l), intt(r))
-            case _:
-                return m
-
-    return mat(m)
+def _fold_first(t: Term) -> Term | None:
+    """map_terms rule: rewrite fst(t[1:1]) to fst(t). The two agree on
+    every sequence: both pick the first element when t is nonempty and
+    denote 0 when t is empty. Folding before subrange expansion avoids
+    a pointless split for the common first(t) sugar in integer
+    position."""
+    if not isinstance(t, IOfSeq):
+        return None
+    a = map_terms(t.arg, _fold_first)
+    while isinstance(a, SSub) and a.lo == 1 and a.hi == 1:
+        a = a.arg
+    return IOfSeq(a)
 
 
 def _collect_subs(m: Matrix) -> list[SSub]:
     """Innermost subrange nodes (argument free of subranges), deduplicated,
     in first-occurrence order."""
-    out: list[SSub] = []
-    seen: set[SSub] = set()
-
-    def has_sub(t: SeqTerm) -> bool:
-        match t:
-            case SSub():
-                return True
-            case SConcat(left=l, right=r):
-                return has_sub(l) or has_sub(r)
-            case SInt(value=i):
-                return any(has_sub(s) for s in _int_seqs(i))
-            case _:
-                return False
-
-    def seq(t: SeqTerm):
-        match t:
-            case SSub(arg=a):
-                seq(a)
-                if not has_sub(a) and t not in seen:
-                    seen.add(t)
-                    out.append(t)
-            case SConcat(left=l, right=r):
-                seq(l)
-                seq(r)
-            case SInt(value=i):
-                for s in _int_seqs(i):
-                    seq(s)
-            case _:
-                pass
-
-    def _int_seqs(i: IntTerm):
-        match i:
-            case IOfSeq(arg=t):
-                yield t
-            case IAdd(left=l, right=r) | ISub(left=l, right=r):
-                yield from _int_seqs(l)
-                yield from _int_seqs(r)
-            case _:
-                return
-
-    def mat(m: Matrix):
-        match m:
-            case Not(arg=a):
-                mat(a)
-            case And(left=l, right=r) | Or(left=l, right=r) | Imp(left=l, right=r) | Iff(left=l, right=r):
-                mat(l)
-                mat(r)
-            case SeqEq(left=l, right=r):
-                seq(l)
-                seq(r)
-            case InRe(arg=t) | LenCmp(arg=t):
-                seq(t)
-            case IntCmp(left=l, right=r):
-                for s in _int_seqs(l):
-                    seq(s)
-                for s in _int_seqs(r):
-                    seq(s)
-            case _:
-                pass
-
-    mat(m)
-    return out
-
-
-def _replace_seq(t: SeqTerm, table: dict[SeqTerm, SeqTerm]) -> SeqTerm:
-    if t in table:
-        return table[t]
-    match t:
-        case SConcat(left=l, right=r):
-            return SConcat(_replace_seq(l, table), _replace_seq(r, table))
-        case SSub(arg=a, lo=k1, hi=k2):
-            return SSub(_replace_seq(a, table), k1, k2)
-        case SInt(value=i):
-            return SInt(_replace_int(i, table))
-        case _:
-            return t
-
-
-def _replace_int(i: IntTerm, table: dict[SeqTerm, SeqTerm]) -> IntTerm:
-    match i:
-        case IOfSeq(arg=t):
-            return IOfSeq(_replace_seq(t, table))
-        case IAdd(left=l, right=r):
-            return IAdd(_replace_int(l, table), _replace_int(r, table))
-        case ISub(left=l, right=r):
-            return ISub(_replace_int(l, table), _replace_int(r, table))
-        case _:
-            return i
-
-
-def _replace_matrix(m: Matrix, table: dict[SeqTerm, SeqTerm]) -> Matrix:
-    match m:
-        case BoolLit():
-            return m
-        case Not(arg=a):
-            return Not(_replace_matrix(a, table))
-        case And(left=l, right=r):
-            return And(_replace_matrix(l, table), _replace_matrix(r, table))
-        case Or(left=l, right=r):
-            return Or(_replace_matrix(l, table), _replace_matrix(r, table))
-        case Imp(left=l, right=r):
-            return Imp(_replace_matrix(l, table), _replace_matrix(r, table))
-        case Iff(left=l, right=r):
-            return Iff(_replace_matrix(l, table), _replace_matrix(r, table))
-        case SeqEq(left=l, right=r):
-            return SeqEq(_replace_seq(l, table), _replace_seq(r, table))
-        case InRe(arg=t, regex=rx):
-            return InRe(_replace_seq(t, table), rx)
-        case LenCmp(arg=t, op=op, bound=k):
-            return LenCmp(_replace_seq(t, table), op, k)
-        case IntCmp(op=op, left=l, right=r):
-            return IntCmp(op, _replace_int(l, table), _replace_int(r, table))
-    raise TypeError(f"not a matrix node: {m!r}")
+    return list(
+        dict.fromkeys(
+            t
+            for a in atoms(m)
+            for t in atom_seq_terms(a)
+            if isinstance(t, SSub)
+            and not any(isinstance(s, SSub) for s in seq_subterms(t.arg))
+        )
+    )
 
 
 def expand_subs(m: Matrix, fresh: _Fresh) -> tuple[Matrix, list[Matrix]]:
@@ -674,43 +411,40 @@ def expand_subs(m: Matrix, fresh: _Fresh) -> tuple[Matrix, list[Matrix]]:
             )
             guards.append(Or(long_enough, too_short))
             table[node] = v
-        m = _replace_matrix(m, table)
-        guards = [_replace_matrix(g, table) for g in guards]
+
+        def replace(a: Atom) -> Atom:
+            return map_atom_terms(a, table.get)
+
+        m = map_atoms(m, replace)
+        guards = [map_atoms(g, replace) for g in guards]
 
 
 # ---------------------------------------------------------------------------
 # stage 4: length bounds become memberships
 
 
+def _lencmp_atom(a: Atom) -> Matrix:
+    if not isinstance(a, LenCmp):
+        return a
+    t, k = a.arg, a.bound
+    match a.op:
+        case "==":
+            return InRe(t, z_exact(k))
+        case "!=":
+            return Not(InRe(t, z_exact(k)))
+        case "<":
+            return BoolLit(False) if k <= 0 else InRe(t, z_at_most(k - 1))
+        case "<=":
+            return InRe(t, z_at_most(k))
+        case ">":
+            return InRe(t, z_at_least(k + 1))
+        case ">=":
+            return BoolLit(True) if k <= 0 else InRe(t, z_at_least(k))
+    raise ValueError(f"unknown length comparison {a.op!r}")
+
+
 def expand_lencmp(m: Matrix) -> Matrix:
-    match m:
-        case LenCmp(arg=t, op=op, bound=k):
-            match op:
-                case "==":
-                    return InRe(t, z_exact(k))
-                case "!=":
-                    return Not(InRe(t, z_exact(k)))
-                case "<":
-                    return BoolLit(False) if k <= 0 else InRe(t, z_at_most(k - 1))
-                case "<=":
-                    return InRe(t, z_at_most(k))
-                case ">":
-                    return InRe(t, z_at_least(k + 1))
-                case ">=":
-                    return BoolLit(True) if k <= 0 else InRe(t, z_at_least(k))
-            raise ValueError(f"unknown length comparison {op!r}")
-        case Not(arg=a):
-            return Not(expand_lencmp(a))
-        case And(left=l, right=r):
-            return And(expand_lencmp(l), expand_lencmp(r))
-        case Or(left=l, right=r):
-            return Or(expand_lencmp(l), expand_lencmp(r))
-        case Imp(left=l, right=r):
-            return Imp(expand_lencmp(l), expand_lencmp(r))
-        case Iff(left=l, right=r):
-            return Iff(expand_lencmp(l), expand_lencmp(r))
-        case _:
-            return m
+    return map_atoms(m, _lencmp_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +549,6 @@ class _AtomLowering:
 
     def _intt(self, i: IntTerm) -> tuple:
         match i:
-            case IZero():
-                return ("const", 0)
-            case IOne():
-                return ("const", 1)
             case IConst(value=k):
                 return ("const", k)
             case IOfSeq(arg=SVar(name=n)):
@@ -908,34 +638,22 @@ class _AtomLowering:
             return BoolLit(nl[1] == nr[1] if op == "==" else nl[1] < nr[1])
         if op == "==":
             if nr[0] == "const" and nr[1] in (0, 1) and nl[0] == "fst":
-                rhs = IZero() if nr[1] == 0 else IOne()
-                return IntCmp("==", IOfSeq(SVar(nl[1])), rhs)
+                return IntCmp("==", IOfSeq(SVar(nl[1])), IConst(nr[1]))
             if nl[0] == "const" and nl[1] in (0, 1) and nr[0] == "fst":
-                rhs = IZero() if nl[1] == 0 else IOne()
-                return IntCmp("==", IOfSeq(SVar(nr[1])), rhs)
+                return IntCmp("==", IOfSeq(SVar(nr[1])), IConst(nl[1]))
         return IntCmp(op, self.as_fst(nl), self.as_fst(nr))
 
-    def mat(self, m: Matrix) -> Matrix:
-        match m:
+    def atom(self, a: Atom) -> Matrix:
+        match a:
             case BoolLit():
-                return m
-            case Not(arg=a):
-                return Not(self.mat(a))
-            case And(left=l, right=r):
-                return And(self.mat(l), self.mat(r))
-            case Or(left=l, right=r):
-                return Or(self.mat(l), self.mat(r))
-            case Imp(left=l, right=r):
-                return Imp(self.mat(l), self.mat(r))
-            case Iff(left=l, right=r):
-                return Iff(self.mat(l), self.mat(r))
+                return a
             case SeqEq(left=l, right=r):
                 return SeqEq(self.seq(l), self.seq(r))
             case InRe(arg=t, regex=rx):
                 return InRe(self.alias(t), rx)
             case IntCmp(op=op, left=l, right=r):
                 return self.int_atom(op, l, r)
-        raise TypeError(f"unexpected node after earlier stages: {m!r}")
+        raise TypeError(f"unexpected node after earlier stages: {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +680,7 @@ def _core_atom(a: Atom) -> bool:
             return _core_seq(l) and _core_seq(r)
         case InRe(arg=SVar()):
             return True
-        case IntCmp(op="==", left=IOfSeq(arg=SVar()), right=IZero() | IOne()):
+        case IntCmp(op="==", left=IOfSeq(arg=SVar()), right=IConst(value=0 | 1)):
             return True
         case IntCmp(op="==" | "<", left=IOfSeq(arg=SVar()), right=IOfSeq(arg=SVar())):
             return True
@@ -978,15 +696,9 @@ def _core_atom(a: Atom) -> bool:
 
 def validate_core(m: Matrix) -> None:
     """Raise ElaborationError if the matrix is not in core form."""
-    match m:
-        case Not(arg=a):
-            validate_core(a)
-        case And(left=l, right=r) | Or(left=l, right=r) | Imp(left=l, right=r) | Iff(left=l, right=r):
-            validate_core(l)
-            validate_core(r)
-        case _:
-            if not _core_atom(m):
-                raise ElaborationError(f"not in core form: {m!r}")
+    for a in atoms(m):
+        if not _core_atom(a):
+            raise ElaborationError(f"not in core form: {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +720,7 @@ def elaborate(f: Formula, default_reading: str = EXISTS) -> Elaboration:
 
     matrix, rev_map = eliminate_rev(f.matrix)
     prefix = tuple(rev_map.get(x, x) for x in f.prefix)
-    matrix = _fold_first(matrix)
+    matrix = map_atoms(matrix, lambda a: map_atom_terms(a, _fold_first))
 
     fresh = _Fresh()
     matrix, sub_guards = expand_subs(matrix, fresh)
@@ -1018,8 +730,8 @@ def elaborate(f: Formula, default_reading: str = EXISTS) -> Elaboration:
     work = [push_negations(g) for g in work]
 
     lower = _AtomLowering(fresh)
-    matrix = lower.mat(matrix)
-    work = [lower.mat(g) for g in work]
+    matrix = map_atoms(matrix, lower.atom)
+    work = [map_atoms(g, lower.atom) for g in work]
     guards = tuple(work + lower.guards)
 
     for g in guards:

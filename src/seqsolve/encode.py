@@ -50,8 +50,6 @@ from .ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
-    IZero,
     Iff,
     Imp,
     InRe,
@@ -461,10 +459,10 @@ class _Translator:
                 return WEq(self.side(l), self.side(r))
             case InRe(arg=SVar(name=x), regex=rx):
                 return WIn(x, encode_regex(rx))
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IZero()):
+            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=0)):
                 self.used_components.add(x)
                 return WEq((V(h_of(x)),), letters("aca"))
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IOne()):
+            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=1)):
                 self.used_components.add(x)
                 return WEq((V(h_of(x)),), letters("acba"))
             case IntCmp(
@@ -492,11 +490,11 @@ class _Translator:
                 return WBool(not v)
             case SeqEq() | InRe():
                 return WNot(self.atom(m))
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IZero()):
+            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=0)):
                 # nonzero: negative sign, or a nonempty magnitude
                 self.used_components.add(x)
                 return WOr(WIn(sg_of(x), lit("d")), WIn(m_of(x), bplus_dfa()))
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IOne()):
+            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=1)):
                 self.used_components.add(x)
                 return WOr(
                     WIn(sg_of(x), lit("d")), WIn(m_of(x), not_single_b_dfa())
@@ -651,8 +649,6 @@ def formula_size(f: Formula) -> int:
 
     def intt(i: IntTerm) -> int:
         match i:
-            case IZero() | IOne():
-                return 1
             case IConst(value=k):
                 return max(1, abs(k))
             case IOfSeq(arg=t):

@@ -32,9 +32,7 @@ from .ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
     ISub,
-    IZero,
     Iff,
     Imp,
     InRe,
@@ -97,10 +95,6 @@ def seq_value(t: SeqTerm, env: dict[str, Seq]) -> Seq:
 
 def int_value(i: IntTerm, env: dict[str, Seq]) -> int:
     match i:
-        case IZero():
-            return 0
-        case IOne():
-            return 1
         case IConst(value=k):
             return k
         case IOfSeq(arg=t):

@@ -55,9 +55,7 @@ from .ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
     ISub,
-    IZero,
     Iff,
     Imp,
     InRe,
@@ -212,10 +210,6 @@ def tokenize(src: str) -> list[Token]:
 
 
 # Untyped term tree built during parsing; coerced to seq/int per atom.
-_SEQ_ONLY = ("eps", "concat", "sub", "first", "last", "rest", "rev")
-_INT_ONLY = ("add", "subtract", "intlit")
-
-
 @dataclass
 class _PTerm:
     kind: str  # "var" | "eps" | "intlit" | "concat" | "add" | "subtract"
@@ -574,10 +568,6 @@ class _Parser:
     def coerce_int(self, p: _PTerm) -> IntTerm:
         match p.kind:
             case "intlit":
-                if p.value == 0:
-                    return IZero(loc=p.span)
-                if p.value == 1:
-                    return IOne(loc=p.span)
                 return IConst(p.value, loc=p.span)
             case "add":
                 return IAdd(self.coerce_int(p.args[0]), self.coerce_int(p.args[1]), loc=p.span)

@@ -17,9 +17,7 @@ from .ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
     ISub,
-    IZero,
     Iff,
     Imp,
     InRe,
@@ -136,10 +134,6 @@ def print_int_term(i: IntTerm) -> str:
 
 def _int(i: IntTerm, ctx: int) -> str:
     match i:
-        case IZero():
-            return "0"
-        case IOne():
-            return "1"
         case IConst(value=v):
             return _paren(str(v), v < 0 and ctx > _ADD)
         case IOfSeq(arg=t):

@@ -25,6 +25,7 @@ from .ast import (
     Formula,
     IAdd,
     IConst,
+    INT_OPS,
     InRe,
     IntCmp,
     IOfSeq,
@@ -51,7 +52,6 @@ from .encode import L, V, Side
 from .printer import print_formula
 
 VAR_POOL = ("x", "y", "z")
-INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 # ---------------------------------------------------------------------------

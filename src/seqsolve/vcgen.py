@@ -70,9 +70,10 @@ from .ast import (
     atom_seq_terms,
     atoms,
     conj,
+    map_atom_terms,
+    map_atoms,
     matrix_vars,
     seq_subterms,
-    subst_in_matrix,
 )
 from .elaborate import ElaborationError, elaborate
 from .parser import OLD_PREFIX, ParseError, parse_matrix, parse_seq_term
@@ -415,13 +416,22 @@ class _WpState:
         self.side: list[_Obligation] = []
 
 
+def _subst(m: Matrix, x: str, e: SeqTerm) -> Matrix:
+    """m with every occurrence of the variable x replaced by e."""
+
+    def term(t):
+        return e if isinstance(t, SVar) and t.name == x else None
+
+    return map_atoms(m, lambda a: map_atom_terms(a, term))
+
+
 def _wp(stmt: Stmt, post: Matrix, st: _WpState) -> Matrix:
     match stmt:
         case Assign(lhs=x, rhs=e):
-            return subst_in_matrix(post, {x: e})
+            return _subst(post, x, e)
         case Havoc(var=x):
             st.fresh += 1
-            return subst_in_matrix(post, {x: SVar(f"$ha{st.fresh}_{x}")})
+            return _subst(post, x, SVar(f"$ha{st.fresh}_{x}"))
         case Assume(cond=c):
             return Imp(c, post)
         case Assert(cond=c):

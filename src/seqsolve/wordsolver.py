@@ -26,7 +26,8 @@ letters a branch has committed to, and an exact length abstraction
 (Gaussian elimination over the equation length constraints) discards
 systems whose lengths cannot balance.
 
-Every node is a fixpoint of cheap rewrite rules (_simplify). A child
+Every node is a fixpoint of cheap rewrite rules (_simplify). A root
+is one component of a clause's fixpoint, so it is one already. A child
 starts from its parent's fixpoint and re-examines only what its branch
 touched: the equations the branch substitution changed and the
 memberships the branch wrote. The rules fire in the same order as on
@@ -474,17 +475,13 @@ def _total_len(eqs: list) -> int:
 
 
 def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None):
-    res = _simplify(eqs, [], members)
-    if res[0] == "fail":
-        return "unsat", None
-    _, eqs, _, members, log0 = res
     if _length_infeasible(eqs, members):
         return "unsat", None
     if not eqs:
-        return "sat", _replay(log0, _final_assignment(members))
+        return "sat", _final_assignment(members)
 
     key0 = _canon(eqs, members)
-    store = {key0: (eqs, members, None, log0, 0)}
+    store = {key0: (eqs, members, None, [], 0)}
     heap = [(0, 0, 0, key0)]
     tick = itertools.count(1)
     visited = set()

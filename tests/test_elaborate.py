@@ -12,6 +12,7 @@ the driver checks are oracle-backed.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,9 @@ from seqsolve.elaborate import (
 )
 from seqsolve.oracle import Bounds, enum_seqs, iter_envs, matrix_value
 from seqsolve.parser import parse_formula, parse_matrix
+from seqsolve.printer import print_formula
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def guard_extensions(elab: Elaboration, env, pool, cap=400):
@@ -287,3 +291,32 @@ def test_elaborate_is_idempotent_on_core():
     again = elaborate(parse_formula(src := "x = y ++ z & x < y"))
     assert elab.core_matrix == again.core_matrix
     assert elaborate(elab.formula).core_matrix == elab.formula.matrix
+
+
+# The elaborated text of two corpus files, fresh names and their order
+# included. The encoding names its word variables after these and the
+# search's choices depend on those names, so the node counts pinned in
+# tests/test_wordsolver.py move when this text does: a change that moves
+# it updates this pin and says why.
+ELABORATED = {
+    "reversal_step_vc.seq": (
+        'forall olda, $rev_res, s, $u1, $v1, $w1, $u2, $v2, $w2 . (s in INT^2 INT* & s '
+        '= $u1 ++ $v1 ++ $w1 & $u1 in INT^0 & ($w1 in INT^1) | s in INT^0 | INT^1 & $u1 '
+        '= eps & $v1 = eps & $w1 = eps) & (s in INT^1 INT* & s = $u2 ++ $v2 ++ $w2 & '
+        '$v2 in INT^1 & ($w2 in INT^0) | s in INT^0 & $u2 = eps & $v2 = eps & $w2 = '
+        'eps) => (!s ++ $rev_res = olda | s in INT^0) | $v1 ++ $v2 ++ $rev_res = olda'
+    ),
+    "comparison_hold.seq": (
+        'forall h, t, v, $u1, $v1, $w1, $g1, $c4, $c1 . (h in INT^1 INT* & h = $u1 ++ '
+        '$v1 ++ $w1 & $v1 in INT^1 & ($w1 in INT^0) | h in INT^0 & $u1 = eps & $v1 = '
+        'eps & $w1 = eps) & $g1 = 4 ++ 5 ++ 6 & $c4 in 4 & $c1 in 1 => $g1 == $c4 & '
+        '((!4 ++ 5 ++ 6 = h ++ t | !(h in INT^1 INT*) | !(t in INT^1 INT*) | $v1 < v | '
+        'v < $v1) | t == v + $c1)'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELABORATED))
+def test_elaborated_corpus_text_pinned(name):
+    f = parse_formula((CORPUS / name).read_text())
+    assert print_formula(elaborate(f).formula) == ELABORATED[name]

@@ -21,8 +21,6 @@ from seqsolve.ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
-    IZero,
     InRe,
     IntCmp,
     Not,
@@ -259,8 +257,8 @@ X, Y, Z = SVar("x"), SVar("y"), SVar("z")
 FX, FY, FZ = IOfSeq(X), IOfSeq(Y), IOfSeq(Z)
 
 TWO_VAR_ATOMS = [
-    IntCmp("==", FX, IZero()),
-    IntCmp("==", FX, IOne()),
+    IntCmp("==", FX, IConst(0)),
+    IntCmp("==", FX, IConst(1)),
     IntCmp("==", FX, FY),
     IntCmp("<", FX, FY),
     IntCmp("<", FX, FX),

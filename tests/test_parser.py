@@ -16,9 +16,7 @@ from seqsolve.ast import (
     IAdd,
     IConst,
     IOfSeq,
-    IOne,
     ISub,
-    IZero,
     Imp,
     InRe,
     IntCmp,
@@ -76,16 +74,16 @@ def test_subtraction_builds_isub():
     m = parse_matrix("a - b - 1 == 0")
     assert m == IntCmp(
         "==",
-        ISub(ISub(IOfSeq(SVar("a")), IOfSeq(SVar("b"))), IOne()),
-        IZero(),
+        ISub(ISub(IOfSeq(SVar("a")), IOfSeq(SVar("b"))), IConst(1)),
+        IConst(0),
     )
 
 
-def test_zero_and_one_use_dedicated_nodes():
+def test_zero_and_one_parse_as_int_constants():
     m = parse_matrix("x == 0 & y == 1")
     assert m == And(
-        IntCmp("==", IOfSeq(SVar("x")), IZero()),
-        IntCmp("==", IOfSeq(SVar("y")), IOne()),
+        IntCmp("==", IOfSeq(SVar("x")), IConst(0)),
+        IntCmp("==", IOfSeq(SVar("y")), IConst(1)),
     )
 
 
@@ -220,7 +218,9 @@ def test_printer_parenthesizes_membership_before_or():
 def test_printed_random_formulas_parse_and_reprint_identically():
     rng = random.Random(0)
     for _ in range(500):
-        text = print_formula(gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2))
+        f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
+        text = print_formula(f)
+        assert parse_formula(text) == f, text
         assert print_formula(parse_formula(text)) == text
 
 
