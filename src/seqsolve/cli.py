@@ -4,7 +4,7 @@ One process runs one command against one input file::
 
     seqsolve sat FILE.seq        satisfiability of a formula
     seqsolve valid FILE.seq      validity of its universal closure
-    seqsolve encode FILE.seq     dump the word problem encoding
+    seqsolve encode FILE.seq     dump the word problem the solver decides
     seqsolve oracle FILE.seq     decide by bounded enumeration instead
     seqsolve vc FILE.sqp         generate (and optionally discharge)
                                  verification conditions
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .elaborate import ElaborationError, elaborate
-from .encode import L, V, LiteralTooLarge, WordProblem, encode_elaboration
+from .encode import LiteralTooLarge, encode_elaboration
 from .oracle import Bounds, brute_force_sat
 from .parser import ParseError, parse_formula
 from .printer import print_formula
@@ -40,8 +40,8 @@ from .vcgen import (
     vcs,
     worst_exit,
 )
-from .wordsolver import Budget, check_sat, check_valid
-from .ast import FORALL, Formula, Not, free_vars
+from .wordsolver import Budget, check_sat, check_valid, negation
+from .ast import FORALL, Formula, free_vars
 
 
 class CliError(Exception):
@@ -284,36 +284,33 @@ def _run_check(config: RunConfig) -> int:
     )
 
 
-def _side_text(side) -> str:
+def _side_text(side: list) -> str:
+    """A wp-1 side: runs of letters quoted, variables by name."""
     parts = []
     run = ""
     for tok in side:
-        if isinstance(tok, L):
-            run += tok.ch
+        if "l" in tok:
+            run += tok["l"]
             continue
         if run:
             parts.append(f'"{run}"')
             run = ""
-        parts.append(tok.name)
+        parts.append(tok["v"])
     if run:
         parts.append(f'"{run}"')
     return " ++ ".join(parts) if parts else '""'
 
 
-def _encode_text(wp: WordProblem, doc: dict) -> list[str]:
-    text = [f"kind: {wp.kind}", "vars: " + ", ".join(doc["vars"])]
-
-    def side(d):
-        return _side_text(tuple(V(t["v"]) if "v" in t else L(t["l"]) for t in d))
-
+def _encode_text(doc: dict) -> list[str]:
+    text = [f"kind: {doc['kind']}", "vars: " + ", ".join(doc["vars"])]
     if doc["equations"]:
         text.append("equations:")
         for eq in doc["equations"]:
-            text.append(f"  {side(eq['left'])} = {side(eq['right'])}")
+            text.append(f"  {_side_text(eq['left'])} = {_side_text(eq['right'])}")
     if doc["disequations"]:
         text.append("disequations:")
         for eq in doc["disequations"]:
-            text.append(f"  {side(eq['left'])} != {side(eq['right'])}")
+            text.append(f"  {_side_text(eq['left'])} != {_side_text(eq['right'])}")
     if doc["memberships"]:
         text.append("memberships:")
         for var, dfa in doc["memberships"].items():
@@ -331,6 +328,8 @@ def _run_encode(config: RunConfig) -> int:
         report["formulas"] = [print_formula(f)]
         _emit(config, report, [print_formula(f)])
         return 0
+    if f.quantifier == FORALL:
+        f = negation(f)  # the problem `valid` refutes
     try:
         elab = elaborate(f)
     except ElaborationError as e:
@@ -344,7 +343,7 @@ def _run_encode(config: RunConfig) -> int:
     wp = encode_elaboration(elab)
     doc = wp.to_json()
     doc["input"] = str(config.input)
-    _emit(config, doc, _encode_text(wp, doc))
+    _emit(config, doc, _encode_text(doc))
     return 0
 
 
@@ -354,7 +353,8 @@ def _run_oracle(config: RunConfig) -> int:
     fields = {"bounds": {"max_len": bounds.max_len, "values": list(bounds.values)}}
     note = f"bounded: max_len={bounds.max_len} values={list(bounds.values)}"
     if f.quantifier == FORALL:
-        cex = brute_force_sat(Not(f.matrix), f.prefix, bounds)
+        neg = negation(f)
+        cex = brute_force_sat(neg.matrix, neg.prefix, bounds)
         status = "invalid" if cex is not None else "valid"
         return _verdict(config, status, fields, note, counterexample=cex)
     names = f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))

@@ -13,9 +13,10 @@ bounds, derived comparisons, integer constants and nested arithmetic.
 Rewrites that need a name for an intermediate value introduce fresh
 '$'-variables together with guard constraints that pin them down; for
 every assignment to the original variables the guards are satisfiable
-and force the fresh variables to carry the intended values, so gluing
-them on with "and" (existential reading) or "implies" (universal
-reading) preserves meaning in either direction.
+and force the fresh variables to carry the intended values, so
+conjoining them preserves the meaning of an existential formula. Only
+existential (or prefix-free) formulas are elaborated: a universal one
+is decided by refuting its negation, which is existential.
 
 The stages run in order: reversal, subranges, length bounds, negations,
 arithmetic. Each stage except negation pushing is an atom rewrite: a
@@ -103,16 +104,14 @@ class ElaborationError(ValueError):
 class Elaboration:
     """Result of rewriting a formula into core form.
 
-    ``formula`` carries the guards already glued onto the matrix and
-    the fresh variables appended to the prefix. ``reading`` records
-    which quantifier reading was used for a prefix-free input.
-    ``rev_map`` maps each reversal-abstracted original variable to the
-    fresh variable that denotes its reversal; a model value for the
-    original variable is the reversal of the fresh one's value.
+    ``formula`` carries the guards already conjoined with the matrix
+    and the fresh variables appended to the prefix. ``rev_map`` maps
+    each reversal-abstracted original variable to the fresh variable
+    that denotes its reversal; a model value for the original variable
+    is the reversal of the fresh one's value.
     """
 
     formula: Formula
-    reading: str
     core_matrix: Matrix
     guards: tuple[Matrix, ...]
     fresh_vars: tuple[str, ...]
@@ -705,18 +704,21 @@ def validate_core(m: Matrix) -> None:
 # driver
 
 
-def elaborate(f: Formula, default_reading: str = EXISTS) -> Elaboration:
-    """Rewrite a formula into core form.
+def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
+    """Rewrite an existential or prefix-free formula into core form.
 
-    Guards for the fresh variables are conjoined under an existential
-    reading and turned into hypotheses under a universal one; both
-    preserve the meaning of the original formula because every guard is
-    satisfiable for every assignment to the original variables and pins
-    the fresh values the rewritten matrix depends on.
+    The guards for the fresh variables are conjoined with the matrix,
+    which preserves meaning because every guard is satisfiable for
+    every assignment to the original variables and pins the fresh
+    values the rewritten matrix depends on. The result is in negation
+    normal form: Not sits only on sequence equations and memberships.
+    ``reading`` must be EXISTS; a universal formula raises ValueError
+    (its validity is decided through wordsolver.negation).
     """
-    reading = f.quantifier if f.quantifier is not None else default_reading
-    if reading not in (FORALL, EXISTS):
-        raise ValueError(f"unknown reading {reading!r}")
+    if reading != EXISTS:
+        raise ValueError(f"unknown reading {reading!r}: only EXISTS is elaborated")
+    if f.quantifier == FORALL:
+        raise ValueError("a universal formula is elaborated through its negation")
 
     matrix, rev_map = eliminate_rev(f.matrix)
     prefix = tuple(rev_map.get(x, x) for x in f.prefix)
@@ -738,20 +740,14 @@ def elaborate(f: Formula, default_reading: str = EXISTS) -> Elaboration:
         validate_core(g)
     validate_core(matrix)
 
-    if guards:
-        g = conj(list(guards))
-        combined = Imp(g, matrix) if reading == FORALL else And(g, matrix)
-    else:
-        combined = matrix
-
+    combined = And(conj(list(guards)), matrix) if guards else matrix
     if f.quantifier is None:
         out = Formula(None, (), combined)
     else:
-        out = Formula(reading, prefix + tuple(fresh.names), combined)
+        out = Formula(EXISTS, prefix + tuple(fresh.names), combined)
 
     return Elaboration(
         formula=out,
-        reading=reading,
         core_matrix=matrix,
         guards=guards,
         fresh_vars=tuple(fresh.names),

@@ -26,13 +26,16 @@ h_x is exactly the encoding of the first element of x under the
     x == y + z   four-way case split on signs, building h_x from
                  sg/m components and the witness p
 
-Comparison atoms are only ever encoded positively: negations are
-flipped into the opposite comparison (upstream for surface operators,
-in neg_atom for core atoms), sign cases are memberships whose
-contradictions cancel by automaton intersection, and the shared
-magnitude witness p in b+ is pinned by the equations of whichever
-case uses it. Nothing about p or a sign ever sits under a negation,
-which is what makes the case splits cheap to discharge.
+The matrix arrives from elaborate in negation normal form, with Not
+only on sequence equations and memberships, so the translation is a
+structural map and every comparison is encoded positively: sign cases
+are memberships whose contradictions cancel by automaton intersection,
+and the shared magnitude witness p in b+ is pinned by the equations of
+whichever case uses it. Nothing about p or a sign ever sits under a
+negation, which is what makes the case splits cheap to discharge.
+The frame and the witness memberships are conjoined with the result:
+every problem is existential, validity being decided by refuting the
+negation.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from typing import Union
 from .ast import (
     And,
     BoolLit,
-    EXISTS,
-    FORALL,
     Formula,
     IAdd,
     IConst,
@@ -158,12 +159,6 @@ def bstar_dfa() -> Dfa:
 @lru_cache(maxsize=None)
 def bplus_dfa() -> Dfa:
     return plus(lit("b"))
-
-
-@lru_cache(maxsize=None)
-def not_single_b_dfa() -> Dfa:
-    """Every word except the single letter b."""
-    return lit("b").complement()
 
 
 @lru_cache(maxsize=None)
@@ -291,11 +286,11 @@ def t_of(x: str) -> str:
 
 @dataclass
 class WordProblem:
-    kind: str  # "existential" | "universal"
+    """Is there a word for each variable that makes the matrix true?"""
+
     variables: tuple[str, ...]  # every word variable, in a fixed order
-    matrix: WFormula  # frame and guards already glued per the kind
+    matrix: WFormula  # frame and witness memberships already conjoined
     source_vars: tuple[str, ...]  # the variables of the core formula
-    elaboration: Elaboration | None = None
     components: dict[str, tuple[str, str, str, str]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -339,7 +334,7 @@ class WordProblem:
         peel(self.matrix)
         return {
             "schema": "wp-1",
-            "kind": self.kind,
+            "kind": "existential",
             "vars": list(self.variables),
             "equations": eqs,
             "disequations": diseqs,
@@ -363,10 +358,9 @@ def dfa_json(d: Dfa) -> dict:
 
 class _Translator:
     def __init__(self):
-        self.extra: list[WFormula] = []  # witness memberships and guards
+        self.extra: list[WFormula] = []  # witness memberships
         self.pair_witness: dict[frozenset, str] = {}
         self.pair_order: list[str] = []
-        self.guarded_pairs: set[frozenset] = set()
         self.used_components: set[str] = set()
 
     def witness(self, x: str, y: str) -> str:
@@ -378,22 +372,6 @@ class _Translator:
         self.pair_witness[key] = p
         self.pair_order.append(p)
         self.extra.append(WIn(p, bplus_dfa()))
-        return p
-
-    def canonical_witness(self, x: str, y: str) -> str:
-        """The pair witness, additionally pinned to the actual magnitude
-        difference by a guard disjunction. Positive uses of p do not
-        need this (each case equates p itself), but a literal about p
-        under a negation is only correct when p is forced."""
-        p = self.witness(x, y)
-        key = frozenset((x, y))
-        if key not in self.guarded_pairs:
-            self.guarded_pairs.add(key)
-            mx, my = (V(m_of(x)),), (V(m_of(y)),)
-            pv = (V(p),)
-            self.extra.append(
-                wdisj([WEq(mx, my), WEq(mx, my + pv), WEq(my, mx + pv)])
-            )
         return p
 
     def side(self, t: SeqTerm) -> Side:
@@ -479,70 +457,15 @@ class _Translator:
                 return self.less_than(x, y)
         raise ValueError(f"not a core atom: {m!r}")
 
-    def neg_atom(self, m: Matrix) -> WFormula:
-        """Direct positive encodings of negated atoms. Comparisons get
-        flipped rather than wrapped in negation, so no sign case or
-        magnitude equation ever appears under a negation: contradictory
-        cases are then killed by membership intersection instead of
-        surviving as disequations that force deep branching."""
+    def mat(self, m: Matrix) -> WFormula:
         match m:
-            case BoolLit(value=v):
-                return WBool(not v)
-            case SeqEq() | InRe():
-                return WNot(self.atom(m))
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=0)):
-                # nonzero: negative sign, or a nonempty magnitude
-                self.used_components.add(x)
-                return WOr(WIn(sg_of(x), lit("d")), WIn(m_of(x), bplus_dfa()))
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=1)):
-                self.used_components.add(x)
-                return WOr(
-                    WIn(sg_of(x), lit("d")), WIn(m_of(x), not_single_b_dfa())
-                )
-            case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IOfSeq(arg=SVar(name=y))):
-                return WOr(self.less_than(x, y), self.less_than(y, x))
-            case IntCmp(op="<", left=IOfSeq(arg=SVar(name=x)), right=IOfSeq(arg=SVar(name=y))):
-                self.used_components.update((x, y))
-                return WOr(
-                    self.less_than(y, x), WEq((V(h_of(x)),), (V(h_of(y)),))
-                )
-            case IntCmp(
-                op="==",
-                left=IOfSeq(arg=SVar()),
-                right=IAdd(left=IOfSeq(arg=SVar(name=i)), right=IOfSeq(arg=SVar(name=j))),
-            ):
-                # the sum encoding is negated literally, which is only
-                # sound with the operand pair's witness pinned
-                self.canonical_witness(i, j)
-                return WNot(self.atom(m))
-        raise ValueError(f"no negative encoding for {m!r}")
-
-    def mat(self, m: Matrix, neg: bool = False) -> WFormula:
-        match m:
-            case Not(arg=a):
-                return self.mat(a, not neg)
             case And(left=l, right=r):
-                l2, r2 = self.mat(l, neg), self.mat(r, neg)
-                return WOr(l2, r2) if neg else WAnd(l2, r2)
+                return WAnd(self.mat(l), self.mat(r))
             case Or(left=l, right=r):
-                l2, r2 = self.mat(l, neg), self.mat(r, neg)
-                return WAnd(l2, r2) if neg else WOr(l2, r2)
-            case Imp(left=l, right=r):
-                if neg:
-                    return WAnd(self.mat(l), self.mat(r, True))
-                return WOr(self.mat(l, True), self.mat(r))
-            case Iff(left=l, right=r):
-                if neg:
-                    return WOr(
-                        WAnd(self.mat(l), self.mat(r, True)),
-                        WAnd(self.mat(l, True), self.mat(r)),
-                    )
-                return WAnd(
-                    WOr(self.mat(l, True), self.mat(r)),
-                    WOr(self.mat(r, True), self.mat(l)),
-                )
-            case _:
-                return self.neg_atom(m) if neg else self.atom(m)
+                return WOr(self.mat(l), self.mat(r))
+            case Not(arg=SeqEq() | InRe() as a):
+                return WNot(self.atom(a))
+        return self.atom(m)  # any other connective is refused there
 
 
 def frame_constraints(x: str) -> list[WFormula]:
@@ -580,14 +503,6 @@ def encode_elaboration(elab: Elaboration) -> WordProblem:
             frame.append(WIn(x, lstar_dfa()))
     frame.extend(tr.extra)
 
-    hypotheses = wconj(frame)
-    if elab.reading == FORALL:
-        combined = WOr(WNot(hypotheses), wmatrix) if frame else wmatrix
-        kind = "universal"
-    else:
-        combined = WAnd(hypotheses, wmatrix) if frame else wmatrix
-        kind = "existential"
-
     variables = list(core_vars)
     for x in core_vars:
         if x in components:
@@ -595,18 +510,17 @@ def encode_elaboration(elab: Elaboration) -> WordProblem:
     variables.extend(tr.pair_order)
 
     return WordProblem(
-        kind=kind,
         variables=tuple(variables),
-        matrix=combined,
+        matrix=WAnd(wconj(frame), wmatrix) if frame else wmatrix,
         source_vars=core_vars,
-        elaboration=elab,
         components=components,
     )
 
 
-def encode(f: Formula, default_reading: str = EXISTS) -> WordProblem:
-    """Elaborate and encode a formula as a word problem."""
-    return encode_elaboration(elaborate(f, default_reading))
+def encode(f: Formula) -> WordProblem:
+    """Elaborate and encode an existential or prefix-free formula as a
+    word problem."""
+    return encode_elaboration(elaborate(f))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ from .ast import (
 )
 from .elaborate import ElaborationError, elaborate
 from .parser import OLD_PREFIX, ParseError, parse_matrix, parse_seq_term
-from .wordsolver import Budget, check_valid
+from .wordsolver import Budget, check_valid, negation
 
 
 class VcError(ValueError):
@@ -622,7 +622,7 @@ def _finalize(ob: _Obligation, program: Program) -> list[VC]:
         formula = Formula(FORALL, tuple(sorted(matrix_vars(matrix))), matrix)
         unencodable = ""
         try:
-            elaborate(formula, FORALL)
+            elaborate(negation(formula))
         except ElaborationError as e:
             unencodable = str(e)
         out.append(

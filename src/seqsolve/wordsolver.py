@@ -141,31 +141,27 @@ def _merge(c1: Clause, c2: Clause) -> Clause | None:
 
 
 def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
-    """Clauses of the disjunctive normal form, negations pushed onto
-    atoms (a negated membership complements the automaton)."""
+    """Clauses of the disjunctive normal form of a word formula in
+    negation normal form: a negated equation is a disequation and a
+    negated membership complements the automaton."""
 
-    def go(w, pos: bool) -> list[Clause]:
+    def go(w) -> list[Clause]:
         match w:
             case WBool(value=v):
-                return [Clause()] if v == pos else []
+                return [Clause()] if v else []
             case WEq(left=l, right=r):
-                return [Clause(eqs=[(l, r)])] if pos else [Clause(diseqs=[(l, r)])]
+                return [Clause(eqs=[(l, r)])]
+            case WNot(arg=WEq(left=l, right=r)):
+                return [Clause(diseqs=[(l, r)])]
             case WIn(var=x, dfa=d):
-                d = d if pos else d.complement()
-                if d.is_empty():
-                    return []
-                return [Clause(members={x: d})]
-            case WNot(arg=a):
-                return go(a, not pos)
-            case WAnd(left=l, right=r) if pos:
-                return cross(go(l, pos), go(r, pos))
+                return [] if d.is_empty() else [Clause(members={x: d})]
+            case WNot(arg=WIn(var=x, dfa=d)):
+                return go(WIn(x, d.complement()))
             case WAnd(left=l, right=r):
-                return cat(go(l, pos), go(r, pos))
-            case WOr(left=l, right=r) if pos:
-                return cat(go(l, pos), go(r, pos))
+                return cross(go(l), go(r))
             case WOr(left=l, right=r):
-                return cross(go(l, pos), go(r, pos))
-        raise TypeError(f"not a word formula: {w!r}")
+                return cat(go(l), go(r))
+        raise TypeError(f"not a word formula in negation normal form: {w!r}")
 
     def cat(a: list, b: list) -> list:
         if len(a) + len(b) > cap:
@@ -183,7 +179,7 @@ def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
                     raise ClauseCapExceeded(f"more than {cap} clauses")
         return out
 
-    return go(w, True)
+    return go(w)
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +675,8 @@ _LEVELS = (400, 6000, None)
 
 
 def solve_problem(wp: WordProblem, budget: Budget | None = None):
-    """Solve an existential word problem clause by clause. Returns
-    (status, sigma, search, clause count); sigma maps word variables
-    to words."""
-    if wp.kind != "existential":
-        raise ValueError("only existential problems can be solved directly")
+    """Solve a word problem clause by clause. Returns (status, sigma,
+    search, clause count); sigma maps word variables to words."""
     budget = budget or Budget.from_env()
     ctl = _Search(budget)
     try:
@@ -740,7 +733,7 @@ def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
         r.status = {"valid": "sat", "invalid": "unsat", "unknown": "unknown"}[r.status]
         return r
 
-    elab = elaborate(f, EXISTS)
+    elab = elaborate(f)
     wp = encode_elaboration(elab)
     status, sigma, ctl, nclauses = solve_problem(wp, budget)
     result = SolverResult(status=status, nodes=ctl.nodes, clauses=nclauses)
@@ -759,13 +752,17 @@ def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
     return result
 
 
+def negation(f: Formula) -> Formula:
+    """The existential formula whose refutation decides the validity of
+    f's universal closure; its witnesses are counterexamples to f."""
+    return Formula(EXISTS, tuple(_original_vars(f)), Not(f.matrix))
+
+
 def check_valid(f: Formula, budget: Budget | None = None) -> SolverResult:
     """Decide validity of the universal closure by refuting the
     negation. A counterexample assignment is reported when one
     exists."""
-    prefix = tuple(_original_vars(f))
-    negated = Formula(EXISTS, prefix, Not(f.matrix))
-    inner = check_sat(negated, budget)
+    inner = check_sat(negation(f), budget)
     status = {"sat": "invalid", "unsat": "valid", "unknown": "unknown"}[inner.status]
     return SolverResult(
         status=status,

@@ -146,6 +146,24 @@ def test_encode_text_quotes_letter_runs(capsys, tmp_path):
     assert "kind:" in out and '"' in out
 
 
+def test_encode_universal_dumps_the_refuted_negation(capsys, tmp_path):
+    # `encode` on a universal file dumps the problem `valid` refutes: the
+    # same document as the hand-written existential negation
+    universal = CORPUS / "sorted_21.seq"
+    twin = tmp_path / "twin.seq"
+    twin.write_text(
+        "exists h, m, t . !(2 ++ 1 = h ++ m ++ t & len(m) == 1 & len(t) > 0 => m < t)\n"
+    )
+    _, got = run_json(capsys, "encode", str(universal))
+    _, want = run_json(capsys, "encode", str(twin))
+    assert got.pop("input") == str(universal) and want.pop("input") == str(twin)
+    assert got == want and got["kind"] == "existential"
+    assert run_cli(capsys, "encode", str(universal)) == run_cli(capsys, "encode", str(twin))
+    code, doc = run_json(capsys, "encode", str(universal), "--stop-after", "elaborate")
+    assert code == 0
+    assert doc["formulas"][0].startswith("exists h, m, t")
+
+
 def test_encode_outside_fragment_exits_3(capsys, tmp_path):
     src = tmp_path / "f.seq"
     # rev of a variable is only supported where rewriting can remove it

@@ -6,9 +6,10 @@ extended to assignments of the fresh '$'-variables that satisfy the
 guards (found by enumeration, not by trusting the rewriter), and the
 rewritten core matrix must agree with the reference evaluation of the
 original matrix on every such extension. Together with non-emptiness
-of the extension set this establishes both quantifier readings at
-once. Expected shapes in the unit tests are hand-derived [DERIVED];
-the driver checks are oracle-backed.
+of the extension set this establishes that conjoining the guards, as
+elaborate does, preserves the meaning of the formula. Expected shapes
+in the unit tests are hand-derived [DERIVED]; the driver checks are
+oracle-backed.
 """
 
 import itertools
@@ -19,6 +20,8 @@ import pytest
 from seqsolve.ast import (
     And,
     BoolLit,
+    EXISTS,
+    FORALL,
     IOfSeq,
     InRe,
     IntCmp,
@@ -44,6 +47,7 @@ from seqsolve.elaborate import (
 from seqsolve.oracle import Bounds, enum_seqs, iter_envs, matrix_value
 from seqsolve.parser import parse_formula, parse_matrix
 from seqsolve.printer import print_formula
+from seqsolve.wordsolver import negation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -250,12 +254,17 @@ def test_constants_share_one_witness_variable():
     assert len(memberships) == 1
 
 
-def test_universal_reading_uses_implication():
-    elab = elaborate(parse_formula("forall x . first(x) = eps"))
-    assert elab.reading == "forall"
-    assert not isinstance(elab.formula.matrix, And)
-    elab2 = elaborate(parse_formula("exists x . first(x) = eps"))
-    assert isinstance(elab2.formula.matrix, And)
+def test_universal_formula_is_refused():
+    # only the existential problem is elaborated, with the guards
+    # conjoined; a universal formula goes through its negation
+    f = parse_formula("forall x . first(x) = eps")
+    with pytest.raises(ValueError):
+        elaborate(f)
+    with pytest.raises(ValueError):
+        elaborate(negation(f), FORALL)
+    elab = elaborate(negation(f))
+    assert elab.formula.quantifier == EXISTS
+    assert isinstance(elab.formula.matrix, And)
 
 
 def test_fresh_variables_join_the_prefix():
@@ -293,25 +302,27 @@ def test_elaborate_is_idempotent_on_core():
     assert elaborate(elab.formula).core_matrix == elab.formula.matrix
 
 
-# The elaborated text of two corpus files, fresh names and their order
-# included. The encoding names its word variables after these and the
-# search's choices depend on those names, so the node counts pinned in
+# The elaborated text of the negations that `valid` refutes for two
+# universal corpus files, fresh names and their order included. The
+# encoding names its word variables after these and the search's
+# choices depend on those names, so the node counts pinned in
 # tests/test_wordsolver.py move when this text does: a change that moves
 # it updates this pin and says why.
 ELABORATED = {
     "reversal_step_vc.seq": (
-        'forall olda, $rev_res, s, $u1, $v1, $w1, $u2, $v2, $w2 . (s in INT^2 INT* & s '
-        '= $u1 ++ $v1 ++ $w1 & $u1 in INT^0 & ($w1 in INT^1) | s in INT^0 | INT^1 & $u1 '
-        '= eps & $v1 = eps & $w1 = eps) & (s in INT^1 INT* & s = $u2 ++ $v2 ++ $w2 & '
-        '$v2 in INT^1 & ($w2 in INT^0) | s in INT^0 & $u2 = eps & $v2 = eps & $w2 = '
-        'eps) => (!s ++ $rev_res = olda | s in INT^0) | $v1 ++ $v2 ++ $rev_res = olda'
+        'exists olda, $rev_res, s, $u1, $v1, $w1, $u2, $v2, $w2 . ((s in INT^2 INT* '
+        '& s = $u1 ++ $v1 ++ $w1 & $u1 in INT^0 & ($w1 in INT^1) | s in INT^0 | '
+        'INT^1 & $u1 = eps & $v1 = eps & $w1 = eps) & (s in INT^1 INT* & s = $u2 ++ '
+        '$v2 ++ $w2 & $v2 in INT^1 & ($w2 in INT^0) | s in INT^0 & $u2 = eps & $v2 = '
+        'eps & $w2 = eps)) & (s ++ $rev_res = olda & !s in INT^0) & !$v1 ++ $v2 ++ '
+        '$rev_res = olda'
     ),
     "comparison_hold.seq": (
-        'forall h, t, v, $u1, $v1, $w1, $g1, $c4, $c1 . (h in INT^1 INT* & h = $u1 ++ '
-        '$v1 ++ $w1 & $v1 in INT^1 & ($w1 in INT^0) | h in INT^0 & $u1 = eps & $v1 = '
-        'eps & $w1 = eps) & $g1 = 4 ++ 5 ++ 6 & $c4 in 4 & $c1 in 1 => $g1 == $c4 & '
-        '((!4 ++ 5 ++ 6 = h ++ t | !(h in INT^1 INT*) | !(t in INT^1 INT*) | $v1 < v | '
-        'v < $v1) | t == v + $c1)'
+        'exists h, t, v, $u1, $v1, $w1, $g1, $c4, $s1, $c1 . ((h in INT^1 INT* & h = '
+        '$u1 ++ $v1 ++ $w1 & $v1 in INT^1 & ($w1 in INT^0) | h in INT^0 & $u1 = eps '
+        '& $v1 = eps & $w1 = eps) & $g1 = 4 ++ 5 ++ 6 & $c4 in 4 & $c1 in 1 & $s1 == '
+        'v + $c1) & (($g1 < $c4 | $c4 < $g1) | (4 ++ 5 ++ 6 = h ++ t & h in INT^1 '
+        'INT* & t in INT^1 INT* & $v1 == v) & (t < $s1 | $s1 < t))'
     ),
 }
 
@@ -319,4 +330,4 @@ ELABORATED = {
 @pytest.mark.parametrize("name", sorted(ELABORATED))
 def test_elaborated_corpus_text_pinned(name):
     f = parse_formula((CORPUS / name).read_text())
-    assert print_formula(elaborate(f).formula) == ELABORATED[name]
+    assert print_formula(elaborate(negation(f)).formula) == ELABORATED[name]

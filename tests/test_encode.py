@@ -22,13 +22,16 @@ from seqsolve.ast import (
     IConst,
     IOfSeq,
     InRe,
+    Imp,
     IntCmp,
     Not,
+    Or,
     SConcat,
     SEmpty,
     SInt,
     SVar,
     SeqEq,
+    matrix_vars,
 )
 from seqsolve.elaborate import Elaboration, ElaborationError
 from seqsolve.encode import (
@@ -58,6 +61,7 @@ from seqsolve.encode import (
 from seqsolve import oracle
 from seqsolve.oracle import Bounds, enum_seqs, iter_envs, matrix_value
 from seqsolve.parser import parse_formula, parse_matrix
+from seqsolve.wordsolver import negation
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +233,9 @@ def p_vars(wp: WordProblem):
 P_POOL = ["b", "bb", "bbb", "bbbb"]
 
 
-def core_problem(matrix, names, reading=EXISTS) -> WordProblem:
-    f = Formula(reading, tuple(names), matrix)
-    elab = Elaboration(
-        formula=f, reading=reading, core_matrix=matrix, guards=(), fresh_vars=()
-    )
+def core_problem(matrix, names) -> WordProblem:
+    f = Formula(EXISTS, tuple(names), matrix)
+    elab = Elaboration(formula=f, core_matrix=matrix, guards=(), fresh_vars=())
     return encode_elaboration(elab)
 
 
@@ -262,8 +264,10 @@ TWO_VAR_ATOMS = [
     IntCmp("==", FX, FY),
     IntCmp("<", FX, FY),
     IntCmp("<", FX, FX),
-    Not(IntCmp("==", FX, FY)),
-    Not(IntCmp("<", FX, FY)),
+    # what elaborate makes of !(x == y) and !(x < y): the encoder only
+    # ever sees comparisons positively
+    Or(IntCmp("<", FX, FY), IntCmp("<", FY, FX)),
+    Or(IntCmp("<", FY, FX), IntCmp("==", FX, FY)),
     SeqEq(SConcat(X, SInt(IConst(2))), Y),
     SeqEq(X, SInt(FY)),
     Not(SeqEq(X, SInt(FY))),
@@ -279,16 +283,23 @@ def test_two_var_atoms_agree(matrix):
     assert_atom_agrees(matrix, ("x", "y"), Bounds(max_len=2, values=(-2, -1, 0, 1, 2)))
 
 
+S = SVar("s")
 THREE_VAR_ATOMS = [
     IntCmp("==", FX, IAdd(FY, FZ)),
-    Not(IntCmp("==", FX, IAdd(FY, FZ))),
+    # what elaborate makes of !(x == y + y): a fresh s pinned to the sum
+    # by a guard, compared positively
+    And(
+        IntCmp("==", IOfSeq(S), IAdd(FY, FY)),
+        Or(IntCmp("<", FX, IOfSeq(S)), IntCmp("<", IOfSeq(S), FX)),
+    ),
 ]
 
 
 @pytest.mark.parametrize("matrix", THREE_VAR_ATOMS, ids=range(len(THREE_VAR_ATOMS)))
 @pytest.mark.parametrize("values", [(-2, 1), (-1, 2), (0, 2)])
 def test_sum_atoms_agree(matrix, values):
-    assert_atom_agrees(matrix, ("x", "y", "z"), Bounds(max_len=2, values=values))
+    names = tuple(sorted(matrix_vars(matrix)))
+    assert_atom_agrees(matrix, names, Bounds(max_len=2, values=values))
 
 
 def test_sum_with_shared_operand():
@@ -305,8 +316,13 @@ def test_sum_doubling():
 # ---------------------------------------------------------------------------
 # full pipeline: parse, elaborate, encode, evaluate
 
-def assert_pipeline_agrees(src, bounds, fresh_pool, reading_all=False):
+def assert_pipeline_agrees(src, bounds, fresh_pool):
+    """The encoding of the problem the solver decides agrees with the
+    reference semantics: the formula itself, or for a universal one the
+    negation that `valid` refutes."""
     f = parse_formula(src)
+    if f.quantifier == FORALL:
+        f = negation(f)
     wp = encode(f)
     user = [v for v in wp.source_vars if not v.startswith("$")]
     fresh = [v for v in wp.source_vars if v.startswith("$")]
@@ -319,8 +335,7 @@ def assert_pipeline_agrees(src, bounds, fresh_pool, reading_all=False):
             base = components_env(full)
             for p_choice in itertools.product(P_POOL[:3], repeat=len(ps)):
                 outcomes.append(weval(wp.matrix, base | dict(zip(ps, p_choice))))
-        got = all(outcomes) if reading_all else any(outcomes)
-        assert got == expected, (src, env)
+        assert any(outcomes) == expected, (src, env)
 
 
 FRESH_POOL = [(), (-1,), (0,), (1,), (2,)]
@@ -355,23 +370,37 @@ def test_pipeline_universal_reading():
         "forall x . first(x) == 0 | !(x = eps)",
         Bounds(max_len=2, values=(-1, 0, 1)),
         FRESH_POOL,
-        reading_all=True,
     )
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "exists x, y . !(first(x) == first(y))",
+        "exists x, y . !(first(x) < first(y))",
+        "exists x, y, z . !(first(x) == first(y) + first(z))",
+    ],
+)
+def test_pipeline_negated_comparisons(src):
+    # the fresh sum variable ranges over -2..2
+    assert_pipeline_agrees(src, Bounds(max_len=1, values=(-1, 0, 1)), FRESH_POOL + [(-2,)])
 
 
 # ---------------------------------------------------------------------------
 # problem shape
 
 def test_universal_problem_shape():
-    wp = encode(parse_formula("forall x . x = x"))
-    assert wp.kind == "universal"
-    assert isinstance(wp.matrix, WOr)
-    assert isinstance(wp.matrix.left, WNot)
+    # a universal formula is encoded through the negation valid refutes
+    f = parse_formula("forall x . x = x")
+    with pytest.raises(ValueError):
+        encode(f)
+    wp = encode(negation(f))
+    assert isinstance(wp.matrix, WAnd)
+    assert wp.matrix.right == WNot(WEq((V("x"),), (V("x"),)))
 
 
 def test_existential_problem_shape():
     wp = encode(parse_formula("exists x . x = eps"))
-    assert wp.kind == "existential"
     assert isinstance(wp.matrix, WAnd)
     # no atom looks at an element of x, so x only needs its range
     # membership, not the component frame
@@ -407,11 +436,25 @@ def test_encode_rejects_non_core():
 
     m = LenCmp(SVar("x"), "==", 2)
     f = Formula(EXISTS, ("x",), m)
-    elab = Elaboration(
-        formula=f, reading=EXISTS, core_matrix=m, guards=(), fresh_vars=()
-    )
+    elab = Elaboration(formula=f, core_matrix=m, guards=(), fresh_vars=())
     with pytest.raises(ElaborationError):
         encode_elaboration(elab)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        Not(IntCmp("<", FX, FY)),
+        Not(And(SeqEq(X, Y), SeqEq(Y, X))),
+        Imp(SeqEq(X, Y), SeqEq(Y, X)),
+    ],
+    ids=["not-cmp", "not-and", "imp"],
+)
+def test_encode_rejects_non_nnf(matrix):
+    # elaborate outputs negation normal form; anything else is refused
+    # rather than read under some polarity
+    with pytest.raises(ValueError):
+        core_problem(matrix, ("x", "y"))
 
 
 def test_encode_deterministic():
@@ -454,10 +497,13 @@ def test_wp_json_shape():
 
 
 def test_wp_json_universal_keeps_matrix():
-    wp = encode(parse_formula("forall x . x = eps"))
+    # the negation of a universal conjunction is a disjunction: it stays
+    # in the matrix while the frame goes to the conjunctive lists
+    wp = encode(negation(parse_formula("forall x . x = eps & x in INT")))
     doc = wp.to_json()
-    # hypotheses sit inside the implication, not in the conjunctive lists
-    assert doc["equations"] == []
+    assert doc["kind"] == "existential"
+    assert doc["equations"] == [] and doc["disequations"] == []
+    assert list(doc["memberships"]) == ["x"]
     assert doc["matrix"]["op"] == "or"
 
 
