@@ -5,7 +5,7 @@ One process runs one command against one input file::
     seqsolve sat FILE.seq        satisfiability of a formula
     seqsolve valid FILE.seq      validity of its universal closure
     seqsolve encode FILE.seq     dump the word problem the solver decides
-    seqsolve oracle FILE.seq     decide by bounded enumeration instead
+    seqsolve oracle FILE.seq     decide by a pruned bounded search instead
     seqsolve vc FILE.sqp         generate (and optionally discharge)
                                  verification conditions
 
@@ -92,13 +92,15 @@ def _positive(text: str) -> int:
 
 
 def _int_csv(text: str) -> tuple[int, ...]:
+    """A comma-separated value pool; a repeated value is kept once, at
+    its first position, so no sequence is enumerated twice."""
     try:
         values = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("value pool is empty")
-    return values
+    return tuple(dict.fromkeys(values))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pipeline stage to stop at",
     )
 
-    orc = sub.add_parser("oracle", parents=[common], help="bounded enumeration")
+    orc = sub.add_parser("oracle", parents=[common], help="pruned bounded search")
     orc.add_argument(
         "--max-len", type=_positive, default=3, help="longest sequence enumerated"
     )

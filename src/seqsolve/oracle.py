@@ -11,12 +11,20 @@ following the definitions:
     the end (0 is the last element, -1 the one before it, and so on).
     If the requested window does not fit, the result is empty.
 
-Quantified formulas are decided by enumeration of all sequences over a
-finite pool of element values up to a length bound, so a True from
+Quantified formulas are decided by a bounded search over all sequences
+of a finite pool of element values up to a length bound, so a True from
 ``formula_value`` for a universal formula means "true within the given
 bounds" only. Enlarging bounds never removes candidate sequences, so a
 counterexample found by ``brute_force_sat`` stays a counterexample
 under any larger bounds.
+
+``brute_force_sat`` binds the variables depth first, in the order of
+``iter_envs``, and after each binding evaluates the matrix in Kleene's
+three-valued logic, where an atom that reads a still unbound variable
+is unknown. A false value cuts the subtree; a true one completes the
+assignment with empty sequences, which come first in the enumeration.
+The answer is therefore the same first model, in enumeration order, as
+evaluating every environment of ``iter_envs`` in turn.
 """
 
 from __future__ import annotations
@@ -281,25 +289,82 @@ def iter_envs(names: tuple[str, ...], bounds: Bounds):
         yield dict(zip(names, combo))
 
 
-def formula_value(f: Formula, env: dict[str, Seq] | None = None, bounds: Bounds = Bounds()) -> bool:
-    """Evaluate a formula, deciding a quantifier prefix by enumeration
-    within the bounds. ``env`` supplies values for free variables."""
-    env = dict(env or {})
-    if f.quantifier is None or not f.prefix:
-        return matrix_value(f.matrix, env)
-    tests = (
-        matrix_value(f.matrix, env | e) for e in iter_envs(f.prefix, bounds)
-    )
-    return all(tests) if f.is_universal() else any(tests)
+def formula_value(f: Formula, bounds: Bounds = Bounds()) -> bool:
+    """Evaluate a formula, deciding its quantifier prefix within the
+    bounds: an existential formula holds if it has a model, a universal
+    one if its negation has none."""
+    if f.is_universal():
+        return brute_force_sat(Not(f.matrix), f.prefix, bounds) is None
+    return brute_force_sat(f.matrix, f.prefix, bounds) is not None
+
+
+def _kleene(m: Matrix, env: dict[str, Seq]) -> bool | None:
+    """The value of ``m`` under a partial assignment in Kleene's
+    three-valued logic: None (unknown) while it depends on an atom that
+    reads a name ``env`` does not bind."""
+    match m:
+        case Not(arg=a):
+            v = _kleene(a, env)
+            return None if v is None else not v
+        case And(left=l, right=r):
+            a = _kleene(l, env)
+            if a is False:
+                return False
+            b = _kleene(r, env)
+            return b if a or b is False else None
+        case Or(left=l, right=r):
+            a = _kleene(l, env)
+            if a:
+                return True
+            b = _kleene(r, env)
+            return b if a is False or b else None
+        case Imp(left=l, right=r):
+            a = _kleene(l, env)
+            if a is False:
+                return True
+            b = _kleene(r, env)
+            return b if a or b else None
+        case Iff(left=l, right=r):
+            a, b = _kleene(l, env), _kleene(r, env)
+            return None if a is None or b is None else a == b
+    try:
+        return matrix_value(m, env)
+    except KeyError:
+        return None
 
 
 def brute_force_sat(
     m: Matrix, names: tuple[str, ...], bounds: Bounds = Bounds()
 ) -> dict[str, Seq] | None:
-    """First satisfying assignment in enumeration order, or None if
-    there is none within the bounds."""
-    for env in iter_envs(names, bounds):
-        if matrix_value(m, env):
-            return env
-    return None
+    """First satisfying assignment of ``names`` in the enumeration order
+    of ``iter_envs``, or None if there is none within the bounds.
 
+    Depth first, one name at a time over the values of ``enum_seqs``;
+    after each binding ``m`` is evaluated three-valued (``_kleene``). A
+    false value prunes the subtree; a true one holds for every
+    completion, so the first of them, each unbound name empty, is the
+    answer. ``names`` must be distinct and bind every variable of ``m``."""
+    if not names:
+        return {} if matrix_value(m, {}) else None
+    pool = tuple(enum_seqs(bounds))
+    env: dict[str, Seq] = {}
+    last = len(names) - 1
+
+    def extend(d: int) -> bool:
+        name = names[d]
+        for s in pool:
+            env[name] = s
+            if d == last:
+                if matrix_value(m, env):
+                    return True
+                continue
+            v = _kleene(m, env)
+            if v:
+                env.update(dict.fromkeys(names[d + 1 :], ()))
+                return True
+            if v is None and extend(d + 1):
+                return True
+        env.pop(name, None)
+        return False
+
+    return {n: env[n] for n in names} if extend(0) else None

@@ -208,6 +208,14 @@ def test_oracle_bounds_flags(capsys, tmp_path):
     assert doc["witness"] == {"x": [5, 5]}
 
 
+def test_oracle_value_pool_drops_repeats(capsys, tmp_path):
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . x = 1 ++ 1\n")
+    code, doc = run_json(capsys, "oracle", str(src), "--values", "1,1,2,1", "--max-len", "2")
+    assert code == 0 and doc["witness"] == {"x": [1, 1]}
+    assert doc["bounds"] == {"max_len": 2, "values": [1, 2]}
+
+
 # ---------------------------------------------------------------------------
 # vc command
 

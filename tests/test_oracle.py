@@ -1,25 +1,35 @@
 """Reference semantics tests.
 
 The subsequence cases are hand-computed from the definition before the
-code ran and frozen here [DERIVED]. The rest are small direct checks
-of the evaluator [TRIVIAL].
+code ran and frozen here [DERIVED]. The pruned search of
+``brute_force_sat`` is held against the plain enumeration loop, which
+it must match model for model. The rest are small direct checks of the
+evaluator [TRIVIAL].
 """
+
+import random
+from pathlib import Path
 
 import pytest
 
-from seqsolve.ast import IConst, IOfSeq, SEmpty, SInt, SVar
+from seqsolve.ast import FORALL, IConst, IOfSeq, SEmpty, SInt, SVar, free_vars
 from seqsolve.oracle import (
     Bounds,
     brute_force_sat,
     enum_seqs,
     formula_value,
     int_value,
+    iter_envs,
     matrix_value,
     regex_match,
     seq_value,
     subseq_eval,
 )
 from seqsolve.parser import parse_formula, parse_matrix
+from seqsolve.randgen import gen_formula
+from seqsolve.wordsolver import negation
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 # [DERIVED] frozen from the 4-case definition
@@ -120,3 +130,91 @@ def test_brute_force_sat_returns_first_in_order():
     got2 = brute_force_sat(m2, ("x", "y"), Bounds(max_len=2, values=(1, 2)))
     assert got2 == {"x": (1, 1), "y": (1,)}
     assert brute_force_sat(parse_matrix("len(x) > 3"), ("x",), Bounds(max_len=2, values=(1,))) is None
+
+
+# ---------------------------------------------------------------------------
+# the pruned search returns the plain loop's first model
+
+
+def plain_first_model(m, names, bounds):
+    return next((e for e in iter_envs(names, bounds) if matrix_value(m, e)), None)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_matches_plain_loop_on_random_formulas(seed):
+    bounds = Bounds(2, (-2, -1, 0, 1, 2))
+    rng = random.Random(seed)
+    for i in range(500):
+        f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
+        got = brute_force_sat(f.matrix, f.prefix, bounds)
+        assert got == plain_first_model(f.matrix, f.prefix, bounds), (seed, i)
+
+
+# every corpus file but the 5-variable disjunction_* and injectivity_*
+# files (about 5 s each for the plain loop) and the 12-variable
+# mergesort_final_vc.seq (which the plain loop does not finish)
+EQUIVALENCE_FILES = [
+    "bounded_equality_hold.seq",
+    "bounded_equality_viol.seq",
+    "boundedness_hold.seq",
+    "boundedness_viol.seq",
+    "comparison_hold.seq",
+    "comparison_viol.seq",
+    "equality_hold.seq",
+    "equality_viol.seq",
+    "len_clash.seq",
+    "membership_hold.seq",
+    "membership_viol.seq",
+    "nonmembership_hold.seq",
+    "nonmembership_viol.seq",
+    "partitioning_hold.seq",
+    "partitioning_viol.seq",
+    "periodicity_101.seq",
+    "periodicity_viol.seq",
+    "reversal_step_vc.seq",
+    "sorted_123.seq",
+    "sorted_21.seq",
+    "sorted_nonstrict_112.seq",
+    "sorted_nonstrict_21.seq",
+]
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_FILES)
+def test_search_matches_plain_loop_on_corpus(name):
+    # a universal file is decided as `seqsolve oracle` does: by
+    # searching for a model of its negation
+    f = parse_formula((CORPUS / name).read_text())
+    if f.quantifier == FORALL:
+        f = negation(f)
+    names = f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))
+    bounds = Bounds(2, (-1, 0, 1))
+    assert brute_force_sat(f.matrix, names, bounds) == plain_first_model(f.matrix, names, bounds)
+
+
+HAND_BOUNDS = Bounds(2, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "src,names,expected",
+    [
+        # x = (2) makes the matrix true before y and z are bound
+        ("first(x) == 2 | x = y ++ z & len(z) == 2", ("x", "y", "z"), {"x": (2,), "y": (), "z": ()}),
+        # u is in the prefix but not in the matrix
+        ("len(x) == 2 & first(x) == 2", ("x", "u"), {"x": (2, 1), "u": ()}),
+        ("len(x) == 1", ("u", "x"), {"u": (), "x": (1,)}),
+        ("len(x) > 2", ("u", "x"), None),
+        # no prefix at all
+        ("1 = 1", (), {}),
+        ("1 = 2", (), None),
+        # the other connectives, with a definite side next to an unknown one
+        ("(x = 2 => len(y) == 2) & (len(y) == 1 <=> first(x) == 1)", ("x", "y"), {"x": (), "y": ()}),
+        ("!(len(x) == 2 <=> len(y) == 2) & !(len(y) == 1 => x = y)", ("x", "y"), {"x": (1, 1), "y": (1,)}),
+        ("len(x) == 1 => len(y) > 5", ("x", "y"), {"x": (), "y": ()}),
+        ("len(y) == 1 => len(x) == 2", ("x", "y"), {"x": (), "y": ()}),
+        ("!(len(x) < 2 => x = y) & !(len(y) == 0 | len(y) == 2)", ("x", "y"), {"x": (), "y": (1,)}),
+    ],
+)
+def test_search_hand_cases(src, names, expected):
+    m = parse_matrix(src)
+    assert plain_first_model(m, names, HAND_BOUNDS) == expected
+    assert brute_force_sat(m, names, HAND_BOUNDS) == expected
