@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solver.add_argument(
         "--clause-cap", type=_positive, default=None,
-        help="largest clause count accepted after normalization",
+        help="most clauses enumerated, counted after pruning",
     )
 
     sub.add_parser("sat", parents=[common, solver], help="decide satisfiability")
@@ -230,7 +230,7 @@ def _load_formula(path: Path) -> Formula:
     try:
         return parse_formula(src)
     except ParseError as e:
-        raise CliError(f"{path}: {e}")
+        raise CliError(f"{path}:{e}")
 
 
 def _report_skeleton(config: RunConfig, status: str) -> dict:

@@ -47,23 +47,7 @@ class Dfa:
 
     def shortest_word(self) -> str | None:
         """Length-lexicographically least accepted word, None if empty."""
-        if self.start in self.accepting:
-            return ""
-        seen = {self.start}
-        frontier = [(self.start, "")]
-        while frontier:
-            nxt = []
-            for state, word in frontier:
-                for i, ch in enumerate(ALPHABET):
-                    t = self.delta[state][i]
-                    if t in seen:
-                        continue
-                    if t in self.accepting:
-                        return word + ch
-                    seen.add(t)
-                    nxt.append((t, word + ch))
-            frontier = nxt
-        return None
+        return _shortest_word(self)
 
     def complement(self) -> Dfa:
         return _complement(self)
@@ -117,6 +101,27 @@ def _with_start(d: Dfa, q: int) -> Dfa:
 @lru_cache(maxsize=None)
 def _accept_at(d: Dfa, q: int) -> Dfa:
     return _canon(d.delta, d.start, frozenset([q]))
+
+
+@lru_cache(maxsize=None)
+def _shortest_word(d: Dfa) -> str | None:
+    if d.start in d.accepting:
+        return ""
+    seen = {d.start}
+    frontier = [(d.start, "")]
+    while frontier:
+        nxt = []
+        for state, word in frontier:
+            for i, ch in enumerate(ALPHABET):
+                t = d.delta[state][i]
+                if t in seen:
+                    continue
+                if t in d.accepting:
+                    return word + ch
+                seen.add(t)
+                nxt.append((t, word + ch))
+        frontier = nxt
+    return None
 
 
 @lru_cache(maxsize=None)

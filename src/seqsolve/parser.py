@@ -227,6 +227,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.annotations = annotations
+        self.names: dict[str, Token] = {}  # variable -> a token naming it
 
     # -- token plumbing ----------------------------------------------------
 
@@ -536,6 +537,7 @@ class _Parser:
             return inner
         if t.kind == "ident":
             name = self.ident()
+            self.names.setdefault(name.text, name)
             return _PTerm("var", self._span(name), name=name.text)
         raise self.err(f"expected a term, found {t.text or 'end of input'!r}")
 
@@ -654,8 +656,18 @@ class _Parser:
 
 
 def parse_formula(src: str) -> Formula:
-    """Parse a formula; raises ParseError/FragmentError on bad input."""
-    return _Parser(tokenize(src)).formula()
+    """Parse a formula; raises ParseError/FragmentError on bad input.
+    A formula with a quantifier prefix must bind every variable in it."""
+    p = _Parser(tokenize(src))
+    f = p.formula()
+    if f.quantifier is not None:
+        free = [t for name, t in p.names.items() if name not in f.prefix]
+        if free:
+            t = min(free, key=lambda t: (t.line, t.col))
+            raise ParseError(
+                f"variable {t.text!r} is not bound by the quantifier prefix", t.line, t.col
+            )
+    return f
 
 
 def parse_matrix(src: str, annotations: bool = False) -> Matrix:

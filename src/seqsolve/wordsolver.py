@@ -1,11 +1,19 @@
 """Satisfiability of word problems by transformation search.
 
-The encoded matrix is put into disjunctive normal form; each clause is
-a conjunction of word equations, word disequations, and per-variable
-regular memberships. Disequations are eliminated by branching on the
-first position where the two sides can differ. The remaining systems
-of equations are solved by a best-first search over prefix
-transformations:
+The clauses of the encoded matrix's disjunctive normal form are
+enumerated lazily; each is a conjunction of word equations, word
+disequations, and per-variable regular memberships. The walk is depth
+first over the negation-normal matrix and drops a partial clause as
+soon as the cheap rewrite rules (_simplify) refute it, together with
+every clause that would extend it; the first ladder level pulls
+clauses from the walk, so a satisfiable clause ends it.
+
+A clause's equations and memberships are solved first. If they have no
+model, neither has the clause; if their model separates every
+disequation, it is the answer. Only otherwise is a disequation
+eliminated by branching on the first position where the two sides can
+differ. Systems of equations are solved by a best-first search over
+prefix transformations:
 
     x = eps            drop the variable
     x = <letter> x     when x faces a letter on the other side
@@ -14,8 +22,9 @@ transformations:
 Inside the search every side is a plain str: letters are "abcd", and
 each word variable is interned once to its own code point above them
 (from U+10000), so a transformation is str.replace and a side is
-ground when max(side) <= "d". Clauses are converted on the way in and
-assignments mapped back to variable names on the way out.
+ground when max(side) <= "d". Atoms are converted as the clause walk
+reaches them, and assignments mapped back to variable names on the
+way out.
 
 Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
@@ -110,6 +119,7 @@ class _Search:
         self.capped = False
         self.overflowed = False
         self.fresh = 0
+        self.clauses = 0
 
     def spend(self) -> bool:
         self.nodes += 1
@@ -117,69 +127,6 @@ class _Search:
 
     def exhausted(self) -> bool:
         return self.nodes >= self.budget.max_nodes
-
-
-# ---------------------------------------------------------------------------
-# DNF
-
-
-@dataclass
-class Clause:
-    eqs: list = field(default_factory=list)
-    diseqs: list = field(default_factory=list)
-    members: dict = field(default_factory=dict)
-
-
-def _merge(c1: Clause, c2: Clause) -> Clause | None:
-    members = dict(c1.members)
-    for x, d in c2.members.items():
-        d = members[x].intersect(d) if x in members else d
-        if d.is_empty():
-            return None
-        members[x] = d
-    return Clause(c1.eqs + c2.eqs, c1.diseqs + c2.diseqs, members)
-
-
-def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
-    """Clauses of the disjunctive normal form of a word formula in
-    negation normal form: a negated equation is a disequation and a
-    negated membership complements the automaton."""
-
-    def go(w) -> list[Clause]:
-        match w:
-            case WBool(value=v):
-                return [Clause()] if v else []
-            case WEq(left=l, right=r):
-                return [Clause(eqs=[(l, r)])]
-            case WNot(arg=WEq(left=l, right=r)):
-                return [Clause(diseqs=[(l, r)])]
-            case WIn(var=x, dfa=d):
-                return [] if d.is_empty() else [Clause(members={x: d})]
-            case WNot(arg=WIn(var=x, dfa=d)):
-                return go(WIn(x, d.complement()))
-            case WAnd(left=l, right=r):
-                return cross(go(l), go(r))
-            case WOr(left=l, right=r):
-                return cat(go(l), go(r))
-        raise TypeError(f"not a word formula in negation normal form: {w!r}")
-
-    def cat(a: list, b: list) -> list:
-        if len(a) + len(b) > cap:
-            raise ClauseCapExceeded(f"more than {cap} clauses")
-        return a + b
-
-    def cross(a: list, b: list) -> list:
-        out = []
-        for c1 in a:
-            for c2 in b:
-                m = _merge(c1, c2)
-                if m is not None:
-                    out.append(m)
-                if len(out) > cap:
-                    raise ClauseCapExceeded(f"more than {cap} clauses")
-        return out
-
-    return go(w)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +152,11 @@ def _side(toks) -> Side:
     return "".join(_var(t.name) if isinstance(t, V) else t.ch for t in toks)
 
 
-def _on_strings(c: Clause):
-    """(eqs, diseqs, members) of a clause, on str sides and code points."""
-    return (
-        [(_side(u), _side(v)) for u, v in c.eqs],
-        [(_side(u), _side(v)) for u, v in c.diseqs],
-        {_var(x): d for x, d in c.members.items()},
-    )
-
-
 def _subst_eqs(eqs: list, x: str, repl: Side) -> list:
-    return [(u.replace(x, repl), v.replace(x, repl)) for u, v in eqs]
+    return [
+        e if x not in e[0] and x not in e[1] else (e[0].replace(x, repl), e[1].replace(x, repl))
+        for e in eqs
+    ]
 
 
 def _strip(u: Side, v: Side) -> Eq:
@@ -241,7 +182,12 @@ _FAIL = ("fail", None, None, None, None)
 
 
 def _simplify(
-    eqs: list, diseqs: list, members: dict, step: tuple | None = None, written=()
+    eqs: list,
+    diseqs: list,
+    members: dict,
+    step: tuple | None = None,
+    written=(),
+    fixed: int | None = None,
 ):
     """Fixpoint of the cheap rules: affix stripping, ground resolution,
     forced-empty sides, pinned variables (singleton automata, one-sided
@@ -253,7 +199,12 @@ def _simplify(
     written; its log starts with step. Equations the substitution
     leaves alone and memberships the branch did not write were settled
     in the parent and are not examined again, and the rules fire in
-    the same order as on the substituted child with nothing settled."""
+    the same order as on the substituted child with nothing settled.
+
+    A partial clause that an equation or a disequation joins passes its
+    fixpoint with the new atom appended, substituted by the fixpoint's
+    log, and the number of the fixpoint's equations as fixed; those
+    equations and every membership are settled."""
     eqs = list(eqs)
     diseqs = list(diseqs)
     members = dict(members)
@@ -269,28 +220,32 @@ def _simplify(
     def substitute(x: str, repl: Side):
         nonlocal eqs, diseqs
         eqs = _subst_eqs(eqs, x, repl)
-        diseqs = _subst_eqs(diseqs, x, repl)
+        if diseqs:
+            diseqs = _subst_eqs(diseqs, x, repl)
         log.append((x, repl))
 
     if step is not None:
         settled = set(eqs)
         dirty = set(written)
         substitute(*step)
+    elif fixed is not None:
+        settled = set(eqs[:fixed])
+        dirty = set()
 
     def eq_step() -> str:
-        """Apply at most one rule; 'fail', 'again' or 'done'."""
+        """Check the dirty memberships, in membership order, then apply
+        at most one equation rule; 'fail', 'again' or 'done'."""
         nonlocal eqs
         if dirty:
-            for x, d in members.items():
-                if x not in dirty:
-                    continue
-                dirty.discard(x)
+            # pinning a singleton dirties nothing, so one pass over the
+            # dirty keys finds them in the order rescans would
+            for x in [x for x in members if x in dirty]:
+                d = members[x]
                 if d.is_empty():
                     return "fail"
                 if d.is_singleton():
                     del members[x]
                     substitute(x, d.shortest_word())
-                    return "again"
             dirty.clear()
 
         for i, (u0, v0) in enumerate(eqs):
@@ -384,8 +339,132 @@ def _replay(log: list, sigma: dict) -> dict:
     had at that point."""
     sigma = dict(sigma)
     for x, repl in reversed(log):
-        sigma[x] = "".join(sigma.get(c, "") if c > "d" else c for c in repl)
+        sigma[x] = _join(repl, sigma)
     return sigma
+
+
+def _join(side: Side, sigma: dict) -> str:
+    """The word of a side under sigma; unassigned variables are empty."""
+    return "".join(sigma.get(c, "") if c > "d" else c for c in side)
+
+
+# ---------------------------------------------------------------------------
+# clauses
+
+
+@dataclass
+class Clause:
+    """A conjunction on str sides: equations, disequations, and one
+    membership per variable."""
+
+    eqs: list = field(default_factory=list)
+    diseqs: list = field(default_factory=list)
+    members: dict = field(default_factory=dict)
+
+
+def _clauses(w, cap: int):
+    """The clauses of the disjunctive normal form of a word formula in
+    negation normal form, lazily and in the order of distributing And
+    over Or left to right. A negated equation is a disequation and a
+    negated membership complements the automaton.
+
+    The walk is depth first and carries one partial clause. When an
+    equation or a disequation joins it, _simplify checks it, and a
+    partial clause the cheap rules refute is dropped with every clause
+    that would extend it; a membership joins by intersection and is
+    dropped when empty. A clause is checked once more before it is
+    yielded if a membership joined after the last check, so no clause
+    that fails _simplify is yielded. Raises ClauseCapExceeded before
+    yielding clause cap + 1."""
+    sides: dict[int, Eq] = {}  # id of an atom -> its sides, converted once
+
+    def on_strings(a) -> Eq:
+        e = sides.get(id(a))
+        if e is None:
+            e = sides[id(a)] = (_side(a.left), _side(a.right))
+        return e
+
+    def check(clause, fix, e: Eq, diseq: bool):
+        """The fixpoint (eqs, diseqs, members, log) of clause, which e
+        has just joined, or None when _simplify fails on it. It goes on
+        from fix, the fixpoint before e joined: a rescan of clause
+        reaches e only once everything before it is settled, so the
+        rules fire in the same order. A joining membership is examined
+        first on a rescan, so after one fix is None and clause is
+        simplified from scratch."""
+        if fix is None:
+            res = _simplify(*clause)
+            log = []
+        else:
+            eqs, diseqs, members, log = fix
+            u, v = e
+            for x, repl in log:
+                u, v = u.replace(x, repl), v.replace(x, repl)
+            if diseq:
+                res = _simplify(eqs, diseqs + [(u, v)], members, fixed=len(eqs))
+            else:
+                res = _simplify(eqs + [(u, v)], diseqs, members, fixed=len(eqs))
+        if res[0] == "fail":
+            return None
+        return res[1], res[2], res[3], log + res[4]
+
+    count = 0
+    # (eqs, diseqs, members, fix, todo): fix is the fixpoint of the
+    # partial clause or None, and todo is a linked list (formula, rest)
+    # of the conjuncts still to join
+    stack = [((), (), {}, ([], [], {}, []), (w, None))]
+    while stack:
+        eqs, diseqs, members, fix, todo = stack.pop()
+        while todo is not None:
+            a, todo = todo
+            match a:
+                case WAnd(left=l, right=r):
+                    todo = (l, (r, todo))
+                case WOr(left=l, right=r):
+                    stack.append((eqs, diseqs, members, fix, (r, todo)))
+                    todo = (l, todo)
+                case WBool(value=v):
+                    if not v:
+                        break
+                case WEq():
+                    e = on_strings(a)
+                    eqs += (e,)
+                    fix = check((eqs, diseqs, members), fix, e, False)
+                    if fix is None:
+                        break
+                case WNot(arg=WEq() as n):
+                    e = on_strings(n)
+                    diseqs += (e,)
+                    fix = check((eqs, diseqs, members), fix, e, True)
+                    if fix is None:
+                        break
+                case WIn(var=x, dfa=d) | WNot(arg=WIn(var=x, dfa=d)):
+                    if isinstance(a, WNot):
+                        d = d.complement()
+                    x = _var(x)
+                    if x in members:
+                        d = members[x].intersect(d)
+                        if d is members[x]:
+                            continue  # the clause is unchanged
+                    if d.is_empty():
+                        break
+                    members = members | {x: d}
+                    fix = None
+                case _:
+                    raise TypeError(f"not a word formula in negation normal form: {a!r}")
+        else:
+            if fix is None and _simplify(eqs, diseqs, members)[0] == "fail":
+                continue
+            count += 1
+            if count > cap:
+                raise ClauseCapExceeded(f"more than {cap} clauses")
+            yield Clause(list(eqs), list(diseqs), dict(members))
+
+
+def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
+    """Every clause _clauses yields; raises ClauseCapExceeded when there
+    are more than cap."""
+    return list(_clauses(w, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -626,34 +705,8 @@ def _diseq_branches(u: Side, v: Side, n: int):
     return out
 
 
-def _solve_constraints(eqs, diseqs, members, ctl: _Search, allowance: int | None):
-    res = _simplify(eqs, diseqs, members)
-    if res[0] == "fail":
-        return "unsat", None
-    _, eqs, diseqs, members, log = res
-
-    if diseqs:
-        diseqs = list(dict.fromkeys(diseqs))
-        u, v = diseqs[0]
-        rest = diseqs[1:]
-        ctl.fresh += 1
-        saw_unknown = False
-        for extra_eqs, extra_mem in _diseq_branches(u, v, ctl.fresh):
-            # branching is search work too; charging it keeps a deep
-            # disequation tree inside the global budget even when every
-            # system below it is cheap
-            if not ctl.spend():
-                return "unknown", None
-            mem = dict(members)
-            for x, d in extra_mem.items():
-                mem[x] = d
-            st, sigma = _solve_constraints(eqs + extra_eqs, rest, mem, ctl, allowance)
-            if st == "sat":
-                return "sat", _replay(log, sigma)
-            if st == "unknown":
-                saw_unknown = True
-        return ("unknown" if saw_unknown else "unsat"), None
-
+def _solve_equations(eqs, members, ctl: _Search, allowance: int | None):
+    """Solve a system without disequations component by component."""
     sigma: dict[str, str] = {}
     saw_unknown = False
     for comp_eqs, comp_members in _components(eqs, members):
@@ -666,7 +719,48 @@ def _solve_constraints(eqs, diseqs, members, ctl: _Search, allowance: int | None
         sigma |= s
     if saw_unknown:
         return "unknown", None
-    return "sat", _replay(log, sigma)
+    return "sat", sigma
+
+
+def _solve_constraints(eqs, diseqs, members, ctl: _Search, allowance: int | None):
+    """Solve the equations and memberships first. Their model answers
+    the whole system when it separates every disequation; only
+    otherwise is the first disequation split."""
+    res = _simplify(eqs, diseqs, members)
+    if res[0] == "fail":
+        return "unsat", None
+    _, eqs, diseqs, members, log = res
+    st, sigma = _solve_equations(eqs, members, ctl, allowance)
+    if st == "unsat":
+        return "unsat", None
+    # the disequations are already substituted by the log, so they are
+    # read on sigma itself, with the empty word for unassigned variables
+    # as the witness decoder reads it
+    if st == "sat" and all(_join(u, sigma) != _join(v, sigma) for u, v in diseqs):
+        return "sat", _replay(log, sigma)
+    if not diseqs:
+        return st, None
+
+    diseqs = list(dict.fromkeys(diseqs))
+    u, v = diseqs[0]
+    rest = diseqs[1:]
+    ctl.fresh += 1
+    saw_unknown = False
+    for extra_eqs, extra_mem in _diseq_branches(u, v, ctl.fresh):
+        # branching is search work too; charging it keeps a deep
+        # disequation tree inside the global budget even when every
+        # system below it is cheap
+        if not ctl.spend():
+            return "unknown", None
+        mem = dict(members)
+        for x, d in extra_mem.items():
+            mem[x] = d
+        st, sigma = _solve_constraints(eqs + extra_eqs, rest, mem, ctl, allowance)
+        if st == "sat":
+            return "sat", _replay(log, sigma)
+        if st == "unknown":
+            saw_unknown = True
+    return ("unknown" if saw_unknown else "unsat"), None
 
 
 # Node allowances per equation system, escalated so that one hard
@@ -676,32 +770,42 @@ _LEVELS = (400, 6000, None)
 
 def solve_problem(wp: WordProblem, budget: Budget | None = None):
     """Solve a word problem clause by clause. Returns (status, sigma,
-    search, clause count); sigma maps word variables to words."""
+    search, clause count); sigma maps word variables to words, and the
+    count is of the clauses handed to the search."""
     budget = budget or Budget.from_env()
     ctl = _Search(budget)
+    status, sigma = _solve_clauses(_clauses(wp.matrix, budget.clause_cap), ctl)
+    if sigma is not None:
+        sigma = {_name(c): w for c, w in sigma.items()}
+    return status, sigma, ctl, ctl.clauses
+
+
+def _solve_clauses(clauses, ctl: _Search):
+    """The first level pulls the clauses from the enumeration, so a
+    satisfiable clause ends it; later levels revisit only the clauses
+    still unknown."""
+    pending = clauses
     try:
-        clauses = nnf_dnf(wp.matrix, budget.clause_cap)
+        for allowance in _LEVELS:
+            still_unknown = []
+            for clause in pending:
+                if pending is clauses:
+                    ctl.clauses += 1
+                st, sigma = _solve_constraints(
+                    clause.eqs, clause.diseqs, clause.members, ctl, allowance
+                )
+                if st == "sat":
+                    return "sat", sigma
+                if st == "unknown":
+                    still_unknown.append(clause)
+                if ctl.exhausted():
+                    return "unknown", None
+            if not still_unknown:
+                return "unsat", None
+            pending = still_unknown
     except ClauseCapExceeded:
         ctl.overflowed = True
-        return "unknown", None, ctl, 0
-    # converted as the first level reaches each clause, so that only the
-    # clauses still unknown after it are held twice
-    pending = map(_on_strings, clauses)
-    for allowance in _LEVELS:
-        still_unknown = []
-        for clause in pending:
-            st, sigma = _solve_constraints(*clause, ctl, allowance)
-            if st == "sat":
-                sigma = {_name(c): w for c, w in sigma.items()}
-                return "sat", sigma, ctl, len(clauses)
-            if st == "unknown":
-                still_unknown.append(clause)
-            if ctl.exhausted():
-                return "unknown", None, ctl, len(clauses)
-        if not still_unknown:
-            return "unsat", None, ctl, len(clauses)
-        pending = still_unknown
-    return "unknown", None, ctl, len(clauses)
+    return "unknown", None
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,24 @@ def test_random_formula_differential_agreement(formula_runs):
     )
 
 
+# The eager DNF gave up on these with `clause cap exceeded`; enumerated
+# lazily and pruned, each is decided at the default budget. #141 and
+# #338 are refuted before any clause reaches the search.
+FORMER_CLAUSE_CAP_UNKNOWNS = {68: "unsat", 82: "unsat", 141: "unsat", 279: "sat", 493: "sat"}
+
+
+def test_former_clause_cap_unknowns_decided(formula_runs):
+    assert not [i for i, (_, r) in enumerate(formula_runs) if r.status == "unknown"]
+    for i, status in FORMER_CLAUSE_CAP_UNKNOWNS.items():
+        f, r = formula_runs[i]
+        assert r.status == status, f"#{i}"
+        if status == "sat":
+            assert matrix_value(f.matrix, r.witness), f"#{i}"
+        else:
+            assert brute_force_sat(f.matrix, f.prefix, ORACLE_BOUNDS) is None, f"#{i}"
+    assert formula_runs[141][1].clauses == formula_runs[338][1].clauses == 0
+
+
 def test_sat_witnesses_independently_reevaluated(formula_runs):
     total = passed = 0
     for f, r in formula_runs:

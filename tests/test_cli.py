@@ -327,6 +327,17 @@ def test_formula_syntax_error_exits_3(capsys, tmp_path):
     assert code == 3 and "seqsolve: error:" in err
 
 
+@pytest.mark.parametrize("command", ["sat", "valid", "oracle"])
+def test_name_free_beside_prefix_exits_3(capsys, tmp_path, command):
+    src = tmp_path / "f.seq"
+    src.write_text("exists x .\n  x = y\n")
+    code, out, err = run_cli(capsys, command, str(src))
+    assert code == 3 and out == ""
+    assert err == (
+        f"seqsolve: error: {src}:2:7: variable 'y' is not bound by the quantifier prefix\n"
+    )
+
+
 def test_unknown_flag_exits_3(capsys):
     code, out, err = run_cli(capsys, "sat", "f.seq", "--frobnicate")
     assert code == 3
@@ -443,3 +454,15 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert "status: valid" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqsolve", "valid", str(CORPUS / "sorted_21.seq")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "status: invalid" in proc.stdout

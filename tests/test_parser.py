@@ -304,8 +304,16 @@ def test_error_positions():
         parse_formula("forall in . in = eps")
 
 
+def test_prefix_must_bind_every_variable():
+    # without a prefix the free names are the variables
+    assert parse_formula("x = y").quantifier is None
+    with pytest.raises(ParseError, match="'z' is not bound") as e:
+        parse_formula("exists x, y .\n  x = y & (first(z) == 1 | z = y)")
+    assert (e.value.line, e.value.col) == (2, 18)
+
+
 def test_spans_nest():
-    f = parse_formula("forall x . x ++ y = eps")
+    f = parse_formula("forall x, y . x ++ y = eps")
     m = f.matrix
     assert f.loc is not None and m.loc is not None
     assert f.loc.covers(m.loc)

@@ -7,6 +7,7 @@ Unsatisfiable entries were cross-checked by exhausting the same
 bounded domains.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -16,37 +17,44 @@ from pathlib import Path
 import pytest
 
 from seqsolve import oracle, wordsolver
-from seqsolve.ast import matrix_vars
+from seqsolve.ast import FORALL, matrix_vars
 from seqsolve.dfa import lit, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
 from seqsolve.encode import (
     L,
     V,
     WAnd,
+    WBool,
     WEq,
     WIn,
     WNot,
     WOr,
     WordProblem,
     bstar_dfa,
+    encode_elaboration,
     wconj,
 )
 from seqsolve.oracle import Bounds
 from seqsolve.parser import parse_formula
-from seqsolve.randgen import gen_quadratic_clause
+from seqsolve.randgen import gen_formula, gen_quadratic_clause
 from seqsolve.wordsolver import (
     Budget,
+    Clause,
     ClauseCapExceeded,
     check_sat,
     check_valid,
+    negation,
     nnf_dnf,
     solve_problem,
     _canon,
     _components,
     _diseq_branches,
+    _Search,
     _length_infeasible,
     _replay,
+    _side,
     _simplify,
+    _solve_constraints,
     _strip,
     _subst_eqs,
     _var,
@@ -68,6 +76,11 @@ def _quadratic_problems() -> list[WordProblem]:
     return out
 
 
+# Inside the search a side is a str: letters "abcd" and one interned code
+# point per variable.
+X, Y, Z, U, W = (_var(n) for n in "xyzuw")
+
+
 # ---------------------------------------------------------------------------
 # clause extraction
 
@@ -75,7 +88,7 @@ def _quadratic_problems() -> list[WordProblem]:
 def test_dnf_single_equation():
     clauses = nnf_dnf(WEq((V("x"),), (L("a"),)))
     assert len(clauses) == 1
-    assert clauses[0].eqs == [((V("x"),), (L("a"),))]
+    assert clauses[0].eqs == [(X, "a")]
     assert clauses[0].diseqs == []
     assert clauses[0].members == {}
 
@@ -84,13 +97,13 @@ def test_dnf_negated_equation_is_disequation():
     clauses = nnf_dnf(WNot(WEq((V("x"),), (V("y"),))))
     assert len(clauses) == 1
     assert clauses[0].eqs == []
-    assert clauses[0].diseqs == [((V("x"),), (V("y"),))]
+    assert clauses[0].diseqs == [(X, Y)]
 
 
 def test_dnf_negated_membership_complements():
     clauses = nnf_dnf(WNot(WIn("x", lit("ab"))))
     assert len(clauses) == 1
-    d = clauses[0].members["x"]
+    d = clauses[0].members[X]
     assert not d.accepts("ab")
     assert d.accepts("")
     assert d.accepts("ba")
@@ -108,7 +121,7 @@ def test_dnf_merges_memberships():
     w = WAnd(WIn("x", star(lit("a"))), WIn("x", union(lit(""), lit("a"))))
     clauses = nnf_dnf(w)
     assert len(clauses) == 1
-    d = clauses[0].members["x"]
+    d = clauses[0].members[X]
     assert d.accepts("") and d.accepts("a") and not d.accepts("aa")
 
 
@@ -125,12 +138,130 @@ def test_dnf_clause_cap():
         nnf_dnf(w, cap=3)
 
 
-# ---------------------------------------------------------------------------
-# simplification
+def _replayable(it):
+    """Iterations over what it yields; it runs once, as far as the
+    furthest of them has read."""
+    seen = []
 
-# Inside the search a side is a str: letters "abcd" and one interned code
-# point per variable.
-X, Y, Z, U, W = (_var(n) for n in "xyzuw")
+    def again():
+        for i in itertools.count():
+            if i == len(seen):
+                c = next(it, None)
+                if c is None:
+                    return
+                seen.append(c)
+            yield seen[i]
+
+    return again
+
+
+def _eager_dnf(w):
+    """The reference: the clauses of distributing And over Or, left to
+    right, dropping only those whose memberships intersect to nothing.
+    It is the eager normal form, yielded in order so that a test can
+    take a prefix of a large one."""
+    match w:
+        case WBool(value=v):
+            if v:
+                yield Clause()
+        case WEq(left=l, right=r):
+            yield Clause(eqs=[(_side(l), _side(r))])
+        case WNot(arg=WEq(left=l, right=r)):
+            yield Clause(diseqs=[(_side(l), _side(r))])
+        case WIn(var=x, dfa=d):
+            if not d.is_empty():
+                yield Clause(members={_var(x): d})
+        case WNot(arg=WIn(var=x, dfa=d)):
+            yield from _eager_dnf(WIn(x, d.complement()))
+        case WOr(left=l, right=r):
+            yield from _eager_dnf(l)
+            yield from _eager_dnf(r)
+        case WAnd(left=l, right=r):
+            rights = _replayable(_eager_dnf(r))
+            for c1 in _eager_dnf(l):
+                for c2 in rights():
+                    members = dict(c1.members)
+                    for x, d in c2.members.items():
+                        members[x] = members[x].intersect(d) if x in members else d
+                    if not any(d.is_empty() for d in members.values()):
+                        yield Clause(c1.eqs + c2.eqs, c1.diseqs + c2.diseqs, members)
+        case _:
+            raise TypeError(w)
+
+
+def _assert_pruned_reference(w, limit: int | None = None) -> int:
+    """The lazy clauses are the reference's minus those _simplify
+    refutes, in the same order and with the same content (memberships
+    in the same key order); with a limit, as far as the first limit
+    reference clauses reach. Returns how many the pruning dropped."""
+    ref = list(itertools.islice(_eager_dnf(w), limit))
+    kept = [c for c in ref if _simplify(c.eqs, c.diseqs, c.members)[0] == "ok"]
+    lazy = list(itertools.islice(wordsolver._clauses(w, 10**6), len(kept) + 1))
+    if limit is not None and len(ref) == limit:
+        lazy = lazy[: len(kept)]
+    assert lazy == kept
+    assert [list(c.members) for c in lazy] == [list(c.members) for c in kept]
+    return len(ref) - len(kept)
+
+
+def _problem(f):
+    """The word problem check_sat or check_valid solves for f."""
+    return encode_elaboration(elaborate(negation(f) if f.quantifier == FORALL else f))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lazy_clauses_are_the_pruned_eager_dnf_on_random_formulas(seed):
+    # the random-500 set; a formula whose normal form has more than a
+    # thousand clauses (13 of each 500) is compared on its first thousand
+    rng = random.Random(seed)
+    dropped = 0
+    for _ in range(500):
+        f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
+        dropped += _assert_pruned_reference(_problem(f).matrix, limit=1000)
+    assert dropped > 20_000
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.seq")))
+def test_lazy_clauses_are_the_pruned_eager_dnf_on_the_corpus(name):
+    _assert_pruned_reference(_problem(parse_formula((CORPUS / name).read_text())).matrix)
+
+
+def test_lazy_clauses_prune_a_ground_contradiction():
+    f = parse_formula(
+        "exists x, y . eps = -1 & (first(x) < first(y) | first(y) < last(x)"
+        " | x = y ++ y)"
+    )
+    w = _problem(f).matrix
+    assert _assert_pruned_reference(w) == len(list(_eager_dnf(w))) > 0
+    assert nnf_dnf(w) == []
+
+
+def test_lazy_clauses_drop_contradictory_memberships():
+    a_star = star(lit("a"))
+    w = WOr(
+        WAnd(WIn("x", a_star), WAnd(WEq((V("y"),), ()), WNot(WIn("x", a_star)))),
+        WAnd(WIn("x", lit("a")), WIn("y", lit("b"))),
+    )
+    assert _assert_pruned_reference(w) == 0
+    assert nnf_dnf(w) == [Clause(members={X: lit("a"), Y: lit("b")})]
+
+
+def test_lazy_clause_cap_counts_clauses_after_pruning():
+    # eight clauses, of which the ground equation refutes four
+    w = WAnd(
+        WOr(WEq((L("a"),), (L("b"),)), WEq((V("x"),), ())),
+        WOr(
+            WOr(WEq((V("y"),), ()), WEq((V("y"),), (L("a"),))),
+            WOr(WEq((V("z"),), ()), WEq((V("z"),), (L("a"),))),
+        ),
+    )
+    assert len(list(_eager_dnf(w))) == 8
+    assert _assert_pruned_reference(w) == 4
+    assert len(nnf_dnf(w, cap=4)) == 4
+    clauses = wordsolver._clauses(w, 3)
+    assert [next(clauses) for _ in range(3)] == nnf_dnf(w)[:3]
+    with pytest.raises(ClauseCapExceeded):
+        next(clauses)
 
 
 def test_strip_common_affixes():
@@ -216,12 +347,19 @@ def test_incremental_simplify_matches_full_rescan(monkeypatch):
     # Every search child is simplified from its parent's fixpoint with
     # only what the branch touched unsettled; simplifying the substituted
     # child with nothing settled must fire the same rules in the same order.
+    # So must a partial clause of the clause walk that an atom joins.
     simplify = wordsolver._simplify
-    children = with_written = 0
+    children = with_written = joins = 0
 
-    def both(eqs, diseqs, members, step=None, written=()):
-        nonlocal children, with_written
-        res = simplify(eqs, diseqs, members, step, written)
+    def both(eqs, diseqs, members, step=None, written=(), fixed=None):
+        nonlocal children, with_written, joins
+        res = simplify(eqs, diseqs, members, step, written, fixed)
+        if fixed is not None:
+            joins += 1
+            full = simplify(eqs, diseqs, members)
+            assert res == full
+            if res[0] == "ok":
+                assert list(res[3].items()) == list(full[3].items())
         if step is not None:
             children += 1
             with_written += bool(written)
@@ -240,7 +378,7 @@ def test_incremental_simplify_matches_full_rescan(monkeypatch):
     assert check_valid(f, BUDGET).status == "invalid"
     for wp in _quadratic_problems():
         solve_problem(wp, BUDGET)
-    assert children > 5_000 and with_written > 1_000
+    assert children > 5_000 and with_written > 1_000 and joins > 100
 
 
 def test_incremental_simplify_rechecks_merged_membership():
@@ -306,6 +444,25 @@ def test_diseq_branch_count_and_freshness():
     names1 = {c for eqs, _ in b1 for u, v in eqs for c in u + v if c > "d"}
     names2 = {c for eqs, _ in b2 for u, v in eqs for c in u + v if c > "d"}
     assert names1 & names2 == {X, Y}
+
+
+def test_equations_model_that_separates_needs_no_split():
+    # x y = ab has the first model x = eps, y = ab, and that already
+    # makes x differ from y
+    ctl = _Search(BUDGET)
+    st, sigma = _solve_constraints([(X + Y, "ab")], [(X, Y)], {}, ctl, None)
+    assert st == "sat" and ctl.fresh == 0
+    assert (sigma.get(X, ""), sigma[Y]) == ("", "ab")
+
+
+def test_equations_model_that_does_not_separate_still_splits():
+    # the first model of x y = y x is x = y = eps; the split on x != y
+    # then finds two different commuting words
+    ctl = _Search(BUDGET)
+    st, sigma = _solve_constraints([(X + Y, Y + X)], [(X, Y)], {}, ctl, None)
+    assert st == "sat" and ctl.fresh == 1
+    x, y = sigma.get(X, ""), sigma.get(Y, "")
+    assert x + y == y + x and x != y
 
 
 def test_components_split_independent_systems():
@@ -460,8 +617,8 @@ def test_universal_problem_cannot_be_solved_directly():
 # counterexample). A change that moves these figures must update them
 # and say why in CHANGES.md.
 EXPLORATION = [
-    ("comparison_hold.seq", "valid", 7485, 144, None),
-    ("comparison_viol.seq", "invalid", 6714, 144, {"h": (4, 5), "t": (7,), "v": (5,)}),
+    ("comparison_hold.seq", "valid", 7485, 27, None),
+    ("comparison_viol.seq", "invalid", 6714, 27, {"h": (4, 5), "t": (7,), "v": (5,)}),
     ("mergesort_final_vc.seq", "valid", 3500, 4, None),
 ]
 
@@ -494,6 +651,15 @@ def test_witness_length_cap_is_reported():
     r = check_sat(f, Budget(max_nodes=200_000))
     assert r.status == "unknown"
     assert r.reason == "witness length cap"
+
+
+def test_clause_cap_is_reported():
+    # the first clause is refuted in the search; reaching the second
+    # exceeds a cap of one clause
+    f = parse_formula("exists x . x ++ 0 = 1 ++ x | x = 1")
+    r = check_sat(f, Budget(clause_cap=1))
+    assert (r.status, r.reason, r.clauses) == ("unknown", "clause cap exceeded", 1)
+    assert check_sat(f, Budget(clause_cap=2)).witness == {"x": (1,)}
 
 
 def test_budget_from_env(monkeypatch):
