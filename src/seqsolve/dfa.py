@@ -275,8 +275,11 @@ def _add_dfa(nfa: _Nfa, d: Dfa, src: int, dst: int) -> None:
             nfa.eps.append((base + s, dst))
 
 
+@lru_cache(maxsize=None)
 def lit(word: str) -> Dfa:
-    """The language containing exactly the given word."""
+    """The language containing exactly the given word. Memoized: the
+    encoder asks for the same sign letters and literals in every
+    formula."""
 
     def build(nfa, src, dst):
         cur = src

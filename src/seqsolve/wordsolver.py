@@ -4,9 +4,21 @@ The clauses of the encoded matrix's disjunctive normal form are
 enumerated lazily; each is a conjunction of word equations, word
 disequations, and per-variable regular memberships. The walk is depth
 first over the negation-normal matrix and drops a partial clause as
-soon as the cheap rewrite rules (_simplify) refute it, together with
-every clause that would extend it; the first ladder level pulls
-clauses from the walk, so a satisfiable clause ends it.
+soon as the cheap rewrite rules (_simplify) or the length theory
+refute it, together with every clause that would extend it; the first
+ladder level pulls clauses from the walk, so a satisfiable clause ends
+it.
+
+The length theory reads each equation as a linear equation over the
+lengths of its variables and each membership as the range of lengths
+its automaton accepts. It keeps the equations in fraction-free reduced
+echelon form over the integers, tightens the length intervals by
+propagation with integer rounding, and checks a length that becomes
+pinned against its variable's automaton. It never reads a disequation,
+and it answers only with a proof of infeasibility, so it drops clauses
+but never changes the ones kept. Integers are unary blocks, so sign
+cases of element arithmetic that cannot balance are dropped before
+they are searched.
 
 A clause's equations and memberships are solved first. If they have no
 model, neither has the clause; if their model separates every
@@ -31,9 +43,8 @@ derivative of the variable's automaton, and splitting x into y x picks
 an intermediate automaton state for the boundary. States are memoized
 under a canonical form (automata are interned canonical instances, so
 one language is one object), the frontier is ordered by how many
-letters a branch has committed to, and an exact length abstraction
-(Gaussian elimination over the equation length constraints) discards
-systems whose lengths cannot balance.
+letters a branch has committed to, and the length theory, run from
+scratch on each system, discards systems whose lengths cannot balance.
 
 Every node is a fixpoint of cheap rewrite rules (_simplify). A root
 is one component of a clause's fixpoint, so it is one already. A child
@@ -52,9 +63,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from .ast import EXISTS, FORALL, Formula, Not, free_vars
 from .dfa import ALPHABET, Dfa, lit, union
@@ -374,14 +385,20 @@ def _clauses(w, cap: int):
     that would extend it; a membership joins by intersection and is
     dropped when empty. A clause is checked once more before it is
     yielded if a membership joined after the last check, so no clause
-    that fails _simplify is yielded. Raises ClauseCapExceeded before
-    yielding clause cap + 1."""
-    sides: dict[int, Eq] = {}  # id of an atom -> its sides, converted once
+    that fails _simplify is yielded.
 
-    def on_strings(a) -> Eq:
+    The partial clause also carries its length theory state. A joining
+    equation adds its length row, computed once per atom, and a joining
+    membership bounds its variable by the lengths of the intersection;
+    a clause the theory refutes is dropped as a _simplify failure is.
+    Raises ClauseCapExceeded before yielding clause cap + 1."""
+    sides: dict[int, tuple] = {}  # id of an atom -> its sides and length row
+
+    def on_strings(a):
         e = sides.get(id(a))
         if e is None:
-            e = sides[id(a)] = (_side(a.left), _side(a.right))
+            u, v = _side(a.left), _side(a.right)
+            e = sides[id(a)] = (u, v), _length_row(u, v)
         return e
 
     def check(clause, fix, e: Eq, diseq: bool):
@@ -409,31 +426,34 @@ def _clauses(w, cap: int):
         return res[1], res[2], res[3], log + res[4]
 
     count = 0
-    # (eqs, diseqs, members, fix, todo): fix is the fixpoint of the
-    # partial clause or None, and todo is a linked list (formula, rest)
-    # of the conjuncts still to join
-    stack = [((), (), {}, ([], [], {}, []), (w, None))]
+    # (eqs, diseqs, members, fix, th, todo): fix is the fixpoint of the
+    # partial clause or None, th its length theory state, and todo is a
+    # linked list (formula, rest) of the conjuncts still to join
+    stack = [((), (), {}, ([], [], {}, []), _NO_LENGTHS, (w, None))]
     while stack:
-        eqs, diseqs, members, fix, todo = stack.pop()
+        eqs, diseqs, members, fix, th, todo = stack.pop()
         while todo is not None:
             a, todo = todo
             match a:
                 case WAnd(left=l, right=r):
                     todo = (l, (r, todo))
                 case WOr(left=l, right=r):
-                    stack.append((eqs, diseqs, members, fix, (r, todo)))
+                    stack.append((eqs, diseqs, members, fix, th, (r, todo)))
                     todo = (l, todo)
                 case WBool(value=v):
                     if not v:
                         break
                 case WEq():
-                    e = on_strings(a)
+                    e, row = on_strings(a)
                     eqs += (e,)
                     fix = check((eqs, diseqs, members), fix, e, False)
                     if fix is None:
                         break
+                    th = _lengths_add(th, row, members)
+                    if th is None:
+                        break
                 case WNot(arg=WEq() as n):
-                    e = on_strings(n)
+                    e = on_strings(n)[0]
                     diseqs += (e,)
                     fix = check((eqs, diseqs, members), fix, e, True)
                     if fix is None:
@@ -449,6 +469,9 @@ def _clauses(w, cap: int):
                     if d.is_empty():
                         break
                     members = members | {x: d}
+                    th = _lengths_bound(th, x, d, members)
+                    if th is None:
+                        break
                     fix = None
                 case _:
                     raise TypeError(f"not a word formula in negation normal form: {a!r}")
@@ -468,7 +491,51 @@ def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
 
 
 # ---------------------------------------------------------------------------
-# length abstraction
+# length theory
+#
+# Every equation u = v says that sum((occ_u(x) - occ_v(x)) * |x|) equals
+# letters(v) - letters(u), and every membership bounds its variable's
+# length by the lengths its automaton accepts. A state of the theory is
+# (rows, box) and is never mutated, so the clause walk keeps one per
+# partial clause on its stack. rows maps each pivot variable to its row
+# (coeffs, const), meaning sum(coeffs[x] * |x|) == const, in fraction-free
+# reduced echelon form: integer coefficients with no common divisor, and
+# a pivot occurs only in its own row, with a positive coefficient. box
+# maps a variable to the bounds (lo, hi) of its length, hi None when
+# unbounded; a variable not in it has _FREE. The theory only refutes, and
+# only on a proof: a row whose coefficients' gcd does not divide its
+# constant, an empty interval, or a pinned length the variable's
+# automaton does not accept.
+
+_NO_LENGTHS = ({}, {})
+_FREE = (0, None)  # the bounds of a length nothing constrains
+_PASSES = 4  # interval propagation passes; stopping early refutes nothing
+
+
+@lru_cache(maxsize=None)
+def _length_bounds(d: Dfa):
+    """(shortest, longest) length d accepts, longest None when a live
+    state lies on a cycle; None when d is empty."""
+    if d.is_empty():
+        return None
+    live = set(d.accepting)  # the states that reach acceptance
+    grew = True
+    while grew:
+        grew = False
+        for q, row in enumerate(d.delta):
+            if q not in live and not live.isdisjoint(row):
+                live.add(q)
+                grew = True
+    # the live states reached by exactly k letters; a path of more than
+    # d.n letters through live states repeats one, so it lies on a cycle
+    level, accepted = {d.start}, []
+    for k in range(d.n + 1):
+        if not level.isdisjoint(d.accepting):
+            accepted.append(k)
+        level = {t for q in level for t in d.delta[q] if t in live}
+        if not level:
+            return accepted[0], accepted[-1]
+    return accepted[0], None
 
 
 def _length_feasible(d: Dfa, n: int) -> bool:
@@ -478,61 +545,186 @@ def _length_feasible(d: Dfa, n: int) -> bool:
     return bool(states & d.accepting)
 
 
+def _length_row(u: Side, v: Side):
+    """The length row (coeffs, const) of the equation u = v."""
+    coeffs: dict[str, int] = {}
+    for c in u:
+        if c > "d":
+            coeffs[c] = coeffs.get(c, 0) + 1
+    for c in v:
+        if c > "d":
+            coeffs[c] = coeffs.get(c, 0) - 1
+    const = len(v) - len(u) + sum(coeffs.values())
+    return {x: k for x, k in coeffs.items() if k}, const
+
+
+def _normal(coeffs: dict, const: int):
+    """The row divided by its coefficients' gcd; None when that gcd
+    does not divide the constant (an empty row with a nonzero one)."""
+    if not coeffs:
+        return None if const else (coeffs, 0)
+    g = gcd(*coeffs.values())
+    if const % g:
+        return None
+    if g > 1:
+        coeffs = {x: k // g for x, k in coeffs.items()}
+        const //= g
+    return coeffs, const
+
+
+def _eliminate(coeffs: dict, const: int, p: str, pc: dict, pk: int):
+    """A positive multiple of the row (coeffs, const) minus a multiple
+    of p's pivot row (pc, pk), so that p cancels."""
+    a, k = pc[p], coeffs[p]
+    g = gcd(a, k)
+    a, k = a // g, k // g
+    out = {x: a * c for x, c in coeffs.items()}
+    for y, c in pc.items():
+        out[y] = out.get(y, 0) - k * c
+    return {x: c for x, c in out.items() if c}, a * const - k * pk
+
+
+def _lengths_add(th, row, members: dict):
+    """th with an equation's length row joined, or None when refuted."""
+    rows, box = th
+    coeffs, const = row
+    for p in [x for x in coeffs if x in rows]:
+        coeffs, const = _eliminate(coeffs, const, p, *rows[p])
+    row = _normal(coeffs, const)
+    if row is None:
+        return None
+    coeffs, const = row
+    if not coeffs:
+        return th
+    # the pivot has the least coefficient and, among those, occurs in
+    # the most rows, so eliminating it collapses them the most
+    least = min(map(abs, coeffs.values()))
+    uses = {x: 0 for x, c in coeffs.items() if abs(c) == least}
+    for r in rows.values():
+        for x in r[0]:
+            if x in uses:
+                uses[x] += 1
+    pivot = max(uses, key=uses.__getitem__)
+    if coeffs[pivot] < 0:
+        coeffs = {x: -c for x, c in coeffs.items()}
+        const = -const
+    new = {}
+    todo = [pivot]
+    for q, r in rows.items():
+        if pivot in r[0]:
+            r = _normal(*_eliminate(*r, pivot, coeffs, const))
+            if r is None:
+                return None
+            todo.append(q)
+        new[q] = r
+    new[pivot] = coeffs, const
+    return _propagate(new, box, todo, (), members)
+
+
+def _lengths_bound(th, x: str, d: Dfa, members: dict):
+    """th with x's length bounded by the automaton d, the membership x
+    has now, or None when refuted."""
+    bounds = _length_bounds(d)
+    if bounds is None:
+        return None
+    rows, box = th
+    l, h = box.get(x, _FREE)
+    least, most = bounds
+    nl = max(l, least)
+    nh = most if h is None else h if most is None else min(h, most)
+    if nl == l and nh == h:
+        # the box stands, but a pinned length meets a new automaton
+        return None if l == h and not _length_feasible(d, l) else th
+    if nh is not None and nl > nh:
+        return None
+    todo = [q for q, r in rows.items() if x in r[0]]
+    return _propagate(rows, box | {x: (nl, nh)}, todo, (x,), members)
+
+
+def _propagate(rows: dict, box: dict, todo: list, touched, members: dict):
+    """Tighten the box by interval propagation with integer rounding
+    over the rows in todo, then over every row a tightened variable
+    occurs in, for at most _PASSES passes. A length that ends pinned is
+    checked against its automaton. Returns the state, or None when
+    refuted."""
+    touched = list(touched)
+    own = False
+    for _ in range(_PASSES):
+        changed = {}
+        for q in todo:
+            coeffs, const = rows[q]
+            # the least and greatest sum of the terms, each with its
+            # count of unbounded terms
+            smin = smax = nmin = nmax = 0
+            for x, a in coeffs.items():
+                l, h = box.get(x, _FREE)
+                if a > 0:
+                    smin += a * l
+                    if h is None:
+                        nmax += 1
+                    else:
+                        smax += a * h
+                else:
+                    smax += a * l
+                    if h is None:
+                        nmin += 1
+                    else:
+                        smin += a * h
+            if nmin > 1 and nmax > 1:
+                continue  # every term has another unbounded one beside it
+            for x, a in coeffs.items():
+                # bound a * |x| by const minus the least and the greatest
+                # sum of the other terms, where those are finite
+                l, h = box.get(x, _FREE)
+                nl, nh = l, h
+                if a > 0:
+                    up, down = smax - const, const - smin
+                    if nmax == 0:
+                        nl = max(l, h - up // a)
+                    elif nmax == 1 and h is None:
+                        nl = max(l, -(up // a))
+                    if nmin == 0:
+                        nh = l + down // a if h is None else min(h, l + down // a)
+                else:
+                    up, down = smin - const, const - smax
+                    if nmin == 0:
+                        nl = max(l, h - up // a)
+                    elif nmin == 1 and h is None:
+                        nl = max(l, -(up // a))
+                    if nmax == 0:
+                        nh = l + down // a if h is None else min(h, l + down // a)
+                if nl == l and nh == h:
+                    continue
+                if nh is not None and nl > nh:
+                    return None
+                if not own:
+                    box, own = dict(box), True
+                box[x] = nl, nh
+                changed[x] = None
+        if not changed:
+            break
+        touched += changed
+        todo = [q for q, r in rows.items() if not changed.keys().isdisjoint(r[0])]
+    for x in touched:
+        if x in members:
+            l, h = box[x]
+            if l == h and not _length_feasible(members[x], l):
+                return None
+    return rows, box
+
+
 def _length_infeasible(eqs: list, members: dict) -> bool:
-    """True only on an exact proof that the length constraints of the
-    equations admit no solution."""
-    rows = []
-    for u, v in eqs:
-        coeffs = Counter()
-        const = 0
-        for c in u:
-            if c > "d":
-                coeffs[c] += 1
-            else:
-                const -= 1
-        for c in v:
-            if c > "d":
-                coeffs[c] -= 1
-            else:
-                const += 1
-        coeffs = {x: Fraction(c) for x, c in coeffs.items() if c}
-        rows.append((coeffs, Fraction(const)))
-
-    solved: dict[str, tuple] = {}  # pivot var -> (coeffs, const)
-    for coeffs, const in rows:
-        coeffs = dict(coeffs)
-        # reduce by the pivots found so far
-        again = True
-        while again:
-            again = False
-            for x in list(coeffs):
-                if x in solved:
-                    factor = coeffs.pop(x)
-                    pc, pconst = solved[x]
-                    for y, c in pc.items():
-                        coeffs[y] = coeffs.get(y, Fraction(0)) + factor * c
-                        if coeffs[y] == 0:
-                            del coeffs[y]
-                    const -= factor * pconst
-                    again = True
-                    break
-        if not coeffs:
-            if const != 0:
-                return True
-            continue
-        pivot = min(coeffs, key=_name)
-        factor = coeffs.pop(pivot)
-        pc = {y: -c / factor for y, c in coeffs.items()}
-        solved[pivot] = (pc, const / factor)
-
-    for x, (pc, const) in solved.items():
-        if pc:
-            continue
-        # the length of x is forced exactly
-        if const < 0 or const.denominator != 1:
+    """True only on a proof that the lengths of the equations and the
+    memberships admit no solution: the theory run from scratch."""
+    box = {}
+    for x, d in members.items():
+        box[x] = _length_bounds(d)
+        if box[x] is None:
             return True
-        n = int(const)
-        if x in members and not _length_feasible(members[x], n):
+    th = {}, box
+    for u, v in eqs:
+        th = _lengths_add(th, _length_row(u, v), members)
+        if th is None:
             return True
     return False
 

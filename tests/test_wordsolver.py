@@ -18,7 +18,7 @@ import pytest
 
 from seqsolve import oracle, wordsolver
 from seqsolve.ast import FORALL, matrix_vars
-from seqsolve.dfa import lit, star, union
+from seqsolve.dfa import empty_dfa, lit, plus, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
 from seqsolve.encode import (
     L,
@@ -50,7 +50,12 @@ from seqsolve.wordsolver import (
     _components,
     _diseq_branches,
     _Search,
+    _length_bounds,
     _length_infeasible,
+    _length_row,
+    _lengths_add,
+    _lengths_bound,
+    _NO_LENGTHS,
     _replay,
     _side,
     _simplify,
@@ -191,11 +196,17 @@ def _eager_dnf(w):
 
 def _assert_pruned_reference(w, limit: int | None = None) -> int:
     """The lazy clauses are the reference's minus those _simplify
+    refutes or the length theory, run from scratch on the whole clause,
     refutes, in the same order and with the same content (memberships
     in the same key order); with a limit, as far as the first limit
     reference clauses reach. Returns how many the pruning dropped."""
     ref = list(itertools.islice(_eager_dnf(w), limit))
-    kept = [c for c in ref if _simplify(c.eqs, c.diseqs, c.members)[0] == "ok"]
+    kept = [
+        c
+        for c in ref
+        if _simplify(c.eqs, c.diseqs, c.members)[0] == "ok"
+        and not _length_infeasible(c.eqs, c.members)
+    ]
     lazy = list(itertools.islice(wordsolver._clauses(w, 10**6), len(kept) + 1))
     if limit is not None and len(ref) == limit:
         lazy = lazy[: len(kept)]
@@ -431,6 +442,90 @@ def test_length_rejects_negative_solution():
 def test_length_checks_forced_length_against_membership():
     assert _length_infeasible([(X, "aa")], {X: lit("b")})
     assert not _length_infeasible([(X, "aa")], {X: lit("bb")})
+    # |x| = 2 lies inside the bounds (0, None) of (bbb)*, which accepts
+    # only multiples of three
+    assert _length_infeasible([(X, "aa")], {X: star(lit("bbb"))})
+
+
+def test_length_uses_automaton_bounds():
+    # |x| = |y| + |z| and |y| = |x| force |z| = 0, which b+ rules out
+    eqs = [(X, Y + Z), (Y, X)]
+    assert _length_infeasible(eqs, {Z: plus(lit("b"))})
+    assert not _length_infeasible(eqs, {Z: star(lit("b"))})
+    # |x| = 3 + |y| against the upper bound 2 of bb
+    assert _length_infeasible([(X, "aaa" + Y)], {X: lit("bb")})
+    assert not _length_infeasible([(X, "aa" + Y)], {X: lit("bb")})
+
+
+def test_length_bounds_of_automata():
+    assert _length_bounds(plus(lit("b"))) == (1, None)
+    assert _length_bounds(lit("acba")) == (4, 4)
+    assert _length_bounds(union(lit("a"), lit("bbb"))) == (1, 3)
+    assert _length_bounds(star(lit("bb"))) == (0, None)
+    assert _length_bounds(lit("a").intersect(lit("b"))) is None
+    assert _lengths_bound(_NO_LENGTHS, X, empty_dfa(), {}) is None
+
+
+# automata with the lengths they accept, for the soundness test below
+LENGTH_AUTOMATA = [
+    (lit("bb"), lambda n: n == 2),
+    (star(lit("b")), lambda n: True),
+    (plus(lit("b")), lambda n: n >= 1),
+    (star(lit("bb")), lambda n: n % 2 == 0),
+    (union(lit("c"), lit("d")), lambda n: n == 1),
+]
+
+
+def test_length_theory_refutes_only_unsolvable_systems():
+    # random systems of at most four variables, each occurring at most
+    # twice on a side (coefficients -2..2), with random automata; every
+    # refutation, from scratch or with rows and bounds joined in a random
+    # order as the clause walk joins them, must leave no lengths 0..8
+    # that meet the rows and the automata
+    rng = random.Random(7)
+    names = [X, Y, Z, U]
+    refuted = kept = 0
+    for _ in range(600):
+        nvars = rng.randint(1, 4)
+        vs = names[:nvars]
+        eqs = []
+        for _ in range(rng.randint(1, 2)):
+            sides = ["", ""]
+            for x in vs:
+                for _ in range(rng.randint(0, 2)):
+                    sides[rng.randint(0, 1)] += x
+            sides[rng.randint(0, 1)] += "a" * rng.randint(0, 3)
+            eqs.append(tuple("".join(rng.sample(t, len(t))) for t in sides))
+        members, accepted = {}, {}
+        for x in vs:
+            if rng.random() < 0.6:
+                d, ok = rng.choice(LENGTH_AUTOMATA)
+                members[x], accepted[x] = d, ok
+        ops = [("eq", e) for e in eqs] + [("in", x) for x in members]
+        rng.shuffle(ops)
+        th = _NO_LENGTHS
+        joined = {}
+        for kind, arg in ops:
+            if kind == "eq":
+                th = _lengths_add(th, _length_row(*arg), joined)
+            else:
+                joined = joined | {arg: members[arg]}
+                th = _lengths_bound(th, arg, members[arg], joined)
+            if th is None:
+                break
+        from_scratch = _length_infeasible(eqs, members)
+        if th is not None and not from_scratch:
+            kept += 1
+            continue
+        refuted += 1
+        rows = [_length_row(u, v) for u, v in eqs]
+        for lens in itertools.product(range(9), repeat=nvars):
+            n = dict(zip(vs, lens))
+            assert not (
+                all(sum(k * n[x] for x, k in c.items()) == const for c, const in rows)
+                and all(ok(n[x]) for x, ok in accepted.items())
+            ), (eqs, members, n)
+    assert refuted > 150 and kept > 150, (refuted, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +696,33 @@ def test_validity(src, expected):
         assert r.counterexample is None
 
 
+# Formulas of the random sets (formula seed, index) that the length
+# theory refutes and that the Nielsen search alone gave up on with
+# "witness length cap". Why each is unsat, by counting elements, where
+# x[i:i] has one element when x has at least i and none otherwise:
+LENGTH_REFUTED = [
+    # (1, 3): |x[2:2]| + 1 = |x| + 1, so |x| <= 1, and then x[2:2] is
+    # empty, so x is too; that leaves [-2] = [1]
+    "exists x . ((x in (2 | -1)*) | !x - 2 > x) & x[2:2] ++ (-2) ++ eps = (x ++ eps) ++ 1",
+    # (2, 241): the left side of the last conjunct has 1 + 2|x| elements
+    # and the right side at most one, so x = eps, and then x[3:3] = eps
+    # cannot equal [0]
+    "exists x, y . ((y = y & y = (eps ++ x) ++ y[3:3]) & y - (-2) > x)"
+    " & (0 ++ x) ++ x = x[3:3]",
+    # (2, 268): |x[2:2]| = 1 + |x| forces x = eps and |x[2:2]| = 1, but
+    # x[2:2] of the empty sequence is empty
+    "exists x, y . (y in INT* 0 INT* & x - 2 != x - (-2)) & eps ++ x[2:2] = 0 ++ x",
+]
+
+
+@pytest.mark.parametrize("src", LENGTH_REFUTED)
+def test_length_theory_decides_former_witness_cap_unknowns(src):
+    f = parse_formula(src)
+    assert check_sat(f, BUDGET).status == "unsat"
+    bounds = Bounds(max_len=3, values=(-2, -1, 0, 1, 2))
+    assert oracle.brute_force_sat(f.matrix, f.prefix, bounds) is None
+
+
 def test_mixed_rev_occurrence_is_rejected():
     with pytest.raises(ElaborationError):
         check_sat(parse_formula("exists x . rev(x) = x"), BUDGET)
@@ -631,7 +753,7 @@ def test_search_exploration_pinned(name, status, nodes, clauses, counterexample)
 
 
 def test_quadratic_exploration_pinned():
-    assert sum(solve_problem(wp, BUDGET)[2].nodes for wp in _quadratic_problems()) == 79
+    assert sum(solve_problem(wp, BUDGET)[2].nodes for wp in _quadratic_problems()) == 73
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +777,10 @@ def test_witness_length_cap_is_reported():
 
 def test_clause_cap_is_reported():
     # the first clause is refuted in the search; reaching the second
-    # exceeds a cap of one clause
-    f = parse_formula("exists x . x ++ 0 = 1 ++ x | x = 1")
+    # exceeds a cap of one clause. 1 and -1 are both four letters long,
+    # so the lengths of x ++ 1 = -1 ++ x balance and the first clause
+    # reaches the search
+    f = parse_formula("exists x . x ++ 1 = -1 ++ x | x = 1")
     r = check_sat(f, Budget(clause_cap=1))
     assert (r.status, r.reason, r.clauses) == ("unknown", "clause cap exceeded", 1)
     assert check_sat(f, Budget(clause_cap=2)).witness == {"x": (1,)}
