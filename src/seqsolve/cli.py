@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .elaborate import ElaborationError, elaborate
@@ -38,7 +37,6 @@ from .vcgen import (
     discharge,
     parse_program,
     vcs,
-    worst_exit,
 )
 from .wordsolver import Budget, check_sat, check_valid, negation
 from .ast import FORALL, Formula, free_vars
@@ -58,18 +56,6 @@ _STATUS_EXIT = {
     "undetermined": 2,
     "unencodable": 2,
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: Path
-    budget: Budget | None  # sat, valid and vc only
-    bounds: Bounds
-    format: str = "text"
-    stop_after: str = "encode"
-    do_discharge: bool = False
-    jobs: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = _ArgumentParser(add_help=False)
     solver.add_argument(
-        "--budget-nodes", type=_positive, default=None,
-        help="search node budget (beats SEQSOLVE_BUDGET_NODES)",
+        "--budget-nodes", type=_positive, default=Budget.max_nodes,
+        help="most search nodes spent on one formula",
     )
     solver.add_argument(
-        "--witness-letters", type=_positive, default=None,
+        "--witness-letters", type=_positive, default=Budget.witness_letters,
         help="longest witness word explored per variable",
     )
     solver.add_argument(
-        "--clause-cap", type=_positive, default=None,
+        "--clause-cap", type=_positive, default=Budget.clause_cap,
         help="most clauses enumerated, counted after pruning",
     )
 
@@ -138,10 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", parents=[common], help="pruned bounded search")
     orc.add_argument(
-        "--max-len", type=_positive, default=3, help="longest sequence enumerated"
+        "--max-len", type=_positive, default=Bounds.max_len,
+        help="longest sequence enumerated",
     )
     orc.add_argument(
-        "--values", type=_int_csv, default=(-2, -1, 0, 1, 2),
+        "--values", type=_int_csv, default=Bounds.values,
         help="comma-separated element pool",
     )
 
@@ -156,37 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args) -> Budget | None:
-    """The search budget of the commands that search, else None."""
-    if not hasattr(args, "budget_nodes"):
-        return None
-    try:
-        budget = Budget.from_env()
-    except ValueError as e:
-        raise CliError(str(e))
-    if args.budget_nodes is not None:
-        budget.max_nodes = args.budget_nodes
-    if args.witness_letters is not None:
-        budget.witness_letters = args.witness_letters
-    if args.clause_cap is not None:
-        budget.clause_cap = args.clause_cap
-    return budget
-
-
-def _config(args) -> RunConfig:
-    bounds = Bounds(
-        max_len=getattr(args, "max_len", 3),
-        values=getattr(args, "values", (-2, -1, 0, 1, 2)),
-    )
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        budget=_budget(args),
-        bounds=bounds,
-        format=args.format,
-        stop_after=getattr(args, "stop_after", "encode"),
-        do_discharge=getattr(args, "discharge", False),
-        jobs=getattr(args, "jobs", 1),
+def _budget(args) -> Budget:
+    """The search budget of `sat`, `valid` and `vc`."""
+    return Budget(
+        max_nodes=args.budget_nodes,
+        witness_letters=args.witness_letters,
+        clause_cap=args.clause_cap,
     )
 
 
@@ -209,8 +171,8 @@ def _env_json(env: dict | None):
     return {name: list(value) for name, value in sorted(env.items())}
 
 
-def _emit(config: RunConfig, report: dict, text: list[str]) -> None:
-    if config.format == "json":
+def _emit(args, report: dict, text: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
         print("\n".join(text))
@@ -233,17 +195,17 @@ def _load_formula(path: Path) -> Formula:
         raise CliError(f"{path}:{e}")
 
 
-def _report_skeleton(config: RunConfig, status: str) -> dict:
+def _report_skeleton(args, status: str) -> dict:
     return {
         "schema": "res-1",
-        "command": config.command,
-        "input": str(config.input),
+        "command": args.command,
+        "input": str(args.input),
         "status": status,
     }
 
 
 def _verdict(
-    config: RunConfig,
+    args,
     status: str,
     fields: dict,
     note: str | None = None,
@@ -254,7 +216,7 @@ def _verdict(
     """Print the res-1 report of one decision and return its exit
     code. ``fields`` follow the status in the JSON, ``note`` in the
     text."""
-    report = _report_skeleton(config, status) | fields
+    report = _report_skeleton(args, status) | fields
     text = [f"status: {status}"] + ([note] if note else [])
     for key, env in (("witness", witness), ("counterexample", counterexample)):
         if env is not None:
@@ -264,7 +226,7 @@ def _verdict(
     if status == "unknown":
         report["reason"] = reason
         text.append(f"reason: {reason}")
-    _emit(config, report, text)
+    _emit(args, report, text)
     return _STATUS_EXIT[status]
 
 
@@ -272,12 +234,12 @@ def _verdict(
 # commands
 
 
-def _run_check(config: RunConfig) -> int:
-    f = _load_formula(config.input)
-    check = check_sat if config.command == "sat" else check_valid
-    r = check(f, config.budget)
+def _run_check(args) -> int:
+    f = _load_formula(args.input)
+    check = check_sat if args.command == "sat" else check_valid
+    r = check(f, _budget(args))
     return _verdict(
-        config,
+        args,
         r.status,
         {"nodes": r.nodes, "clauses": r.clauses},
         witness=r.witness,
@@ -322,47 +284,47 @@ def _encode_text(doc: dict) -> list[str]:
     return text
 
 
-def _run_encode(config: RunConfig) -> int:
-    f = _load_formula(config.input)
-    if config.stop_after == "parse":
-        report = _report_skeleton(config, "ok")
+def _run_encode(args) -> int:
+    f = _load_formula(args.input)
+    if args.stop_after == "parse":
+        report = _report_skeleton(args, "ok")
         report["stage"] = "parse"
         report["formulas"] = [print_formula(f)]
-        _emit(config, report, [print_formula(f)])
+        _emit(args, report, [print_formula(f)])
         return 0
     if f.quantifier == FORALL:
         f = negation(f)  # the problem `valid` refutes
     try:
         elab = elaborate(f)
     except ElaborationError as e:
-        raise CliError(f"{config.input}: outside the supported fragment: {e}")
-    if config.stop_after == "elaborate":
-        report = _report_skeleton(config, "ok")
+        raise CliError(f"{args.input}: outside the supported fragment: {e}")
+    if args.stop_after == "elaborate":
+        report = _report_skeleton(args, "ok")
         report["stage"] = "elaborate"
         report["formulas"] = [print_formula(elab.formula)]
-        _emit(config, report, [print_formula(elab.formula)])
+        _emit(args, report, [print_formula(elab.formula)])
         return 0
     wp = encode_elaboration(elab)
     doc = wp.to_json()
-    doc["input"] = str(config.input)
-    _emit(config, doc, _encode_text(doc))
+    doc["input"] = str(args.input)
+    _emit(args, doc, _encode_text(doc))
     return 0
 
 
-def _run_oracle(config: RunConfig) -> int:
-    f = _load_formula(config.input)
-    bounds = config.bounds
+def _run_oracle(args) -> int:
+    f = _load_formula(args.input)
+    bounds = Bounds(args.max_len, args.values)
     fields = {"bounds": {"max_len": bounds.max_len, "values": list(bounds.values)}}
     note = f"bounded: max_len={bounds.max_len} values={list(bounds.values)}"
     if f.quantifier == FORALL:
         neg = negation(f)
         cex = brute_force_sat(neg.matrix, neg.prefix, bounds)
         status = "invalid" if cex is not None else "valid"
-        return _verdict(config, status, fields, note, counterexample=cex)
+        return _verdict(args, status, fields, note, counterexample=cex)
     names = f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))
     witness = brute_force_sat(f.matrix, names, bounds)
     status = "sat" if witness is not None else "unsat"
-    return _verdict(config, status, fields, note, witness=witness)
+    return _verdict(args, status, fields, note, witness=witness)
 
 
 def _discharge_one(payload: tuple[VC, Budget]) -> Discharge:
@@ -389,31 +351,29 @@ def _vc_json(vc: VC, result: Discharge | None) -> dict:
     return doc
 
 
-def _run_vc(config: RunConfig) -> int:
-    src = _read_source(config.input)
+def _run_vc(args) -> int:
+    src = _read_source(args.input)
     try:
-        program = parse_program(src, str(config.input))
+        program = parse_program(src, str(args.input))
     except (VcError, ParseError) as e:
         raise CliError(str(e))
     conditions = vcs(program)
     results: list[Discharge | None] = [None] * len(conditions)
-    if config.do_discharge:
-        if config.jobs > 1 and len(conditions) > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    if args.discharge:
+        budget = _budget(args)
+        if args.jobs > 1 and len(conditions) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(
-                    pool.map(
-                        _discharge_one,
-                        [(vc, config.budget) for vc in conditions],
-                    )
+                    pool.map(_discharge_one, [(vc, budget) for vc in conditions])
                 )
         else:
-            results = discharge(conditions, config.budget)
-        status_code = worst_exit(results)
+            results = discharge(conditions, budget)
+        status_code = max((_STATUS_EXIT[r.verdict] for r in results), default=0)
         status = {0: "valid", 1: "invalid", 2: "unknown"}[status_code]
     else:
         status, status_code = "ok", 0
 
-    report = _report_skeleton(config, status)
+    report = _report_skeleton(args, status)
     report["program"] = program.name
     report["vcs"] = [
         _vc_json(vc, res) for vc, res in zip(conditions, results)
@@ -433,7 +393,7 @@ def _run_vc(config: RunConfig) -> int:
                 text.append("  counterexample:")
                 _env_lines(res.counterexample, text)
     text.append(f"status: {status}")
-    _emit(config, report, text)
+    _emit(args, report, text)
     return status_code
 
 
@@ -450,8 +410,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (CliError, LiteralTooLarge) as e:
         print(f"seqsolve: error: {e}", file=sys.stderr)
         return 3

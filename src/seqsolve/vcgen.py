@@ -679,15 +679,6 @@ class Discharge:
     counterexample: dict | None = None
 
 
-_EXIT_CODE = {
-    "valid": 0,
-    "invalid": 1,
-    "undetermined": 2,
-    "unknown": 2,
-    "unencodable": 2,
-}
-
-
 def discharge(conditions: list[VC], budget: Budget | None = None) -> list[Discharge]:
     out = []
     for vc in conditions:
@@ -711,7 +702,3 @@ def discharge(conditions: list[VC], budget: Budget | None = None) -> list[Discha
         else:
             out.append(Discharge(vc, "unknown", r.reason))
     return out
-
-
-def worst_exit(discharges: list[Discharge]) -> int:
-    return max((_EXIT_CODE[d.verdict] for d in discharges), default=0)

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -97,18 +96,6 @@ class Budget:
     max_nodes: int = 200_000
     witness_letters: int = 64
     clause_cap: int = 4096
-
-    @staticmethod
-    def from_env() -> "Budget":
-        b = Budget()
-        nodes = os.environ.get("SEQSOLVE_BUDGET_NODES")
-        if nodes:
-            b.max_nodes = int(nodes) if nodes.strip().isdecimal() else 0
-            if b.max_nodes <= 0:
-                raise ValueError(
-                    f"SEQSOLVE_BUDGET_NODES must be a positive integer, not {nodes!r}"
-                )
-        return b
 
 
 @dataclass
@@ -484,7 +471,7 @@ def _clauses(w, cap: int):
             yield Clause(list(eqs), list(diseqs), dict(members))
 
 
-def nnf_dnf(w, cap: int = 4096) -> list[Clause]:
+def nnf_dnf(w, cap: int = Budget.clause_cap) -> list[Clause]:
     """Every clause _clauses yields; raises ClauseCapExceeded when there
     are more than cap."""
     return list(_clauses(w, cap))
@@ -751,7 +738,6 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
     store = {key0: (eqs, members, None, [], 0)}
     heap = [(0, 0, 0, key0)]
     tick = itertools.count(1)
-    visited = set()
     capped = False
     start_nodes = ctl.nodes
 
@@ -766,7 +752,7 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
             capped = True
             return
         key = _canon(eqs2, members2)
-        if key in visited or key in store:
+        if key in store:
             return
         store[key] = (eqs2, members2, parent_key, elog, g2)
         heapq.heappush(heap, (g2, _total_len(eqs2), next(tick), key))
@@ -777,9 +763,6 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
         if not ctl.spend():
             return "unknown", None
         _, _, _, key = heapq.heappop(heap)
-        if key in visited:
-            continue
-        visited.add(key)
         eqs, members, _, _, g = store[key]
         if not eqs:
             sigma = _final_assignment(members)
@@ -964,7 +947,7 @@ def solve_problem(wp: WordProblem, budget: Budget | None = None):
     """Solve a word problem clause by clause. Returns (status, sigma,
     search, clause count); sigma maps word variables to words, and the
     count is of the clauses handed to the search."""
-    budget = budget or Budget.from_env()
+    budget = budget or Budget()
     ctl = _Search(budget)
     status, sigma = _solve_clauses(_clauses(wp.matrix, budget.clause_cap), ctl)
     if sigma is not None:
@@ -1023,7 +1006,7 @@ def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
     """Decide satisfiability. A universal formula is treated as the
     sentence it denotes: it is sat when valid, and unsat with the
     counterexample when invalid."""
-    budget = budget or Budget.from_env()
+    budget = budget or Budget()
     if f.quantifier == FORALL:
         r = check_valid(f, budget)
         r.status = {"valid": "sat", "invalid": "unsat", "unknown": "unknown"}[r.status]

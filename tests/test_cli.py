@@ -18,6 +18,8 @@ import jsonschema
 import pytest
 
 from seqsolve.cli import build_parser, run
+from seqsolve.parser import parse_formula
+from seqsolve.wordsolver import check_sat
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -283,6 +285,22 @@ def test_vc_sorted_under_iff_is_unencodable_exit_2(capsys, tmp_path):
     jsonschema.validate(doc, RES_SCHEMA)
 
 
+def test_vc_undetermined_exits_2(capsys, tmp_path):
+    src = tmp_path / "weak.sqp"
+    src.write_text(
+        "program p(x, y)\n"
+        "do\n"
+        "  assume sorted(x)\n"
+        "  y := x\n"
+        "end\n"
+        "ensure sorted(y)\n"
+    )
+    code, doc = run_json(capsys, "vc", str(src), "--discharge")
+    assert code == 2 and doc["status"] == "unknown"
+    assert [vc["verdict"] for vc in doc["vcs"]] == ["undetermined"]
+    jsonschema.validate(doc, RES_SCHEMA)
+
+
 def test_vc_parse_error_exits_3(capsys, tmp_path):
     src = tmp_path / "bad.sqp"
     src.write_text("program p(x)\ndo\n  frobnicate x\nend\nensure x = x\n")
@@ -348,19 +366,6 @@ def test_bad_budget_value_exits_3(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0"])
-def test_bad_budget_environment_exits_3(capsys, monkeypatch, tmp_path, value):
-    src = tmp_path / "f.seq"
-    src.write_text("exists x . x = 1\n")
-    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", value)
-    code, out, err = run_cli(capsys, "sat", str(src))
-    assert code == 3 and out == ""
-    assert err == (
-        "seqsolve: error: SEQSOLVE_BUDGET_NODES must be a positive integer, "
-        f"not {value!r}\n"
-    )
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -375,19 +380,6 @@ def test_bad_budget_environment_exits_3(capsys, monkeypatch, tmp_path, value):
 def test_flags_only_where_they_act(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "f.seq", *argv[1:])
     assert code == 3 and "unrecognized arguments" in err
-
-
-def test_budget_environment_read_only_by_searching_commands(
-    capsys, monkeypatch, tmp_path
-):
-    src = tmp_path / "f.seq"
-    src.write_text("exists x . x = 1\n")
-    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", "abc")
-    assert run_cli(capsys, "oracle", str(src))[0] == 0
-    assert run_cli(capsys, "encode", str(src))[0] == 0
-    for command, path in (("valid", src), ("vc", PROGRAMS / "reverse.sqp")):
-        code, out, err = run_cli(capsys, command, str(path))
-        assert code == 3 and "SEQSOLVE_BUDGET_NODES" in err
 
 
 def test_deeply_nested_input_exits_3(capsys, tmp_path):
@@ -423,16 +415,31 @@ def test_witness_cap_yields_unknown_exit_2(capsys, tmp_path):
     assert code == 0 and doc["witness"] == {"x": [1, 1, 1, 1, 1]}
 
 
-def test_budget_flag_beats_environment(capsys, monkeypatch, commutation_file):
-    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", "1")
-    code, doc = run_json(capsys, "sat", commutation_file, "--budget-nodes", "200000")
+@pytest.mark.parametrize("value", ["1", "abc"])
+def test_budget_comes_only_from_the_caller(
+    capsys, monkeypatch, commutation_file, value
+):
+    # the environment is not a source of settings, for the library or the CLI
+    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", value)
+    f = parse_formula(Path(commutation_file).read_text())
+    assert check_sat(f).status == "sat"
+    code, doc = run_json(capsys, "sat", commutation_file)
     assert code == 0 and doc["status"] == "sat"
 
 
-def test_budget_environment_applies_without_flag(capsys, monkeypatch, commutation_file):
-    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", "1")
-    code, doc = run_json(capsys, "sat", commutation_file)
+@pytest.mark.parametrize(
+    "flag,reason",
+    [
+        (("--budget-nodes", "1"), "node budget exhausted"),
+        (("--clause-cap", "1"), "clause cap exceeded"),
+    ],
+)
+def test_vc_passes_budget_flags_to_each_condition(capsys, flag, reason):
+    program = str(PROGRAMS / "reverse.sqp")
+    code, doc = run_json(capsys, "vc", program, "--discharge", *flag)
     assert code == 2 and doc["status"] == "unknown"
+    unknown = [vc["detail"] for vc in doc["vcs"] if vc["verdict"] == "unknown"]
+    assert reason in unknown
 
 
 def test_parser_rejects_missing_command():

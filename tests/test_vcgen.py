@@ -45,7 +45,6 @@ from seqsolve.vcgen import (
     parse_program,
     parse_program_file,
     vcs,
-    worst_exit,
     wp,
 )
 
@@ -267,7 +266,6 @@ def test_reverse_vc_shapes():
 def test_reverse_discharges_valid():
     results = discharge(conditions_of("reverse.sqp"))
     assert [r.verdict for r in results] == ["valid"] * 5
-    assert worst_exit(results) == 0
 
 
 def test_reverse_vcs_hold_in_reference_semantics():
@@ -311,9 +309,8 @@ def test_merge_sort_target_piece_valid():
 
 def test_merge_sort_no_false_alarms():
     results = discharge(conditions_of("merge_sort.sqp"))
-    assert {r.verdict for r in results} == {"valid", "undetermined"}
     # sortedness facts dropped from hypotheses never produce "invalid"
-    assert worst_exit(results) == 2
+    assert {r.verdict for r in results} == {"valid", "undetermined"}
 
 
 def test_merge_sort_valid_pieces_hold_in_reference_semantics():
@@ -423,7 +420,6 @@ def test_wrong_postcondition_is_invalid_with_counterexample():
     # the counterexample must really break the obligation
     env = {name: tuple(val) for name, val in r.counterexample.items()}
     assert not matrix_value(vc.formula.matrix, env)
-    assert worst_exit([r]) == 1
 
 
 def test_entry_label_without_loops_is_postcondition():

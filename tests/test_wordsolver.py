@@ -786,13 +786,6 @@ def test_clause_cap_is_reported():
     assert check_sat(f, Budget(clause_cap=2)).witness == {"x": (1,)}
 
 
-def test_budget_from_env(monkeypatch):
-    monkeypatch.setenv("SEQSOLVE_BUDGET_NODES", "123")
-    assert Budget.from_env().max_nodes == 123
-    monkeypatch.delenv("SEQSOLVE_BUDGET_NODES")
-    assert Budget.from_env().max_nodes == 200_000
-
-
 def test_results_are_deterministic():
     src = "exists x, y . x ++ y = y ++ x & !(x = y)"
     r1 = check_sat(parse_formula(src), Budget(max_nodes=200_000))
