@@ -50,8 +50,10 @@ Every node is a fixpoint of cheap rewrite rules (_simplify). A root
 is one component of a clause's fixpoint, so it is one already. A child
 starts from its parent's fixpoint and re-examines only what its branch
 touched: the equations the branch substitution changed and the
-memberships the branch wrote. The rules fire in the same order as on
-a full rescan of the child.
+memberships the branch wrote. Settledness is tracked by position, one
+flag per equation that a substitution clears when it changes the
+equation, and the rules rewrite and delete equations in place. They
+fire in the same order as on a full rescan of the child.
 
 A satisfiable system yields a word assignment, rebuilt by replaying the
 substitution trail backwards; callers decode it and verify it against
@@ -158,6 +160,8 @@ def _subst_eqs(eqs: list, x: str, repl: Side) -> list:
 
 
 def _strip(u: Side, v: Side) -> Eq:
+    if u[:1] != v[:1] and u[-1:] != v[-1:]:
+        return u, v  # both ends already differ
     n = min(len(u), len(v))
     i = 0
     while i < n and u[i] == v[i]:
@@ -169,7 +173,7 @@ def _strip(u: Side, v: Side) -> Eq:
 
 
 def _canon(eqs: list, members: dict):
-    oriented = sorted((u, v) if u <= v else (v, u) for u, v in eqs)
+    oriented = sorted([(u, v) if u <= v else (v, u) for u, v in eqs])
     return tuple(oriented), tuple(sorted(members.items()))
 
 
@@ -177,6 +181,15 @@ def _canon(eqs: list, members: dict):
 # shared simplification
 
 _FAIL = ("fail", None, None, None, None)
+
+
+def _substitute(eqs: list, settled: list, x: str, repl: Side):
+    """Substitute repl for x in eqs in place; an equation that changes
+    is no longer settled."""
+    for i, (u, v) in enumerate(eqs):
+        if x in u or x in v:
+            eqs[i] = u.replace(x, repl), v.replace(x, repl)
+            settled[i] = False
 
 
 def _simplify(
@@ -192,6 +205,13 @@ def _simplify(
     variables), and variable merging. Returns (ok, eqs, diseqs,
     members, log); the log records substitutions for witness replay.
 
+    Settledness is tracked by position: settled[i] is True once a scan
+    has passed eqs[i] with no rule firing, a substitution clears the
+    flag of each equation it changes, and the next equation examined is
+    the first one not settled. Rules rewrite and delete equations in
+    place. The disequations are read once the equations are a fixpoint,
+    with the log substituted into them.
+
     A search child passes its parent's fixpoint as eqs, its branch
     substitution as step and the membership keys the branch wrote as
     written; its log starts with step. Equations the substitution
@@ -204,131 +224,104 @@ def _simplify(
     log, and the number of the fixpoint's equations as fixed; those
     equations and every membership are settled."""
     eqs = list(eqs)
-    diseqs = list(diseqs)
     members = dict(members)
     log: list[tuple[str, Side]] = []
-    # An equation is settled once a scan passes it with no rule firing.
-    # Whether a rule fires on it depends only on the equation and, for a
-    # variable it defines, on that variable having no membership; a
-    # membership is dropped only when its variable is substituted away,
-    # so a settled equation stays settled while it stands.
-    settled = set()
-    dirty = set(members)  # keys whose membership may be empty or a singleton
-
-    def substitute(x: str, repl: Side):
-        nonlocal eqs, diseqs
-        eqs = _subst_eqs(eqs, x, repl)
-        if diseqs:
-            diseqs = _subst_eqs(diseqs, x, repl)
-        log.append((x, repl))
-
+    # Whether a rule fires on an equation depends only on the equation
+    # and, for a variable it defines, on that variable having no
+    # membership; a membership is dropped only when its variable is
+    # substituted away, so a settled equation stays settled while it
+    # stands.
     if step is not None:
-        settled = set(eqs)
+        settled = [True] * len(eqs)
         dirty = set(written)
-        substitute(*step)
+        _substitute(eqs, settled, *step)
+        log.append(step)
     elif fixed is not None:
-        settled = set(eqs[:fixed])
+        settled = [True] * fixed + [False] * (len(eqs) - fixed)
         dirty = set()
+    else:
+        settled = [False] * len(eqs)
+        dirty = set(members)  # keys whose membership may be empty or a singleton
 
-    def eq_step() -> str:
-        """Check the dirty memberships, in membership order, then apply
-        at most one equation rule; 'fail', 'again' or 'done'."""
-        nonlocal eqs
+    while True:
         if dirty:
             # pinning a singleton dirties nothing, so one pass over the
             # dirty keys finds them in the order rescans would
             for x in [x for x in members if x in dirty]:
                 d = members[x]
                 if d.is_empty():
-                    return "fail"
+                    return _FAIL
                 if d.is_singleton():
                     del members[x]
-                    substitute(x, d.shortest_word())
+                    w = d.shortest_word()
+                    _substitute(eqs, settled, x, w)
+                    log.append((x, w))
             dirty.clear()
-
-        for i, (u0, v0) in enumerate(eqs):
-            if (u0, v0) in settled:
-                continue
-            u, v = _strip(u0, v0)
-            if not u and not v:
-                eqs = eqs[:i] + eqs[i + 1 :]
-                return "again"
-            if not u or not v:
-                rest = u or v
-                if min(rest) <= "d":
-                    return "fail"  # a letter faces eps
-                x = rest[0]
-                if x in members:
-                    if not members[x].accepts(""):
-                        return "fail"
-                    del members[x]
-                eqs = eqs[:i] + [(u, v)] + eqs[i + 1 :]
-                substitute(x, "")
-                return "again"
-            if u[0] <= "d" and v[0] <= "d":
-                return "fail"  # heads differ after stripping
-            if len(v) == 1 and v > "d":
-                u, v = v, u
-            if len(u) == 1 and u > "d":
-                x = u
-                if max(v) <= "d":
-                    if x in members:
-                        if not members[x].accepts(v):
-                            return "fail"
-                        del members[x]
-                    eqs = eqs[:i] + eqs[i + 1 :]
-                    substitute(x, v)
-                    return "again"
-                if len(v) == 1 and v > "d":
-                    y = v
-                    if x in members:
-                        d = members.pop(x)
-                        d = members[y].intersect(d) if y in members else d
-                        if d.is_empty():
-                            return "fail"
-                        members[y] = d
-                        dirty.add(y)
-                    eqs = eqs[:i] + eqs[i + 1 :]
-                    substitute(x, v)
-                    return "again"
-                if x not in members and x not in v:
-                    eqs = eqs[:i] + eqs[i + 1 :]
-                    substitute(x, v)
-                    return "again"
-            if (u, v) != (u0, v0):
-                eqs = eqs[:i] + [(u, v)] + eqs[i + 1 :]
-                return "again"
-            settled.add((u0, v0))
-        return "done"
-
-    def diseq_step() -> str:
-        nonlocal diseqs
-        for i, (u0, v0) in enumerate(diseqs):
-            u, v = _strip(u0, v0)
-            if not u and not v:
-                return "fail"  # the sides are equal
-            if (not u or not v) and max(u or v) <= "d":
-                diseqs = diseqs[:i] + diseqs[i + 1 :]
-                return "again"  # a nonempty ground word differs from eps
-            if u and v and u[0] <= "d" and v[0] <= "d":
-                diseqs = diseqs[:i] + diseqs[i + 1 :]
-                return "again"  # differing head letters, trivially true
-            if (u, v) != (u0, v0):
-                diseqs = diseqs[:i] + [(u, v)] + diseqs[i + 1 :]
-                return "again"
-        return "done"
-
-    while True:
-        st = eq_step()
-        if st == "fail":
-            return _FAIL
-        if st == "again":
+        if False not in settled:
+            break
+        i = settled.index(False)
+        u0, v0 = eqs[i]
+        u, v = _strip(u0, v0)
+        if not u and not v:
+            del eqs[i], settled[i]
             continue
-        st = diseq_step()
-        if st == "fail":
-            return _FAIL
-        if st == "done":
-            return "ok", eqs, diseqs, members, log
+        if not u or not v:
+            rest = u or v
+            if min(rest) <= "d":
+                return _FAIL  # a letter faces eps
+            x = rest[0]
+            if x in members:
+                if not members[x].accepts(""):
+                    return _FAIL
+                del members[x]
+            eqs[i] = u, v
+            _substitute(eqs, settled, x, "")
+            log.append((x, ""))
+            continue
+        if u[0] <= "d" and v[0] <= "d":
+            return _FAIL  # heads differ after stripping
+        if len(v) == 1 and v > "d":
+            u, v = v, u
+        if len(u) == 1 and u > "d" and (
+            len(v) == 1 or max(v) <= "d" or u not in members and u not in v
+        ):
+            # u is defined by a ground word, by another variable, or by a
+            # side it does not occur in while it has no membership
+            x = u
+            if x in members:
+                d = members.pop(x)
+                if max(v) <= "d":
+                    if not d.accepts(v):
+                        return _FAIL
+                else:  # x and the variable v are merged
+                    d = members[v].intersect(d) if v in members else d
+                    if d.is_empty():
+                        return _FAIL
+                    members[v] = d
+                    dirty.add(v)
+            del eqs[i], settled[i]
+            _substitute(eqs, settled, x, v)
+            log.append((x, v))
+            continue
+        # no rule fires; stripping and orienting are idempotent, so the
+        # rewritten equation is settled as well
+        eqs[i] = u, v
+        settled[i] = True
+
+    if diseqs:
+        for x, repl in log:
+            diseqs = _subst_eqs(diseqs, x, repl)
+    kept = []
+    for u, v in diseqs:
+        u, v = _strip(u, v)
+        if not u and not v:
+            return _FAIL  # the sides are equal
+        if (not u or not v) and max(u or v) <= "d":
+            continue  # a nonempty ground word differs from eps
+        if u and v and u[0] <= "d" and v[0] <= "d":
+            continue  # differing head letters, trivially true
+        kept.append((u, v))
+    return "ok", eqs, kept, members, log
 
 
 def _replay(log: list, sigma: dict) -> dict:
@@ -525,6 +518,7 @@ def _length_bounds(d: Dfa):
     return accepted[0], None
 
 
+@lru_cache(maxsize=None)
 def _length_feasible(d: Dfa, n: int) -> bool:
     states = {d.start}
     for _ in range(n):
@@ -725,7 +719,20 @@ def _final_assignment(members: dict) -> dict:
 
 
 def _total_len(eqs: list) -> int:
-    return sum(len(u) + len(v) for u, v in eqs)
+    return sum([len(u) + len(v) for u, v in eqs])
+
+
+@lru_cache(maxsize=None)
+def _splits(d: Dfa) -> tuple:
+    """The ways a word of d splits at an intermediate state q: pairs
+    (head, tail) of the words from the start to q and from q to
+    acceptance, in state order, with both languages nonempty."""
+    out = []
+    for q in range(d.n):
+        head, tail = d.accept_at(q), d.with_start(q)
+        if not head.is_empty() and not tail.is_empty():
+            out.append((head, tail))
+    return tuple(out)
 
 
 def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None):
@@ -779,41 +786,31 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
         x = u[0]
         other = v[0]
 
-        def try_eps(z: str):
-            mem = dict(members)
+        # x, or either of two facing variables, is empty
+        for z in (x,) if other <= "d" else (x, other):
+            mem = members
             if z in mem:
                 if not mem[z].accepts(""):
-                    return
+                    continue
+                mem = dict(mem)
                 del mem[z]
             emit(key, g, eqs, (z, ""), mem, (), 0)
 
         if other <= "d":
-            alpha = other
-            try_eps(x)
-            mem = dict(members)
-            ok = True
+            # x = other x: x's membership becomes its derivative
+            mem = members
             if x in mem:
-                d = mem[x].derivative(alpha)
-                if d.is_empty():
-                    ok = False
-                else:
-                    mem[x] = d
-            if ok:
-                emit(key, g, eqs, (x, alpha + x), mem, (x,), 1)
+                d = mem[x].derivative(other)
+                mem = None if d.is_empty() else mem | {x: d}
+            if mem is not None:
+                emit(key, g, eqs, (x, other + x), mem, (x,), 1)
         else:
             y = other
-            try_eps(x)
-            try_eps(y)
             for longer, shorter in ((x, y), (y, x)):
                 # longer = shorter . longer'
                 step = (longer, shorter + longer)
                 if longer in members:
-                    d = members[longer]
-                    for q in range(d.n):
-                        head = d.accept_at(q)
-                        tail = d.with_start(q)
-                        if head.is_empty() or tail.is_empty():
-                            continue
+                    for head, tail in _splits(members[longer]):
                         mem = dict(members)
                         if shorter in mem:
                             head = mem[shorter].intersect(head)

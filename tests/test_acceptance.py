@@ -84,15 +84,27 @@ def _decide(name: str):
 # 1. property corpus: every frozen status reproduced, quickly
 
 
+# The search's totals, pinned so that any change to the search order
+# shows: (nodes, clauses) over the corpus, each file under its frozen
+# command, and over the seed-0 random formulas. A change that moves them
+# must update them and say why in CHANGES.md.
+CORPUS_SEARCH_TOTALS = (23_089, 101)
+RANDOM_SEARCH_TOTALS = (14_194, 657)
+
+
 def test_property_corpus_statuses():
     assert len(FAMILIES) == 11
     t0 = time.monotonic()
     mismatches = []
+    nodes = clauses = 0
     for name in sorted(TRUTH):
         entry, r = _decide(name)
         if r.status != entry["status"]:
             mismatches.append(f"{name}: expected {entry['status']}, got {r.status}")
+        nodes += r.nodes
+        clauses += r.clauses
     elapsed = time.monotonic() - t0
+    assert (nodes, clauses) == CORPUS_SEARCH_TOTALS
     for family, (hold, viol) in FAMILIES.items():
         assert TRUTH[hold]["status"] in HOLD_STATUSES, family
         assert TRUTH[viol]["status"] in VIOL_STATUSES, family
@@ -235,6 +247,12 @@ def test_former_clause_cap_unknowns_decided(formula_runs):
         else:
             assert brute_force_sat(f.matrix, f.prefix, ORACLE_BOUNDS) is None, f"#{i}"
     assert formula_runs[141][1].clauses == formula_runs[338][1].clauses == 0
+
+
+def test_random_search_totals_pinned(formula_runs):
+    nodes = sum(r.nodes for _, r in formula_runs)
+    clauses = sum(r.clauses for _, r in formula_runs)
+    assert (nodes, clauses) == RANDOM_SEARCH_TOTALS
 
 
 def test_sat_witnesses_independently_reevaluated(formula_runs):

@@ -7,6 +7,7 @@ Unsatisfiable entries were cross-checked by exhausting the same
 bounded domains.
 """
 
+import collections
 import itertools
 import os
 import random
@@ -407,6 +408,300 @@ def test_incremental_simplify_rechecks_merged_membership():
     assert full == ("ok", [], [], {}, log[1:])
 
 
+# ---------------------------------------------------------------------------
+# the rescanning _simplify, frozen as the reference: settledness by a set of
+# equation tuples, every rule firing rebuilding the lists and then
+# rescanning from the start
+
+
+def _reference_strip(u: str, v: str) -> tuple:
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[i] == v[i]:
+        i += 1
+    j = 0
+    while j < n - i and u[-1 - j] == v[-1 - j]:
+        j += 1
+    return u[i : len(u) - j], v[i : len(v) - j]
+
+
+_FAIL = ("fail", None, None, None, None)
+
+
+def _reference_simplify(
+    eqs: list,
+    diseqs: list,
+    members: dict,
+    step: tuple | None = None,
+    written=(),
+    fixed: int | None = None,
+):
+    """Fixpoint of the cheap rules: affix stripping, ground resolution,
+    forced-empty sides, pinned variables (singleton automata, one-sided
+    variables), and variable merging. Returns (ok, eqs, diseqs,
+    members, log); the log records substitutions for witness replay.
+
+    A search child passes its parent's fixpoint as eqs, its branch
+    substitution as step and the membership keys the branch wrote as
+    written; its log starts with step. Equations the substitution
+    leaves alone and memberships the branch did not write were settled
+    in the parent and are not examined again, and the rules fire in
+    the same order as on the substituted child with nothing settled.
+
+    A partial clause that an equation or a disequation joins passes its
+    fixpoint with the new atom appended, substituted by the fixpoint's
+    log, and the number of the fixpoint's equations as fixed; those
+    equations and every membership are settled."""
+    eqs = list(eqs)
+    diseqs = list(diseqs)
+    members = dict(members)
+    log: list[tuple[str, str]] = []
+    # An equation is settled once a scan passes it with no rule firing.
+    # Whether a rule fires on it depends only on the equation and, for a
+    # variable it defines, on that variable having no membership; a
+    # membership is dropped only when its variable is substituted away,
+    # so a settled equation stays settled while it stands.
+    settled = set()
+    dirty = set(members)  # keys whose membership may be empty or a singleton
+
+    def substitute(x: str, repl: str):
+        nonlocal eqs, diseqs
+        eqs = _subst_eqs(eqs, x, repl)
+        if diseqs:
+            diseqs = _subst_eqs(diseqs, x, repl)
+        log.append((x, repl))
+
+    if step is not None:
+        settled = set(eqs)
+        dirty = set(written)
+        substitute(*step)
+    elif fixed is not None:
+        settled = set(eqs[:fixed])
+        dirty = set()
+
+    def eq_step() -> str:
+        """Check the dirty memberships, in membership order, then apply
+        at most one equation rule; 'fail', 'again' or 'done'."""
+        nonlocal eqs
+        if dirty:
+            # pinning a singleton dirties nothing, so one pass over the
+            # dirty keys finds them in the order rescans would
+            for x in [x for x in members if x in dirty]:
+                d = members[x]
+                if d.is_empty():
+                    return "fail"
+                if d.is_singleton():
+                    del members[x]
+                    substitute(x, d.shortest_word())
+            dirty.clear()
+
+        for i, (u0, v0) in enumerate(eqs):
+            if (u0, v0) in settled:
+                continue
+            u, v = _reference_strip(u0, v0)
+            if not u and not v:
+                eqs = eqs[:i] + eqs[i + 1 :]
+                return "again"
+            if not u or not v:
+                rest = u or v
+                if min(rest) <= "d":
+                    return "fail"  # a letter faces eps
+                x = rest[0]
+                if x in members:
+                    if not members[x].accepts(""):
+                        return "fail"
+                    del members[x]
+                eqs = eqs[:i] + [(u, v)] + eqs[i + 1 :]
+                substitute(x, "")
+                return "again"
+            if u[0] <= "d" and v[0] <= "d":
+                return "fail"  # heads differ after stripping
+            if len(v) == 1 and v > "d":
+                u, v = v, u
+            if len(u) == 1 and u > "d":
+                x = u
+                if max(v) <= "d":
+                    if x in members:
+                        if not members[x].accepts(v):
+                            return "fail"
+                        del members[x]
+                    eqs = eqs[:i] + eqs[i + 1 :]
+                    substitute(x, v)
+                    return "again"
+                if len(v) == 1 and v > "d":
+                    y = v
+                    if x in members:
+                        d = members.pop(x)
+                        d = members[y].intersect(d) if y in members else d
+                        if d.is_empty():
+                            return "fail"
+                        members[y] = d
+                        dirty.add(y)
+                    eqs = eqs[:i] + eqs[i + 1 :]
+                    substitute(x, v)
+                    return "again"
+                if x not in members and x not in v:
+                    eqs = eqs[:i] + eqs[i + 1 :]
+                    substitute(x, v)
+                    return "again"
+            if (u, v) != (u0, v0):
+                eqs = eqs[:i] + [(u, v)] + eqs[i + 1 :]
+                return "again"
+            settled.add((u0, v0))
+        return "done"
+
+    def diseq_step() -> str:
+        nonlocal diseqs
+        for i, (u0, v0) in enumerate(diseqs):
+            u, v = _reference_strip(u0, v0)
+            if not u and not v:
+                return "fail"  # the sides are equal
+            if (not u or not v) and max(u or v) <= "d":
+                diseqs = diseqs[:i] + diseqs[i + 1 :]
+                return "again"  # a nonempty ground word differs from eps
+            if u and v and u[0] <= "d" and v[0] <= "d":
+                diseqs = diseqs[:i] + diseqs[i + 1 :]
+                return "again"  # differing head letters, trivially true
+            if (u, v) != (u0, v0):
+                diseqs = diseqs[:i] + [(u, v)] + diseqs[i + 1 :]
+                return "again"
+        return "done"
+
+    while True:
+        st = eq_step()
+        if st == "fail":
+            return _FAIL
+        if st == "again":
+            continue
+        st = diseq_step()
+        if st == "fail":
+            return _FAIL
+        if st == "done":
+            return "ok", eqs, diseqs, members, log
+
+
+def _assert_same_result(res, ref):
+    """Status, eqs, diseqs, members with their key order, and log."""
+    assert res == ref
+    if res[0] == "ok":
+        assert list(res[3].items()) == list(ref[3].items())
+
+
+def test_simplify_matches_the_reference_on_solver_runs(monkeypatch):
+    simplify = wordsolver._simplify
+    calls = collections.Counter()
+
+    def both(eqs, diseqs, members, step=None, written=(), fixed=None):
+        res = simplify(eqs, diseqs, members, step, written, fixed)
+        _assert_same_result(
+            res, _reference_simplify(eqs, diseqs, members, step, written, fixed)
+        )
+        calls["step" if step is not None else "fixed" if fixed is not None else "full"] += 1
+        return res
+
+    monkeypatch.setattr(wordsolver, "_simplify", both)
+    f = parse_formula((CORPUS / "comparison_viol.seq").read_text())
+    assert check_valid(f, BUDGET).status == "invalid"
+    for wp in _quadratic_problems():
+        solve_problem(wp, BUDGET)
+    rng = random.Random(0)
+    for _ in range(100):  # a prefix of the random-500 set
+        check_sat(gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2), BUDGET)
+    assert calls["step"] > 5_000 and calls["fixed"] > 100 and calls["full"] > 100
+
+
+# memberships for the random systems: singletons, one holding only eps,
+# and infinite ones
+SMALL_AUTOMATA = [
+    lit(""),
+    lit("a"),
+    lit("ab"),
+    union(lit(""), lit("a")),
+    union(lit("a"), lit("b")),
+    star(lit("a")),
+    plus(lit("b")),
+    star(union(lit("a"), lit("c"))),
+]
+SMALL_VARS = (X, Y, Z, U, W)
+
+
+def _random_side(rng) -> str:
+    return "".join(
+        rng.choice("abcd") if rng.random() < 0.3 else rng.choice(SMALL_VARS)
+        for _ in range(rng.randint(0, 4))
+    )
+
+
+def _random_system(rng):
+    eqs = [(_random_side(rng), _random_side(rng)) for _ in range(rng.randint(0, 4))]
+    diseqs = [(_random_side(rng), _random_side(rng)) for _ in range(rng.randint(0, 2))]
+    members = {x: rng.choice(SMALL_AUTOMATA) for x in rng.sample(SMALL_VARS, rng.randint(0, 3))}
+    return eqs, diseqs, members
+
+
+def _random_step(rng, eqs: list, members: dict):
+    """A branch of the search from the fixpoint (eqs, members): a
+    variable of eqs becomes empty, gains a head letter, or gains a head
+    variable, and the branch writes memberships as the search does. None
+    when eqs has no variable."""
+    vs = sorted({c for e in eqs for c in e[0] + e[1] if c > "d"})
+    if not vs:
+        return None
+    z = rng.choice(vs)
+    mem = dict(members)
+    kind = rng.randrange(3)
+    if kind == 0:
+        mem.pop(z, None)
+        return (z, ""), (), mem
+    if kind == 1:
+        if z in mem:
+            mem[z] = rng.choice(SMALL_AUTOMATA)
+        return (z, rng.choice("abcd") + z), (z,), mem
+    y = rng.choice([x for x in SMALL_VARS if x != z])
+    if z in mem:
+        mem[y] = rng.choice(SMALL_AUTOMATA)
+        mem[z] = rng.choice(SMALL_AUTOMATA)
+        return (z, y + z), (y, z), mem
+    return (z, y + z), (), mem
+
+
+def test_simplify_matches_the_reference_on_random_systems():
+    # with nothing settled, as a search child from its parent's fixpoint,
+    # and as a partial clause that an equation or a disequation joins
+    rng = random.Random(0)
+    runs = collections.Counter()
+    while min(runs["full"], runs["step"], runs["fixed"]) < 2_000:
+        eqs, diseqs, members = _random_system(rng)
+        res = _simplify(eqs, diseqs, members)
+        _assert_same_result(res, _reference_simplify(eqs, diseqs, members))
+        runs["full"] += 1
+        runs["full ok"] += res[0] == "ok"
+        if res[0] == "fail":
+            continue
+        _, eqs, diseqs, members, log = res
+
+        step = _random_step(rng, eqs, members)
+        if step is not None:
+            step, written, mem = step
+            res = _simplify(eqs, diseqs, mem, step, written)
+            _assert_same_result(res, _reference_simplify(eqs, diseqs, mem, step, written))
+            runs["step"] += 1
+            runs["step ok"] += res[0] == "ok"
+
+        u, v = _random_side(rng), _random_side(rng)
+        for x, repl in log:
+            u, v = u.replace(x, repl), v.replace(x, repl)
+        if rng.random() < 0.7:
+            args = eqs + [(u, v)], diseqs
+        else:
+            args = eqs, diseqs + [(u, v)]
+        res = _simplify(*args, members, fixed=len(eqs))
+        _assert_same_result(res, _reference_simplify(*args, members, fixed=len(eqs)))
+        runs["fixed"] += 1
+        runs["fixed ok"] += res[0] == "ok"
+    assert min(runs["full ok"], runs["step ok"], runs["fixed ok"]) > 500, runs
+
+
 def test_replay_restores_time_ordered_values():
     log = [(X, Y + "a"), (Y, "b")]
     sigma = _replay(log, {})
@@ -784,6 +1079,16 @@ def test_clause_cap_is_reported():
     r = check_sat(f, Budget(clause_cap=1))
     assert (r.status, r.reason, r.clauses) == ("unknown", "clause cap exceeded", 1)
     assert check_sat(f, Budget(clause_cap=2)).witness == {"x": (1,)}
+
+
+def test_ladder_finds_a_model_past_a_hard_first_branch():
+    # under a single unbounded allowance the search stays in a branch with
+    # no model and spends the whole budget there; the ladder's escalating
+    # allowances reach the model
+    f = parse_formula("exists x, y . x ++ y = y ++ x & !(x = y)")
+    r = check_sat(f)
+    assert r.status == "sat"
+    assert oracle.matrix_value(f.matrix, r.witness)
 
 
 def test_results_are_deterministic():
