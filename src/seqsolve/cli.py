@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .elaborate import ElaborationError, elaborate
 from .encode import LiteralTooLarge, encode_elaboration
-from .oracle import Bounds, brute_force_sat
+from .oracle import Bounds, brute_force_sat, search_names
 from .parser import ParseError, parse_formula
 from .printer import print_formula
 from .vcgen import (
@@ -39,7 +39,7 @@ from .vcgen import (
     vcs,
 )
 from .wordsolver import Budget, check_sat, check_valid, negation
-from .ast import FORALL, Formula, free_vars
+from .ast import FORALL, Formula, Not
 
 
 class CliError(Exception):
@@ -316,12 +316,11 @@ def _run_oracle(args) -> int:
     bounds = Bounds(args.max_len, args.values)
     fields = {"bounds": {"max_len": bounds.max_len, "values": list(bounds.values)}}
     note = f"bounded: max_len={bounds.max_len} values={list(bounds.values)}"
+    names = search_names(f)
     if f.quantifier == FORALL:
-        neg = negation(f)
-        cex = brute_force_sat(neg.matrix, neg.prefix, bounds)
+        cex = brute_force_sat(Not(f.matrix), names, bounds)
         status = "invalid" if cex is not None else "valid"
         return _verdict(args, status, fields, note, counterexample=cex)
-    names = f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))
     witness = brute_force_sat(f.matrix, names, bounds)
     status = "sat" if witness is not None else "unsat"
     return _verdict(args, status, fields, note, witness=witness)

@@ -19,12 +19,17 @@ counterexample found by ``brute_force_sat`` stays a counterexample
 under any larger bounds.
 
 ``brute_force_sat`` binds the variables depth first, in the order of
-``iter_envs``, and after each binding evaluates the matrix in Kleene's
-three-valued logic, where an atom that reads a still unbound variable
-is unknown. A false value cuts the subtree; a true one completes the
-assignment with empty sequences, which come first in the enumeration.
-The answer is therefore the same first model, in enumeration order, as
-evaluating every environment of ``iter_envs`` in turn.
+``iter_envs``. After each binding it folds the matrix into a residual:
+every atom it can now evaluate is replaced by its value, and the
+connectives are simplified by Kleene's three-valued rules, so what is
+left holds only the atoms that read a still unbound variable. A false
+residual cuts the subtree; a true one completes the assignment with
+empty sequences, which come first in the enumeration. Otherwise the
+residual, not the whole matrix, is what the next variable's values are
+folded into, so an atom is evaluated once for each assignment of the
+variables up to the last one it reads, not once per environment. The
+answer is the same first model, in enumeration order, as evaluating
+every environment of ``iter_envs`` in turn.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from .ast import (
     ZSet,
     ZStar,
     ZUnion,
+    free_vars,
 )
 
 Seq = tuple[int, ...]
@@ -177,34 +183,42 @@ class _Nfa:
             case _:
                 raise TypeError(f"not a regex: {r!r}")
 
-    def closure(self, states: set[int]) -> set[int]:
-        out = set(states)
-        changed = True
-        while changed:
-            changed = False
-            for s, d in self.eps:
-                if s in out and d not in out:
-                    out.add(d)
-                    changed = True
+    def closures(self) -> list[frozenset[int]]:
+        """The ε-closure of each state."""
+        succ: list[list[int]] = [[] for _ in range(self.n)]
+        for s, d in self.eps:
+            succ[s].append(d)
+        out = []
+        for s in range(self.n):
+            seen, todo = {s}, [s]
+            while todo:
+                for d in succ[todo.pop()]:
+                    if d not in seen:
+                        seen.add(d)
+                        todo.append(d)
+            out.append(frozenset(seen))
         return out
 
 
 @functools.lru_cache(maxsize=1024)
-def _compiled(r: ZRegex) -> tuple[_Nfa, int, int]:
+def _compiled(
+    r: ZRegex,
+) -> tuple[frozenset[int], int, tuple[tuple[int, _Pred, frozenset[int]], ...]]:
+    """The NFA of r as the closure of its start state, its accepting
+    state, and its edges, each leading to the closure of its target."""
     nfa = _Nfa()
     start, accept = nfa.state(), nfa.state()
     nfa.add(r, start, accept)
-    return nfa, start, accept
+    close = nfa.closures()
+    return close[start], accept, tuple((src, p, close[d]) for src, p, d in nfa.edges)
 
 
 def regex_match(r: ZRegex, s: Seq) -> bool:
-    nfa, start, accept = _compiled(r)
-    cur = nfa.closure({start})
+    cur, accept, edges = _compiled(r)
     for x in s:
-        step = {d for (src, p, d) in nfa.edges if src in cur and p.holds(x)}
-        if not step:
+        cur = frozenset().union(*[c for src, p, c in edges if src in cur and p.holds(x)])
+        if not cur:
             return False
-        cur = nfa.closure(step)
     return accept in cur
 
 
@@ -289,48 +303,25 @@ def iter_envs(names: tuple[str, ...], bounds: Bounds):
         yield dict(zip(names, combo))
 
 
+def search_names(f: Formula) -> tuple[str, ...]:
+    """The names a search for models of f binds: its prefix, or its
+    free variables in sorted order when it has no quantifier."""
+    return f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))
+
+
 def formula_value(f: Formula, bounds: Bounds = Bounds()) -> bool:
     """Evaluate a formula, deciding its quantifier prefix within the
     bounds: an existential formula holds if it has a model, a universal
-    one if its negation has none."""
+    one if its negation has none. Free variables of a formula without a
+    quantifier are read universally."""
+    names = search_names(f)
     if f.is_universal():
-        return brute_force_sat(Not(f.matrix), f.prefix, bounds) is None
-    return brute_force_sat(f.matrix, f.prefix, bounds) is not None
+        return brute_force_sat(Not(f.matrix), names, bounds) is None
+    return brute_force_sat(f.matrix, names, bounds) is not None
 
 
-def _kleene(m: Matrix, env: dict[str, Seq]) -> bool | None:
-    """The value of ``m`` under a partial assignment in Kleene's
-    three-valued logic: None (unknown) while it depends on an atom that
-    reads a name ``env`` does not bind."""
-    match m:
-        case Not(arg=a):
-            v = _kleene(a, env)
-            return None if v is None else not v
-        case And(left=l, right=r):
-            a = _kleene(l, env)
-            if a is False:
-                return False
-            b = _kleene(r, env)
-            return b if a or b is False else None
-        case Or(left=l, right=r):
-            a = _kleene(l, env)
-            if a:
-                return True
-            b = _kleene(r, env)
-            return b if a is False or b else None
-        case Imp(left=l, right=r):
-            a = _kleene(l, env)
-            if a is False:
-                return True
-            b = _kleene(r, env)
-            return b if a or b else None
-        case Iff(left=l, right=r):
-            a, b = _kleene(l, env), _kleene(r, env)
-            return None if a is None or b is None else a == b
-    try:
-        return matrix_value(m, env)
-    except KeyError:
-        return None
+def _negate(v: Matrix | bool) -> Matrix | bool:
+    return not v if type(v) is bool else Not(v)
 
 
 def brute_force_sat(
@@ -339,32 +330,92 @@ def brute_force_sat(
     """First satisfying assignment of ``names`` in the enumeration order
     of ``iter_envs``, or None if there is none within the bounds.
 
-    Depth first, one name at a time over the values of ``enum_seqs``;
-    after each binding ``m`` is evaluated three-valued (``_kleene``). A
-    false value prunes the subtree; a true one holds for every
+    Depth first, one name at a time over the values of ``enum_seqs``.
+    Each binding folds the current residual of ``m`` (at first ``m``
+    itself): an atom whose names are all bound becomes its value, an
+    atom that reads an unbound name (``matrix_value`` raises KeyError)
+    stays, and the connectives are simplified as in Kleene's logic. A
+    false residual prunes the subtree; a true one holds for every
     completion, so the first of them, each unbound name empty, is the
-    answer. ``names`` must be distinct and bind every variable of ``m``."""
+    answer; any other is searched with the next name. Memberships are
+    matched once per atom and sequence in a call. ``names`` must be
+    distinct and bind every variable of ``m``."""
     if not names:
         return {} if matrix_value(m, {}) else None
     pool = tuple(enum_seqs(bounds))
     env: dict[str, Seq] = {}
-    last = len(names) - 1
+    member: dict[tuple[int, Seq], bool] = {}
 
-    def extend(d: int) -> bool:
+    def fold(r: Matrix) -> Matrix | bool:
+        kind = type(r)
+        if kind is And:
+            a = fold(r.left)
+            if a is False:
+                return False
+            b = fold(r.right)
+            if a is True or b is False:
+                return b
+            if b is True:
+                return a
+            return r if a is r.left and b is r.right else And(a, b)
+        if kind is Or:
+            a = fold(r.left)
+            if a is True:
+                return True
+            b = fold(r.right)
+            if a is False or b is True:
+                return b
+            if b is False:
+                return a
+            return r if a is r.left and b is r.right else Or(a, b)
+        if kind is Imp:
+            a = fold(r.left)
+            if a is False:
+                return True
+            b = fold(r.right)
+            if a is True or b is True:
+                return b
+            if b is False:
+                return _negate(a)
+            return r if a is r.left and b is r.right else Imp(a, b)
+        if kind is Iff:
+            a, b = fold(r.left), fold(r.right)
+            if a is True:
+                return b
+            if a is False:
+                return _negate(b)
+            if b is True:
+                return a
+            if b is False:
+                return _negate(a)
+            return r if a is r.left and b is r.right else Iff(a, b)
+        if kind is Not:
+            a = fold(r.arg)
+            return _negate(a) if a is not r.arg else r
+        try:
+            if kind is InRe:
+                s = seq_value(r.arg, env)
+                v = member.get((id(r), s))
+                if v is None:
+                    v = member[id(r), s] = regex_match(r.regex, s)
+                return v
+            return matrix_value(r, env)
+        except KeyError:
+            return r
+
+    def extend(d: int, r: Matrix) -> bool:
+        if d == len(names):  # r reads a name outside names: raise its KeyError
+            return matrix_value(r, env)
         name = names[d]
         for s in pool:
             env[name] = s
-            if d == last:
-                if matrix_value(m, env):
-                    return True
-                continue
-            v = _kleene(m, env)
-            if v:
+            v = fold(r)
+            if v is True:
                 env.update(dict.fromkeys(names[d + 1 :], ()))
                 return True
-            if v is None and extend(d + 1):
+            if v is not False and extend(d + 1, v):
                 return True
-        env.pop(name, None)
+        del env[name]
         return False
 
-    return {n: env[n] for n in names} if extend(0) else None
+    return {n: env[n] for n in names} if extend(0, m) else None

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .ast import EXISTS, FORALL, Formula, Not, free_vars
+from .ast import EXISTS, FORALL, Formula, Not
 from .dfa import ALPHABET, Dfa, lit, union
 from .elaborate import Elaboration, elaborate
 from . import oracle
@@ -984,15 +984,9 @@ def _solve_clauses(clauses, ctl: _Search):
 # entry points
 
 
-def _original_vars(f: Formula) -> list[str]:
-    if f.quantifier is not None:
-        return list(f.prefix)
-    return sorted(free_vars(f))
-
-
 def _decode_witness(sigma: dict, f: Formula, elab: Elaboration) -> dict:
     env = {}
-    for x in _original_vars(f):
+    for x in oracle.search_names(f):
         marked = elab.rev_map.get(x, x)
         seq = decode_word(sigma.get(marked, ""))
         env[x] = seq[::-1] if marked != x else seq
@@ -1031,7 +1025,7 @@ def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
 def negation(f: Formula) -> Formula:
     """The existential formula whose refutation decides the validity of
     f's universal closure; its witnesses are counterexamples to f."""
-    return Formula(EXISTS, tuple(_original_vars(f)), Not(f.matrix))
+    return Formula(EXISTS, oracle.search_names(f), Not(f.matrix))
 
 
 def check_valid(f: Formula, budget: Budget | None = None) -> SolverResult:

@@ -218,6 +218,29 @@ def test_oracle_value_pool_drops_repeats(capsys, tmp_path):
     assert doc["bounds"] == {"max_len": 2, "values": [1, 2]}
 
 
+# frozen text reports: a universal file with a counterexample, a
+# file without a quantifier, and free variables with a witness, whose
+# names come in sorted order
+ORACLE_TEXT = [
+    (
+        CORPUS / "sorted_21.seq",
+        1,
+        "status: invalid\nbounded: max_len=2 values=[-2, -1, 0, 1, 2]\n"
+        "counterexample:\n  h = []\n  m = [2]\n  t = [1]\n",
+    ),
+    (CORPUS / "len_clash.seq", 1, "status: unsat\nbounded: max_len=2 values=[-2, -1, 0, 1, 2]\n"),
+    (None, 0, "status: sat\nbounded: max_len=2 values=[-2, -1, 0, 1, 2]\nwitness:\n  x = [1]\n  y = [1]\n"),
+]
+
+
+@pytest.mark.parametrize("path,code,text", ORACLE_TEXT)
+def test_oracle_output_is_unchanged(capsys, tmp_path, path, code, text):
+    if path is None:  # free variables, no quantifier
+        path = tmp_path / "f.seq"
+        path.write_text("y ++ 1 = 1 ++ x & len(x) == 1\n")
+    assert run_cli(capsys, "oracle", str(path), "--max-len", "2") == (code, text, "")
+
+
 # ---------------------------------------------------------------------------
 # vc command
 

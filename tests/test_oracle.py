@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from seqsolve.ast import FORALL, IConst, IOfSeq, SEmpty, SInt, SVar, free_vars
+from seqsolve.ast import FORALL, IConst, IOfSeq, LenCmp, SEmpty, SInt, SVar, atoms
+from seqsolve import oracle
 from seqsolve.oracle import (
     Bounds,
     brute_force_sat,
@@ -22,6 +23,7 @@ from seqsolve.oracle import (
     iter_envs,
     matrix_value,
     regex_match,
+    search_names,
     seq_value,
     subseq_eval,
 )
@@ -130,6 +132,8 @@ def test_brute_force_sat_returns_first_in_order():
     got2 = brute_force_sat(m2, ("x", "y"), Bounds(max_len=2, values=(1, 2)))
     assert got2 == {"x": (1, 1), "y": (1,)}
     assert brute_force_sat(parse_matrix("len(x) > 3"), ("x",), Bounds(max_len=2, values=(1,))) is None
+    with pytest.raises(KeyError, match="y"):
+        brute_force_sat(parse_matrix("x = y"), ("x",))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +190,7 @@ def test_search_matches_plain_loop_on_corpus(name):
     f = parse_formula((CORPUS / name).read_text())
     if f.quantifier == FORALL:
         f = negation(f)
-    names = f.prefix if f.quantifier is not None else tuple(sorted(free_vars(f)))
+    names = search_names(f)
     bounds = Bounds(2, (-1, 0, 1))
     assert brute_force_sat(f.matrix, names, bounds) == plain_first_model(f.matrix, names, bounds)
 
@@ -212,9 +216,91 @@ HAND_BOUNDS = Bounds(2, (1, 2))
         ("len(x) == 1 => len(y) > 5", ("x", "y"), {"x": (), "y": ()}),
         ("len(y) == 1 => len(x) == 2", ("x", "y"), {"x": (), "y": ()}),
         ("!(len(x) < 2 => x = y) & !(len(y) == 0 | len(y) == 2)", ("x", "y"), {"x": (), "y": (1,)}),
+        # once x is bound, one side of => and <=> is definite and the
+        # other still reads y and z: on the left, on the right, under !
+        (
+            "first(x) == 2 & (len(x) == 1 => y = z ++ z) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (2,), "y": (1, 1), "z": (1,)},
+        ),
+        (
+            "first(x) == 2 & (y = z ++ z => len(x) == 2) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (2,), "y": (1, 1), "z": ()},
+        ),
+        (
+            "len(x) == 1 & (first(x) == 1 <=> y = z ++ 1) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (1,), "y": (1, 1), "z": (1,)},
+        ),
+        (
+            "len(x) == 1 & (y = z ++ 1 <=> first(x) == 1) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (1,), "y": (1, 1), "z": (1,)},
+        ),
+        (
+            "first(x) == 2 & !(len(x) == 1 => y = z ++ z) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (2,), "y": (1, 1), "z": ()},
+        ),
+        (
+            "first(x) == 2 & !(y = z ++ z => len(x) == 2) & len(z) == 1",
+            ("x", "y", "z"),
+            {"x": (2,), "y": (1, 1), "z": (1,)},
+        ),
+        (
+            "len(x) == 1 & !(first(x) == 2 <=> y = z ++ 1) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (1,), "y": (1, 1), "z": (1,)},
+        ),
+        (
+            "len(x) == 1 & !(y = z ++ 1 <=> first(x) == 2) & len(y) == 2",
+            ("x", "y", "z"),
+            {"x": (1,), "y": (1, 1), "z": (1,)},
+        ),
+        # two memberships with different regexes over the same variable
+        ("x in 1 2* & !(x in 1 | 2 2) & y = z ++ x", ("x", "y", "z"), {"x": (1, 2), "y": (1, 2), "z": ()}),
+        ("z in (1 | 2) 2 & !(z in 2 INT) & x ++ z = y", ("x", "y", "z"), {"x": (), "y": (1, 2), "z": (1, 2)}),
     ],
 )
 def test_search_hand_cases(src, names, expected):
     m = parse_matrix(src)
     assert plain_first_model(m, names, HAND_BOUNDS) == expected
     assert brute_force_sat(m, names, HAND_BOUNDS) == expected
+
+
+def test_atoms_are_evaluated_once_per_value(monkeypatch):
+    # the first two atoms read only x: each is evaluated once for each
+    # value of x, not again for every value of y. The membership of y
+    # is matched once for each value of y, not again under each x.
+    m = parse_matrix("x in 1* & len(x) < 2 & y in 2* & len(x ++ y) > 4")
+    short = next(a for a in atoms(m) if isinstance(a, LenCmp) and a.op == "<")
+    matched, compared = [], []
+
+    def counting_match(rx, s):
+        matched.append(s)
+        return regex_match(rx, s)
+
+    def counting_value(a, env):
+        if a is short:
+            compared.append(env["x"])
+        return matrix_value(a, env)
+
+    monkeypatch.setattr(oracle, "regex_match", counting_match)
+    monkeypatch.setattr(oracle, "matrix_value", counting_value)
+    assert brute_force_sat(m, ("x", "y"), HAND_BOUNDS) is None
+    values = sorted(enum_seqs(HAND_BOUNDS))
+    assert sorted(matched) == sorted(values + values)
+    # len(x) < 2 is reached only where x is in 1*
+    assert compared == [(), (1,), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the names a formula's search binds
+
+
+def test_formula_value_binds_free_variables():
+    assert formula_value(parse_formula("x = x ++ 1")) is False
+    assert formula_value(parse_formula("x = x")) is True
+    assert search_names(parse_formula("y = x ++ z")) == ("x", "y", "z")
+    assert search_names(parse_formula("exists z, x . x = z")) == ("z", "x")

@@ -917,7 +917,7 @@ def test_unsatisfiable(src):
     f = parse_formula(src)
     r = check_sat(f, BUDGET)
     assert r.status == "unsat"
-    names = tuple(f.prefix) if f.quantifier else tuple(sorted(matrix_vars(f.matrix)))
+    names = oracle.search_names(f)
     assert oracle.brute_force_sat(f.matrix, names, Bounds(max_len=2, values=(-1, 0, 1))) is None
 
 
