@@ -55,9 +55,6 @@ class Dfa:
     def intersect(self, other: Dfa) -> Dfa:
         return _intersect(self, other)
 
-    def union(self, other: Dfa) -> Dfa:
-        return _union(self, other)
-
     def with_start(self, q: int) -> Dfa:
         """The language read from state q to acceptance."""
         return _with_start(self, q)
@@ -81,16 +78,6 @@ class Dfa:
 @lru_cache(maxsize=None)
 def _complement(d: Dfa) -> Dfa:
     return _canon(d.delta, d.start, frozenset(range(d.n)) - d.accepting)
-
-
-@lru_cache(maxsize=None)
-def _intersect(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and y)
-
-
-@lru_cache(maxsize=None)
-def _union(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x or y)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +180,9 @@ def make_dfa(delta, start, accepting) -> Dfa:
     return _canon(tuple(tuple(row) for row in delta), start, frozenset(accepting))
 
 
-def _product(a: Dfa, b: Dfa, combine) -> Dfa:
+@lru_cache(maxsize=None)
+def _intersect(a: Dfa, b: Dfa) -> Dfa:
+    """The product automaton of a and b, accepting where both accept."""
     ids = {(a.start, b.start): 0}
     order = [(a.start, b.start)]
     rows = []
@@ -207,7 +196,7 @@ def _product(a: Dfa, b: Dfa, combine) -> Dfa:
             row.append(ids[nxt])
         rows.append(tuple(row))
     acc = frozenset(
-        ids[(s, t)] for (s, t) in order if combine(s in a.accepting, t in b.accepting)
+        ids[(s, t)] for (s, t) in order if s in a.accepting and t in b.accepting
     )
     return _canon(tuple(rows), 0, acc)
 

@@ -36,6 +36,12 @@ negation, which is what makes the case splits cheap to discharge.
 The frame and the witness memberships are conjoined with the result:
 every problem is existential, validity being decided by refuting the
 negation.
+
+Each side of a word equation is a plain str, the form the search works
+on: letters are "abcd", and each word variable is interned once to its
+own code point above them (from U+10000, see var), so a side is ground
+when max(side) <= "d". Variable names come back only at the edges: the
+wp-1 dump and the solver's assignment.
 """
 
 from __future__ import annotations
@@ -195,29 +201,39 @@ def encode_regex(r: ZRegex) -> Dfa:
 # word-level formulas
 
 
-@dataclass(frozen=True)
-class V:
-    name: str
+_names: list[str] = []  # code point - 0x10000 -> variable name
+_codes: dict[str, str] = {}  # variable name -> code point
 
 
-@dataclass(frozen=True)
-class L:
-    ch: str
+def var(name: str) -> str:
+    """The code point that stands for the word variable name in a side."""
+    c = _codes.get(name)
+    if c is None:
+        c = _codes[name] = chr(0x10000 + len(_names))
+        _names.append(name)
+    return c
 
 
-Tok = Union[V, L]
-Side = tuple  # tuple[Tok, ...]
+def var_name(c: str) -> str:
+    """The name of the word variable whose code point is c."""
+    return _names[ord(c) - 0x10000]
+
+
+def side_json(side: str) -> list[dict]:
+    """A side as wp-1 tokens: {"v": name} for a variable, {"l": ch} for
+    a letter."""
+    return [{"v": var_name(c)} if c > "d" else {"l": c} for c in side]
 
 
 @dataclass(frozen=True)
 class WEq:
-    left: Side
-    right: Side
+    left: str
+    right: str
 
 
 @dataclass(frozen=True)
 class WIn:
-    var: str
+    var: str  # a code point, as in a side
     dfa: Dfa
 
 
@@ -264,10 +280,6 @@ def wdisj(parts: list) -> WFormula:
     return out
 
 
-def letters(s: str) -> tuple:
-    return tuple(L(ch) for ch in s)
-
-
 def h_of(x: str) -> str:
     return f"$h_{x}"
 
@@ -296,11 +308,6 @@ class WordProblem:
     def to_json(self) -> dict:
         eqs, diseqs, members, rest = [], [], {}, []
 
-        def side_json(side: Side):
-            return [
-                {"v": t.name} if isinstance(t, V) else {"l": t.ch} for t in side
-            ]
-
         def peel(w: WFormula):
             match w:
                 case WAnd(left=l, right=r):
@@ -310,7 +317,8 @@ class WordProblem:
                     eqs.append({"left": side_json(l), "right": side_json(r)})
                 case WNot(arg=WEq(left=l, right=r)):
                     diseqs.append({"left": side_json(l), "right": side_json(r)})
-                case WIn(var=x, dfa=d):
+                case WIn(var=c, dfa=d):
+                    x = var_name(c)
                     members[x] = d.intersect(members[x]) if x in members else d
                 case _:
                     rest.append(w)
@@ -322,7 +330,7 @@ class WordProblem:
                 case WEq(left=l, right=r):
                     return {"op": "eq", "left": side_json(l), "right": side_json(r)}
                 case WIn(var=x, dfa=d):
-                    return {"op": "member", "var": x, "dfa": dfa_json(d)}
+                    return {"op": "member", "var": var_name(x), "dfa": dfa_json(d)}
                 case WNot(arg=a):
                     return {"op": "not", "arg": matrix_json(a)}
                 case WAnd(left=l, right=r):
@@ -364,27 +372,28 @@ class _Translator:
         self.used_components: set[str] = set()
 
     def witness(self, x: str, y: str) -> str:
+        """The code point of the magnitude witness shared by x and y."""
         self.used_components.update((x, y))
         key = frozenset((x, y))
         if key in self.pair_witness:
             return self.pair_witness[key]
         p = f"$p{len(self.pair_order) + 1}"
-        self.pair_witness[key] = p
+        self.pair_witness[key] = pv = var(p)
         self.pair_order.append(p)
-        self.extra.append(WIn(p, bplus_dfa()))
-        return p
+        self.extra.append(WIn(pv, bplus_dfa()))
+        return pv
 
-    def side(self, t: SeqTerm) -> Side:
+    def side(self, t: SeqTerm) -> str:
         match t:
             case SVar(name=n):
-                return (V(n),)
+                return var(n)
             case SEmpty():
-                return ()
+                return ""
             case SInt(value=IConst(value=k)):
-                return letters(encode_int(k))
+                return encode_int(k)
             case SInt(value=IOfSeq(arg=SVar(name=n))):
                 self.used_components.add(n)
-                return (V(h_of(n)),)
+                return var(h_of(n))
             case SConcat(left=l, right=r):
                 return self.side(l) + self.side(r)
         raise ValueError(f"not a core sequence term: {t!r}")
@@ -393,11 +402,11 @@ class _Translator:
         # membership rather than an equation: contradictory sign cases
         # then cancel during clause assembly instead of surviving as
         # disequations
-        return WAnd(WIn(sg_of(x), lit(cx)), WIn(sg_of(y), lit(cy)))
+        return WAnd(WIn(var(sg_of(x)), lit(cx)), WIn(var(sg_of(y)), lit(cy)))
 
     def less_than(self, x: str, y: str) -> WFormula:
-        p = self.witness(x, y)
-        mx, my, pv = (V(m_of(x)),), (V(m_of(y)),), (V(p),)
+        pv = self.witness(x, y)
+        mx, my = var(m_of(x)), var(m_of(y))
         return wdisj(
             [
                 self.sign_pair(x, "d", y, "c"),
@@ -407,25 +416,25 @@ class _Translator:
         )
 
     def sum_atom(self, k: str, i: str, j: str) -> WFormula:
-        p = self.witness(i, j)
-        hk = (V(h_of(k)),)
-        mi, mj, pv = (V(m_of(i)),), (V(m_of(j)),), (V(p),)
-        si, sj = (V(sg_of(i)),), (V(sg_of(j)),)
+        pv = self.witness(i, j)
+        hk = var(h_of(k))
+        mi, mj = var(m_of(i)), var(m_of(j))
+        si, sj = var(sg_of(i)), var(sg_of(j))
         same = wdisj(
             [
-                WAnd(self.sign_pair(i, "c", j, "c"), WEq(hk, (L("a"),) + si + mi + mj + (L("a"),))),
-                WAnd(self.sign_pair(i, "d", j, "d"), WEq(hk, (L("a"),) + si + mi + mj + (L("a"),))),
+                WAnd(self.sign_pair(i, "c", j, "c"), WEq(hk, "a" + si + mi + mj + "a")),
+                WAnd(self.sign_pair(i, "d", j, "d"), WEq(hk, "a" + si + mi + mj + "a")),
             ]
         )
         differ_cases = []
         for ci, cj in (("c", "d"), ("d", "c")):
             signs = self.sign_pair(i, ci, j, cj)
-            differ_cases.append(WAnd(signs, WAnd(WEq(mi, mj), WEq(hk, letters("aca")))))
+            differ_cases.append(WAnd(signs, WAnd(WEq(mi, mj), WEq(hk, "aca"))))
             differ_cases.append(
-                WAnd(signs, WAnd(WEq(mi, mj + pv), WEq(hk, (L("a"),) + si + pv + (L("a"),))))
+                WAnd(signs, WAnd(WEq(mi, mj + pv), WEq(hk, "a" + si + pv + "a")))
             )
             differ_cases.append(
-                WAnd(signs, WAnd(WEq(mj, mi + pv), WEq(hk, (L("a"),) + sj + pv + (L("a"),))))
+                WAnd(signs, WAnd(WEq(mj, mi + pv), WEq(hk, "a" + sj + pv + "a")))
             )
         return wdisj([same] + differ_cases)
 
@@ -436,13 +445,13 @@ class _Translator:
             case SeqEq(left=l, right=r):
                 return WEq(self.side(l), self.side(r))
             case InRe(arg=SVar(name=x), regex=rx):
-                return WIn(x, encode_regex(rx))
+                return WIn(var(x), encode_regex(rx))
             case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=0)):
                 self.used_components.add(x)
-                return WEq((V(h_of(x)),), letters("aca"))
+                return WEq(var(h_of(x)), "aca")
             case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IConst(value=1)):
                 self.used_components.add(x)
-                return WEq((V(h_of(x)),), letters("acba"))
+                return WEq(var(h_of(x)), "acba")
             case IntCmp(
                 op="==",
                 left=IOfSeq(arg=SVar(name=x)),
@@ -452,7 +461,7 @@ class _Translator:
                 return self.sum_atom(x, i, j)
             case IntCmp(op="==", left=IOfSeq(arg=SVar(name=x)), right=IOfSeq(arg=SVar(name=y))):
                 self.used_components.update((x, y))
-                return WEq((V(h_of(x)),), (V(h_of(y)),))
+                return WEq(var(h_of(x)), var(h_of(y)))
             case IntCmp(op="<", left=IOfSeq(arg=SVar(name=x)), right=IOfSeq(arg=SVar(name=y))):
                 return self.less_than(x, y)
         raise ValueError(f"not a core atom: {m!r}")
@@ -469,11 +478,11 @@ class _Translator:
 
 
 def frame_constraints(x: str) -> list[WFormula]:
-    h, sg, m, t = h_of(x), sg_of(x), m_of(x), t_of(x)
+    xv, h, sg, m, t = var(x), var(h_of(x)), var(sg_of(x)), var(m_of(x)), var(t_of(x))
     return [
-        WIn(x, lstar_dfa()),
-        WEq((V(x), L("a"), L("c"), L("a")), (V(h), V(t))),
-        WEq((V(h),), (L("a"), V(sg), V(m), L("a"))),
+        WIn(xv, lstar_dfa()),
+        WEq(xv + "aca", h + t),
+        WEq(h, "a" + sg + m + "a"),
         WIn(sg, sign_dfa()),
         WIn(m, bstar_dfa()),
         WIn(t, lstar_dfa()),
@@ -500,7 +509,7 @@ def encode_elaboration(elab: Elaboration) -> WordProblem:
             frame.extend(frame_constraints(x))
             components[x] = (h_of(x), sg_of(x), m_of(x), t_of(x))
         else:
-            frame.append(WIn(x, lstar_dfa()))
+            frame.append(WIn(var(x), lstar_dfa()))
     frame.extend(tr.extra)
 
     variables = list(core_vars)

@@ -48,7 +48,7 @@ from .ast import (
     ZUnion,
     free_vars,
 )
-from .encode import L, V, Side
+from .encode import side_json, var
 from .printer import print_formula
 
 VAR_POOL = ("x", "y", "z")
@@ -160,28 +160,29 @@ def gen_quadratic_clause(
     max_vars: int = 3,
     max_eqs: int = 2,
     alphabet: str = "ab",
-) -> list[tuple[Side, Side]]:
+) -> list[tuple[str, str]]:
     """Random equations where each variable occurs at most twice in
     the whole system, so Nielsen search terminates without budget
     pressure. Letters are drawn from a two-letter alphabet to keep
-    brute-force cross-checking cheap."""
+    brute-force cross-checking cheap. Sides are str, as the encoder
+    builds them: a variable is its code point (encode.var)."""
     n_vars = rng.randint(1, max_vars)
     names = VAR_POOL[:n_vars]
     # a global occurrence pool: each variable contributes twice
-    pool = [V(n) for n in names for _ in range(2)]
+    pool = [var(n) for n in names for _ in range(2)]
     rng.shuffle(pool)
     n_eqs = rng.randint(1, max_eqs)
     eqs = []
     for _ in range(n_eqs):
         sides = []
         for _ in range(2):
-            side = []
+            side = ""
             for _ in range(rng.randint(0, 3)):
                 if pool and rng.random() < 0.45:
-                    side.append(pool.pop())
+                    side += pool.pop()
                 else:
-                    side.append(L(rng.choice(alphabet)))
-            sides.append(tuple(side))
+                    side += rng.choice(alphabet)
+            sides.append(side)
         eqs.append((sides[0], sides[1]))
     return eqs
 
@@ -191,11 +192,8 @@ def gen_quadratic_clause(
 
 
 def _clause_json(eqs) -> str:
-    def side(s):
-        return [{"v": t.name} if isinstance(t, V) else {"l": t.ch} for t in s]
-
     return json.dumps(
-        [{"left": side(l), "right": side(r)} for l, r in eqs]
+        [{"left": side_json(l), "right": side_json(r)} for l, r in eqs]
     )
 
 

@@ -204,7 +204,7 @@ class _ProgramParser:
 
     def peek(self) -> tuple[int, str]:
         if self.i >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 0
+            last = self.rows[-1][0] if self.rows else 1
             return (last, "")
         return self.rows[self.i]
 

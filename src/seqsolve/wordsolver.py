@@ -31,11 +31,10 @@ prefix transformations:
     x = <letter> x     when x faces a letter on the other side
     x = y x / y = x y  when two variables face each other
 
-Inside the search every side is a plain str: letters are "abcd", and
-each word variable is interned once to its own code point above them
-(from U+10000), so a transformation is str.replace and a side is
-ground when max(side) <= "d". Atoms are converted as the clause walk
-reaches them, and assignments mapped back to variable names on the
+The encoder hands every side over as a plain str: letters are "abcd",
+and each word variable is its own interned code point above them, so a
+transformation is str.replace and a side is ground when
+max(side) <= "d". Assignments are mapped back to variable names on the
 way out.
 
 Memberships follow the transformations: peeling a letter takes the
@@ -73,7 +72,6 @@ from .dfa import ALPHABET, Dfa, lit, union
 from .elaborate import Elaboration, elaborate
 from . import oracle
 from .encode import (
-    V,
     WAnd,
     WBool,
     WEq,
@@ -83,10 +81,11 @@ from .encode import (
     WordProblem,
     decode_word,
     encode_elaboration,
+    var,
+    var_name,
 )
 
-Side = str  # letters "abcd" and interned variable code points
-Eq = tuple  # (Side, Side)
+Eq = tuple  # (side, side), each a str
 
 
 class ClauseCapExceeded(Exception):
@@ -130,36 +129,17 @@ class _Search:
 
 
 # ---------------------------------------------------------------------------
-# sides and substitutions
-
-_names: list[str] = []  # code point - 0x10000 -> variable name
-_codes: dict[str, str] = {}  # variable name -> code point
+# substitutions
 
 
-def _var(name: str) -> str:
-    c = _codes.get(name)
-    if c is None:
-        c = _codes[name] = chr(0x10000 + len(_names))
-        _names.append(name)
-    return c
-
-
-def _name(c: str) -> str:
-    return _names[ord(c) - 0x10000]
-
-
-def _side(toks) -> Side:
-    return "".join(_var(t.name) if isinstance(t, V) else t.ch for t in toks)
-
-
-def _subst_eqs(eqs: list, x: str, repl: Side) -> list:
+def _subst_eqs(eqs: list, x: str, repl: str) -> list:
     return [
         e if x not in e[0] and x not in e[1] else (e[0].replace(x, repl), e[1].replace(x, repl))
         for e in eqs
     ]
 
 
-def _strip(u: Side, v: Side) -> Eq:
+def _strip(u: str, v: str) -> Eq:
     if u[:1] != v[:1] and u[-1:] != v[-1:]:
         return u, v  # both ends already differ
     n = min(len(u), len(v))
@@ -183,7 +163,7 @@ def _canon(eqs: list, members: dict):
 _FAIL = ("fail", None, None, None, None)
 
 
-def _substitute(eqs: list, settled: list, x: str, repl: Side):
+def _substitute(eqs: list, settled: list, x: str, repl: str):
     """Substitute repl for x in eqs in place; an equation that changes
     is no longer settled."""
     for i, (u, v) in enumerate(eqs):
@@ -225,7 +205,7 @@ def _simplify(
     equations and every membership are settled."""
     eqs = list(eqs)
     members = dict(members)
-    log: list[tuple[str, Side]] = []
+    log: list[tuple[str, str]] = []
     # Whether a rule fires on an equation depends only on the equation
     # and, for a variable it defines, on that variable having no
     # membership; a membership is dropped only when its variable is
@@ -334,7 +314,7 @@ def _replay(log: list, sigma: dict) -> dict:
     return sigma
 
 
-def _join(side: Side, sigma: dict) -> str:
+def _join(side: str, sigma: dict) -> str:
     """The word of a side under sigma; unassigned variables are empty."""
     return "".join(sigma.get(c, "") if c > "d" else c for c in side)
 
@@ -372,14 +352,7 @@ def _clauses(w, cap: int):
     membership bounds its variable by the lengths of the intersection;
     a clause the theory refutes is dropped as a _simplify failure is.
     Raises ClauseCapExceeded before yielding clause cap + 1."""
-    sides: dict[int, tuple] = {}  # id of an atom -> its sides and length row
-
-    def on_strings(a):
-        e = sides.get(id(a))
-        if e is None:
-            u, v = _side(a.left), _side(a.right)
-            e = sides[id(a)] = (u, v), _length_row(u, v)
-        return e
+    rows: dict[int, tuple] = {}  # id of an equation atom -> its length row
 
     def check(clause, fix, e: Eq, diseq: bool):
         """The fixpoint (eqs, diseqs, members, log) of clause, which e
@@ -423,17 +396,20 @@ def _clauses(w, cap: int):
                 case WBool(value=v):
                     if not v:
                         break
-                case WEq():
-                    e, row = on_strings(a)
+                case WEq(left=u, right=v):
+                    e = u, v
                     eqs += (e,)
                     fix = check((eqs, diseqs, members), fix, e, False)
                     if fix is None:
                         break
+                    row = rows.get(id(a))
+                    if row is None:
+                        row = rows[id(a)] = _length_row(u, v)
                     th = _lengths_add(th, row, members)
                     if th is None:
                         break
-                case WNot(arg=WEq() as n):
-                    e = on_strings(n)[0]
+                case WNot(arg=WEq(left=u, right=v)):
+                    e = u, v
                     diseqs += (e,)
                     fix = check((eqs, diseqs, members), fix, e, True)
                     if fix is None:
@@ -441,7 +417,6 @@ def _clauses(w, cap: int):
                 case WIn(var=x, dfa=d) | WNot(arg=WIn(var=x, dfa=d)):
                     if isinstance(a, WNot):
                         d = d.complement()
-                    x = _var(x)
                     if x in members:
                         d = members[x].intersect(d)
                         if d is members[x]:
@@ -526,7 +501,7 @@ def _length_feasible(d: Dfa, n: int) -> bool:
     return bool(states & d.accepting)
 
 
-def _length_row(u: Side, v: Side):
+def _length_row(u: str, v: str):
     """The length row (coeffs, const) of the equation u = v."""
     coeffs: dict[str, int] = {}
     for c in u:
@@ -865,10 +840,10 @@ def _any_letter():
     return lambda: d
 
 
-def _diseq_branches(u: Side, v: Side, n: int):
+def _diseq_branches(u: str, v: str, n: int):
     """The fourteen ways two words can differ: a common prefix followed
     by different letters, or one side a strict prefix of the other."""
-    w, s1, s2, l = (_var(f"${p}{n}") for p in ("dw", "da", "db", "dl"))
+    w, s1, s2, l = (var(f"${p}{n}") for p in ("dw", "da", "db", "dl"))
     out = []
     for a, b in itertools.permutations(ALPHABET, 2):
         out.append(([(u, w + a + s1), (v, w + b + s2)], {}))
@@ -948,7 +923,7 @@ def solve_problem(wp: WordProblem, budget: Budget | None = None):
     ctl = _Search(budget)
     status, sigma = _solve_clauses(_clauses(wp.matrix, budget.clause_cap), ctl)
     if sigma is not None:
-        sigma = {_name(c): w for c, w in sigma.items()}
+        sigma = {var_name(c): w for c, w in sigma.items()}
     return status, sigma, ctl, ctl.clauses
 
 

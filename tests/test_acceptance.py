@@ -29,7 +29,6 @@ import pytest
 from seqsolve.ast import FORALL
 from seqsolve.elaborate import elaborate
 from seqsolve.encode import (
-    V,
     WEq,
     WordProblem,
     decode_word,
@@ -37,6 +36,7 @@ from seqsolve.encode import (
     encode_int,
     formula_size,
     problem_size,
+    var_name,
     wconj,
 )
 from seqsolve.oracle import Bounds, brute_force_sat, matrix_value
@@ -324,9 +324,7 @@ def _short_words(max_len: int = 4) -> list[str]:
 
 
 def _side_word(side, assignment) -> str:
-    return "".join(
-        tok.ch if hasattr(tok, "ch") else assignment[tok.name] for tok in side
-    )
+    return "".join(assignment[var_name(c)] if c > "d" else c for c in side)
 
 
 def _brute_clause(eqs, names, words) -> dict | None:
@@ -345,9 +343,7 @@ def test_quadratic_clauses_decided_completely():
     n_sat = n_unsat = 0
     for i in range(200):
         eqs = gen_quadratic_clause(rng)
-        names = sorted(
-            {tok.name for l, r in eqs for tok in l + r if isinstance(tok, V)}
-        )
+        names = sorted({var_name(c) for l, r in eqs for c in l + r if c > "d"})
         wp = WordProblem(
             variables=tuple(names),
             matrix=wconj([WEq(l, r) for l, r in eqs]),

@@ -175,11 +175,51 @@ def test_encode_outside_fragment_exits_3(capsys, tmp_path):
     assert "outside the supported fragment" in err
 
 
-def test_encode_all_corpus_files_validate(capsys):
-    for name in sorted(TRUTH):
-        code, doc = run_json(capsys, "encode", str(CORPUS / name))
-        assert code == 0, name
+def _wp_tokens(doc):
+    """Every side token and membership variable of a wp-1 document:
+    the equations, the disequations, the memberships and the matrix."""
+    for eq in doc["equations"] + doc["disequations"]:
+        yield from eq["left"] + eq["right"]
+    for x in doc["memberships"]:
+        yield {"v": x}
+    todo = [doc["matrix"]]
+    while todo:
+        m = todo.pop()
+        if m["op"] == "eq":
+            yield from m["left"] + m["right"]
+        elif m["op"] == "member":
+            yield {"v": m["var"]}
+        elif m["op"] == "not":
+            todo.append(m["arg"])
+        elif m["op"] in ("and", "or"):
+            todo += [m["left"], m["right"]]
+
+
+def test_encode_all_corpus_files_validate(capsys, tmp_path):
+    # sides reach the dump by variable name, never by the code point the
+    # solver works on; variables named like letters stay variables
+    letters_src = tmp_path / "letters.seq"
+    letters_src.write_text("exists a, b . a = b ++ 1\n")
+    for src in [CORPUS / name for name in sorted(TRUTH)] + [letters_src]:
+        code, doc = run_json(capsys, "encode", str(src))
+        assert code == 0, src.name
         jsonschema.validate(doc, WP_SCHEMA)
+        declared = set(doc["vars"])
+        for tok in _wp_tokens(doc):
+            if "v" in tok:
+                assert tok["v"] in declared, (src.name, tok)
+            else:
+                assert tok["l"] in ("a", "b", "c", "d"), (src.name, tok)
+        code, out, _ = run_cli(capsys, "encode", str(src))
+        assert code == 0 and max(out) < "\U00010000", src.name
+    _, doc = run_json(capsys, "encode", str(letters_src))
+    assert doc["equations"] == [
+        {
+            "left": [{"v": "a"}],
+            "right": [{"v": "b"}] + [{"l": ch} for ch in "acba"],
+        }
+    ]
+    assert list(doc["memberships"]) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------

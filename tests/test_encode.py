@@ -37,9 +37,7 @@ from seqsolve.elaborate import Elaboration, ElaborationError
 from seqsolve.encode import (
     MAX_MAGNITUDE,
     DecodeError,
-    L,
     LiteralTooLarge,
-    V,
     WAnd,
     WBool,
     WEq,
@@ -57,6 +55,8 @@ from seqsolve.encode import (
     frame_dfa,
     lstar_dfa,
     problem_size,
+    var,
+    var_name,
 )
 from seqsolve import oracle
 from seqsolve.oracle import Bounds, enum_seqs, iter_envs, matrix_value
@@ -193,7 +193,7 @@ def weval(w, env) -> bool:
         case WEq(left=l, right=r):
             return _join(l, env) == _join(r, env)
         case WIn(var=x, dfa=d):
-            return d.accepts(env[x])
+            return d.accepts(env[var_name(x)])
         case WNot(arg=a):
             return not weval(a, env)
         case WAnd(left=l, right=r):
@@ -204,7 +204,7 @@ def weval(w, env) -> bool:
 
 
 def _join(side, env) -> str:
-    return "".join(env[t.name] if isinstance(t, V) else t.ch for t in side)
+    return "".join(env[var_name(c)] if c > "d" else c for c in side)
 
 
 def seq_word(s) -> str:
@@ -396,7 +396,7 @@ def test_universal_problem_shape():
         encode(f)
     wp = encode(negation(f))
     assert isinstance(wp.matrix, WAnd)
-    assert wp.matrix.right == WNot(WEq((V("x"),), (V("x"),)))
+    assert wp.matrix.right == WNot(WEq(var("x"), var("x")))
 
 
 def test_existential_problem_shape():

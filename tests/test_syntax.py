@@ -1,7 +1,9 @@
 """Every Python source of the project parses as Python 3.10, the oldest
-version CI runs, whatever interpreter runs the tests."""
+version CI runs, whatever interpreter runs the tests, and the runtime
+imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +21,21 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+RUNTIME = [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "seqsolve")]
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: str(p.relative_to(ROOT)))
+def test_runtime_imports_only_the_stdlib(path):
+    # the runtime has no third-party dependency; tests and the bench may
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for m in modules:
+            assert m.split(".")[0] in sys.stdlib_module_names, (node.lineno, m)

@@ -125,6 +125,12 @@ def test_statement_errors():
         parse_program("program p(x)\ndo\nassume old(q) = x\nend\n")  # not a variable
 
 
+def test_empty_program_error_is_on_line_one():
+    # line numbers are 1-based, even when the file has no line at all
+    with pytest.raises(VcError, match=":1:"):
+        parse_program("")
+
+
 def annotation_error(text):
     with pytest.raises(VcError) as e:
         parse_program(text)

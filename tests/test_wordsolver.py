@@ -22,8 +22,6 @@ from seqsolve.ast import FORALL, matrix_vars
 from seqsolve.dfa import empty_dfa, lit, plus, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
 from seqsolve.encode import (
-    L,
-    V,
     WAnd,
     WBool,
     WEq,
@@ -33,6 +31,8 @@ from seqsolve.encode import (
     WordProblem,
     bstar_dfa,
     encode_elaboration,
+    var,
+    var_name,
     wconj,
 )
 from seqsolve.oracle import Bounds
@@ -58,12 +58,10 @@ from seqsolve.wordsolver import (
     _lengths_bound,
     _NO_LENGTHS,
     _replay,
-    _side,
     _simplify,
     _solve_constraints,
     _strip,
     _subst_eqs,
-    _var,
 )
 
 BUDGET = Budget(max_nodes=200_000)
@@ -76,15 +74,14 @@ def _quadratic_problems() -> list[WordProblem]:
     out = []
     for _ in range(200):
         eqs = gen_quadratic_clause(rng)
-        names = tuple(sorted({t.name for l, r in eqs for t in l + r if isinstance(t, V)}))
+        names = tuple(sorted({var_name(c) for l, r in eqs for c in l + r if c > "d"}))
         matrix = wconj([WEq(l, r) for l, r in eqs])
         out.append(WordProblem(names, matrix, names))
     return out
 
 
-# Inside the search a side is a str: letters "abcd" and one interned code
-# point per variable.
-X, Y, Z, U, W = (_var(n) for n in "xyzuw")
+# A side is a str: letters "abcd" and one interned code point per variable.
+X, Y, Z, U, W = (var(n) for n in "xyzuw")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,7 @@ X, Y, Z, U, W = (_var(n) for n in "xyzuw")
 
 
 def test_dnf_single_equation():
-    clauses = nnf_dnf(WEq((V("x"),), (L("a"),)))
+    clauses = nnf_dnf(WEq(X, "a"))
     assert len(clauses) == 1
     assert clauses[0].eqs == [(X, "a")]
     assert clauses[0].diseqs == []
@@ -100,14 +97,14 @@ def test_dnf_single_equation():
 
 
 def test_dnf_negated_equation_is_disequation():
-    clauses = nnf_dnf(WNot(WEq((V("x"),), (V("y"),))))
+    clauses = nnf_dnf(WNot(WEq(X, Y)))
     assert len(clauses) == 1
     assert clauses[0].eqs == []
     assert clauses[0].diseqs == [(X, Y)]
 
 
 def test_dnf_negated_membership_complements():
-    clauses = nnf_dnf(WNot(WIn("x", lit("ab"))))
+    clauses = nnf_dnf(WNot(WIn(X, lit("ab"))))
     assert len(clauses) == 1
     d = clauses[0].members[X]
     assert not d.accepts("ab")
@@ -117,14 +114,14 @@ def test_dnf_negated_membership_complements():
 
 def test_dnf_distributes_or_under_and():
     w = WAnd(
-        WOr(WEq((V("x"),), ()), WEq((V("x"),), (L("a"),))),
-        WOr(WEq((V("y"),), ()), WEq((V("y"),), (L("b"),))),
+        WOr(WEq(X, ""), WEq(X, "a")),
+        WOr(WEq(Y, ""), WEq(Y, "b")),
     )
     assert len(nnf_dnf(w)) == 4
 
 
 def test_dnf_merges_memberships():
-    w = WAnd(WIn("x", star(lit("a"))), WIn("x", union(lit(""), lit("a"))))
+    w = WAnd(WIn(X, star(lit("a"))), WIn(X, union(lit(""), lit("a"))))
     clauses = nnf_dnf(w)
     assert len(clauses) == 1
     d = clauses[0].members[X]
@@ -132,14 +129,14 @@ def test_dnf_merges_memberships():
 
 
 def test_dnf_drops_contradictory_membership_clause():
-    w = WAnd(WIn("x", lit("a")), WIn("x", lit("b")))
+    w = WAnd(WIn(X, lit("a")), WIn(X, lit("b")))
     assert nnf_dnf(w) == []
 
 
 def test_dnf_clause_cap():
-    w = WEq((V("x"),), ())
+    w = WEq(X, "")
     for ch in "abcd":
-        w = WOr(w, WEq((V("x"),), (L(ch),)))
+        w = WOr(w, WEq(X, ch))
     with pytest.raises(ClauseCapExceeded):
         nnf_dnf(w, cap=3)
 
@@ -171,12 +168,12 @@ def _eager_dnf(w):
             if v:
                 yield Clause()
         case WEq(left=l, right=r):
-            yield Clause(eqs=[(_side(l), _side(r))])
+            yield Clause(eqs=[(l, r)])
         case WNot(arg=WEq(left=l, right=r)):
-            yield Clause(diseqs=[(_side(l), _side(r))])
+            yield Clause(diseqs=[(l, r)])
         case WIn(var=x, dfa=d):
             if not d.is_empty():
-                yield Clause(members={_var(x): d})
+                yield Clause(members={x: d})
         case WNot(arg=WIn(var=x, dfa=d)):
             yield from _eager_dnf(WIn(x, d.complement()))
         case WOr(left=l, right=r):
@@ -251,8 +248,8 @@ def test_lazy_clauses_prune_a_ground_contradiction():
 def test_lazy_clauses_drop_contradictory_memberships():
     a_star = star(lit("a"))
     w = WOr(
-        WAnd(WIn("x", a_star), WAnd(WEq((V("y"),), ()), WNot(WIn("x", a_star)))),
-        WAnd(WIn("x", lit("a")), WIn("y", lit("b"))),
+        WAnd(WIn(X, a_star), WAnd(WEq(Y, ""), WNot(WIn(X, a_star)))),
+        WAnd(WIn(X, lit("a")), WIn(Y, lit("b"))),
     )
     assert _assert_pruned_reference(w) == 0
     assert nnf_dnf(w) == [Clause(members={X: lit("a"), Y: lit("b")})]
@@ -261,10 +258,10 @@ def test_lazy_clauses_drop_contradictory_memberships():
 def test_lazy_clause_cap_counts_clauses_after_pruning():
     # eight clauses, of which the ground equation refutes four
     w = WAnd(
-        WOr(WEq((L("a"),), (L("b"),)), WEq((V("x"),), ())),
+        WOr(WEq("a", "b"), WEq(X, "")),
         WOr(
-            WOr(WEq((V("y"),), ()), WEq((V("y"),), (L("a"),))),
-            WOr(WEq((V("z"),), ()), WEq((V("z"),), (L("a"),))),
+            WOr(WEq(Y, ""), WEq(Y, "a")),
+            WOr(WEq(Z, ""), WEq(Z, "a")),
         ),
     )
     assert len(list(_eager_dnf(w))) == 8
