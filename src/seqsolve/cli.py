@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orc.add_argument(
         "--values", type=_int_csv, default=Bounds.values,
-        help="comma-separated element pool",
+        help="comma-separated element pool; a pool that starts with a negative"
+        " value is written --values=-1,0,1",
     )
 
     vc = sub.add_parser("vc", parents=[common, solver], help="verification conditions")

@@ -84,10 +84,10 @@ from .ast import (
     ZSet,
     ZStar,
     ZUnion,
-    matrix_vars,
 )
 from .dfa import Dfa, concat, empty_dfa, lit, plus, power, star, union
 from .elaborate import Elaboration, elaborate, validate_core
+from .oracle import search_names
 
 
 class DecodeError(ValueError):
@@ -492,10 +492,7 @@ def frame_constraints(x: str) -> list[WFormula]:
 def encode_elaboration(elab: Elaboration) -> WordProblem:
     matrix = elab.formula.matrix
     validate_core(matrix)
-    if elab.formula.quantifier is not None:
-        core_vars = elab.formula.prefix
-    else:
-        core_vars = tuple(sorted(matrix_vars(matrix)))
+    core_vars = search_names(elab.formula)
 
     tr = _Translator()
     wmatrix = tr.mat(matrix)

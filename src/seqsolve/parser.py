@@ -51,6 +51,7 @@ from .ast import (
     BoolLit,
     EXISTS,
     FORALL,
+    INT_OPS,
     Formula,
     IAdd,
     IConst,
@@ -397,19 +398,7 @@ class _Parser:
                 self.pos = save
                 return self.relational_atom()
             nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text in (
-                "=",
-                "==",
-                "!=",
-                "<",
-                "<=",
-                ">",
-                ">=",
-                "++",
-                "+",
-                "-",
-                "[",
-            ):
+            if nxt.kind == "punct" and nxt.text in ("=", *INT_OPS, "++", "+", "-", "["):
                 self.pos = save
                 return self.relational_atom()
             if nxt.kind == "ident" and nxt.text == "in":
@@ -432,7 +421,7 @@ class _Parser:
 
     def int_op(self) -> str:
         t = self.peek()
-        if t.kind == "punct" and t.text in ("==", "!=", "<", "<=", ">", ">="):
+        if t.kind == "punct" and t.text in INT_OPS:
             self.next()
             return t.text
         raise self.err(f"expected a comparison operator, found {t.text!r}")
@@ -449,7 +438,7 @@ class _Parser:
             self.next()
             rx = self.regex()
             return InRe(self.coerce_seq(lhs), rx, loc=self._span(start))
-        if t.kind == "punct" and t.text in ("==", "!=", "<", "<=", ">", ">="):
+        if t.kind == "punct" and t.text in INT_OPS:
             op = self.int_op()
             rhs = self.term()
             return IntCmp(op, self.coerce_int(lhs), self.coerce_int(rhs), loc=self._span(start))

@@ -2,12 +2,16 @@
 
 The clauses of the encoded matrix's disjunctive normal form are
 enumerated lazily; each is a conjunction of word equations, word
-disequations, and per-variable regular memberships. The walk is depth
-first over the negation-normal matrix and drops a partial clause as
-soon as the cheap rewrite rules (_simplify) or the length theory
-refute it, together with every clause that would extend it; the first
-ladder level pulls clauses from the walk, so a satisfiable clause ends
-it.
+disequations, and per-variable regular memberships. A clause travels
+as its fixpoint under the cheap rewrite rules (_simplify): the tuple
+(eqs, diseqs, members, log) of what the rules leave and the
+substitutions they made, which replay a model of the fixpoint into one
+of the clause. The walk is depth first over the negation-normal matrix
+and extends the fixpoint of its partial clause as atoms join. It drops
+a partial clause as soon as the rules or the length theory refute it,
+together with every clause that would extend it, and yields each
+clause as its fixpoint. The first ladder level pulls clauses from the
+walk, so a satisfiable clause ends it.
 
 The length theory reads each equation as a linear equation over the
 lengths of its variables and each membership as the range of lengths
@@ -24,8 +28,9 @@ A clause's equations and memberships are solved first. If they have no
 model, neither has the clause; if their model separates every
 disequation, it is the answer. Only otherwise is a disequation
 eliminated by branching on the first position where the two sides can
-differ. Systems of equations are solved by a best-first search over
-prefix transformations:
+differ; a branch extends the clause's fixpoint by its equations.
+Systems of equations are solved by a best-first search over prefix
+transformations:
 
     x = eps            drop the variable
     x = <letter> x     when x faces a letter on the other side
@@ -63,7 +68,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -199,10 +204,10 @@ def _simplify(
     in the parent and are not examined again, and the rules fire in
     the same order as on the substituted child with nothing settled.
 
-    A partial clause that an equation or a disequation joins passes its
-    fixpoint with the new atom appended, substituted by the fixpoint's
-    log, and the number of the fixpoint's equations as fixed; those
-    equations and every membership are settled."""
+    _extend passes a clause's fixpoint with new atoms appended,
+    substituted by the fixpoint's log, and the number of the fixpoint's
+    equations as fixed; those equations and every membership are
+    settled."""
     eqs = list(eqs)
     members = dict(members)
     log: list[tuple[str, str]] = []
@@ -323,29 +328,49 @@ def _join(side: str, sigma: dict) -> str:
 # clauses
 
 
-@dataclass
-class Clause:
-    """A conjunction on str sides: equations, disequations, and one
-    membership per variable."""
+def _fixpoint(eqs, diseqs, members: dict):
+    """The fixpoint of a clause, _simplify run from scratch, or None
+    when it fails."""
+    res = _simplify(eqs, diseqs, members)
+    return None if res[0] == "fail" else res[1:]
 
-    eqs: list = field(default_factory=list)
-    diseqs: list = field(default_factory=list)
-    members: dict = field(default_factory=dict)
+
+def _extend(fix, eqs: list, diseqs: list):
+    """The fixpoint of fix's clause with the equations eqs and the
+    disequations diseqs joined, or None when _simplify fails on it. The
+    new atoms are substituted by fix's log, and _simplify goes on from
+    fix with its equations and memberships settled: a rescan reaches the
+    new atoms only once everything before them is settled, so the rules
+    fire in the same order. The log is fix's with the new one appended."""
+    feqs, fdiseqs, members, log = fix
+    new = []
+    for u, v in eqs + diseqs:
+        for x, repl in log:
+            u, v = u.replace(x, repl), v.replace(x, repl)
+        new.append((u, v))
+    k = len(eqs)
+    res = _simplify(feqs + new[:k], fdiseqs + new[k:], members, fixed=len(feqs))
+    if res[0] == "fail":
+        return None
+    return res[1], res[2], res[3], log + res[4]
 
 
 def _clauses(w, cap: int):
-    """The clauses of the disjunctive normal form of a word formula in
-    negation normal form, lazily and in the order of distributing And
-    over Or left to right. A negated equation is a disequation and a
-    negated membership complements the automaton.
+    """The fixpoints (eqs, diseqs, members, log) of the clauses of the
+    disjunctive normal form of a word formula in negation normal form,
+    lazily and in the order of distributing And over Or left to right.
+    A negated equation is a disequation and a negated membership
+    complements the automaton.
 
-    The walk is depth first and carries one partial clause. When an
-    equation or a disequation joins it, _simplify checks it, and a
-    partial clause the cheap rules refute is dropped with every clause
-    that would extend it; a membership joins by intersection and is
-    dropped when empty. A clause is checked once more before it is
-    yielded if a membership joined after the last check, so no clause
-    that fails _simplify is yielded.
+    The walk is depth first and carries one partial clause with its
+    fixpoint. An equation or a disequation that joins extends the
+    fixpoint (_extend), and a partial clause the cheap rules refute is
+    dropped with every clause that would extend it; a membership joins
+    by intersection and is dropped when empty. A joining membership is
+    examined first on a rescan, so after one the fixpoint is computed
+    from scratch at the next join, or before the clause is yielded.
+    Each clause is yielded as the fixpoint _simplify gives it from
+    scratch, and no clause that fails _simplify is yielded.
 
     The partial clause also carries its length theory state. A joining
     equation adds its length row, computed once per atom, and a joining
@@ -353,35 +378,11 @@ def _clauses(w, cap: int):
     a clause the theory refutes is dropped as a _simplify failure is.
     Raises ClauseCapExceeded before yielding clause cap + 1."""
     rows: dict[int, tuple] = {}  # id of an equation atom -> its length row
-
-    def check(clause, fix, e: Eq, diseq: bool):
-        """The fixpoint (eqs, diseqs, members, log) of clause, which e
-        has just joined, or None when _simplify fails on it. It goes on
-        from fix, the fixpoint before e joined: a rescan of clause
-        reaches e only once everything before it is settled, so the
-        rules fire in the same order. A joining membership is examined
-        first on a rescan, so after one fix is None and clause is
-        simplified from scratch."""
-        if fix is None:
-            res = _simplify(*clause)
-            log = []
-        else:
-            eqs, diseqs, members, log = fix
-            u, v = e
-            for x, repl in log:
-                u, v = u.replace(x, repl), v.replace(x, repl)
-            if diseq:
-                res = _simplify(eqs, diseqs + [(u, v)], members, fixed=len(eqs))
-            else:
-                res = _simplify(eqs + [(u, v)], diseqs, members, fixed=len(eqs))
-        if res[0] == "fail":
-            return None
-        return res[1], res[2], res[3], log + res[4]
-
     count = 0
     # (eqs, diseqs, members, fix, th, todo): fix is the fixpoint of the
-    # partial clause or None, th its length theory state, and todo is a
-    # linked list (formula, rest) of the conjuncts still to join
+    # partial clause or None after a membership joined, th its length
+    # theory state, and todo is a linked list (formula, rest) of the
+    # conjuncts still to join
     stack = [((), (), {}, ([], [], {}, []), _NO_LENGTHS, (w, None))]
     while stack:
         eqs, diseqs, members, fix, th, todo = stack.pop()
@@ -397,9 +398,8 @@ def _clauses(w, cap: int):
                     if not v:
                         break
                 case WEq(left=u, right=v):
-                    e = u, v
-                    eqs += (e,)
-                    fix = check((eqs, diseqs, members), fix, e, False)
+                    eqs += ((u, v),)
+                    fix = _extend(fix, [(u, v)], []) if fix else _fixpoint(eqs, diseqs, members)
                     if fix is None:
                         break
                     row = rows.get(id(a))
@@ -409,9 +409,8 @@ def _clauses(w, cap: int):
                     if th is None:
                         break
                 case WNot(arg=WEq(left=u, right=v)):
-                    e = u, v
-                    diseqs += (e,)
-                    fix = check((eqs, diseqs, members), fix, e, True)
+                    diseqs += ((u, v),)
+                    fix = _extend(fix, [], [(u, v)]) if fix else _fixpoint(eqs, diseqs, members)
                     if fix is None:
                         break
                 case WIn(var=x, dfa=d) | WNot(arg=WIn(var=x, dfa=d)):
@@ -431,17 +430,17 @@ def _clauses(w, cap: int):
                 case _:
                     raise TypeError(f"not a word formula in negation normal form: {a!r}")
         else:
-            if fix is None and _simplify(eqs, diseqs, members)[0] == "fail":
+            if fix is None and (fix := _fixpoint(eqs, diseqs, members)) is None:
                 continue
             count += 1
             if count > cap:
                 raise ClauseCapExceeded(f"more than {cap} clauses")
-            yield Clause(list(eqs), list(diseqs), dict(members))
+            yield fix
 
 
-def nnf_dnf(w, cap: int = Budget.clause_cap) -> list[Clause]:
-    """Every clause _clauses yields; raises ClauseCapExceeded when there
-    are more than cap."""
+def nnf_dnf(w, cap: int = Budget.clause_cap) -> list[tuple]:
+    """Every clause fixpoint (eqs, diseqs, members, log) _clauses
+    yields; raises ClauseCapExceeded when there are more than cap."""
     return list(_clauses(w, cap))
 
 
@@ -869,14 +868,13 @@ def _solve_equations(eqs, members, ctl: _Search, allowance: int | None):
     return "sat", sigma
 
 
-def _solve_constraints(eqs, diseqs, members, ctl: _Search, allowance: int | None):
-    """Solve the equations and memberships first. Their model answers
-    the whole system when it separates every disequation; only
-    otherwise is the first disequation split."""
-    res = _simplify(eqs, diseqs, members)
-    if res[0] == "fail":
-        return "unsat", None
-    _, eqs, diseqs, members, log = res
+def _solve_constraints(clause, ctl: _Search, allowance: int | None):
+    """Solve a clause fixpoint (eqs, diseqs, members, log). The
+    equations and memberships are solved first. Their model answers the
+    whole clause when it separates every disequation; only otherwise is
+    the first disequation split. A branch extends the fixpoint by its
+    equations, with the rest of the disequations."""
+    eqs, diseqs, members, log = clause
     st, sigma = _solve_equations(eqs, members, ctl, allowance)
     if st == "unsat":
         return "unsat", None
@@ -899,12 +897,14 @@ def _solve_constraints(eqs, diseqs, members, ctl: _Search, allowance: int | None
         # system below it is cheap
         if not ctl.spend():
             return "unknown", None
-        mem = dict(members)
-        for x, d in extra_mem.items():
-            mem[x] = d
-        st, sigma = _solve_constraints(eqs + extra_eqs, rest, mem, ctl, allowance)
+        # l's membership is neither empty nor a singleton and l occurs
+        # in no equation of the fixpoint, so it is settled as well
+        branch = _extend((eqs, rest, members | extra_mem, log), extra_eqs, [])
+        if branch is None:
+            continue
+        st, sigma = _solve_constraints(branch, ctl, allowance)
         if st == "sat":
-            return "sat", _replay(log, sigma)
+            return "sat", sigma
         if st == "unknown":
             saw_unknown = True
     return ("unknown" if saw_unknown else "unsat"), None
@@ -938,9 +938,7 @@ def _solve_clauses(clauses, ctl: _Search):
             for clause in pending:
                 if pending is clauses:
                     ctl.clauses += 1
-                st, sigma = _solve_constraints(
-                    clause.eqs, clause.diseqs, clause.members, ctl, allowance
-                )
+                st, sigma = _solve_constraints(clause, ctl, allowance)
                 if st == "sat":
                     return "sat", sigma
                 if st == "unknown":

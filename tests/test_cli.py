@@ -258,6 +258,16 @@ def test_oracle_value_pool_drops_repeats(capsys, tmp_path):
     assert doc["bounds"] == {"max_len": 2, "values": [1, 2]}
 
 
+def test_oracle_value_pool_may_start_negative(capsys, tmp_path):
+    # "--values -1,0,1" reads -1,0,1 as an option; joined by "=" it is
+    # the pool
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . x = -1\n")
+    code, doc = run_json(capsys, "oracle", str(src), "--values=-1,0,1", "--max-len", "1")
+    assert code == 0 and doc["witness"] == {"x": [-1]}
+    assert doc["bounds"]["values"] == [-1, 0, 1]
+
+
 # frozen text reports: a universal file with a counterexample, a
 # file without a quantifier, and free variables with a witness, whose
 # names come in sorted order

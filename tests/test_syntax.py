@@ -1,6 +1,8 @@
 """Every Python source of the project parses as Python 3.10, the oldest
-version CI runs, whatever interpreter runs the tests, and the runtime
-imports nothing outside the standard library."""
+version CI runs, whatever interpreter runs the tests, the runtime
+imports nothing outside the standard library, and no runtime module
+but the command line interface and the generator writes to the
+standard streams."""
 
 import ast
 import sys
@@ -39,3 +41,21 @@ def test_runtime_imports_only_the_stdlib(path):
             continue
         for m in modules:
             assert m.split(".")[0] in sys.stdlib_module_names, (node.lineno, m)
+
+
+QUIET = [p for p in RUNTIME if p.name not in ("cli.py", "randgen.py")]
+
+
+@pytest.mark.parametrize("path", QUIET, ids=lambda p: str(p.relative_to(ROOT)))
+def test_library_does_not_print(path):
+    # only the command line interface and the generator's script write
+    # to the standard streams; the library returns what it finds
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Name) and node.id == "print"), node.lineno
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert (node.value.id, node.attr) not in (
+                ("sys", "stdout"), ("sys", "stderr")
+            ), node.lineno
+        if isinstance(node, ast.ImportFrom) and node.module == "sys":
+            assert not {a.name for a in node.names} & {"stdout", "stderr"}, node.lineno

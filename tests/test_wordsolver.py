@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -40,7 +41,6 @@ from seqsolve.parser import parse_formula
 from seqsolve.randgen import gen_formula, gen_quadratic_clause
 from seqsolve.wordsolver import (
     Budget,
-    Clause,
     ClauseCapExceeded,
     check_sat,
     check_valid,
@@ -50,6 +50,7 @@ from seqsolve.wordsolver import (
     _canon,
     _components,
     _diseq_branches,
+    _extend,
     _Search,
     _length_bounds,
     _length_infeasible,
@@ -88,25 +89,26 @@ X, Y, Z, U, W = (var(n) for n in "xyzuw")
 # clause extraction
 
 
+# A clause is yielded as its fixpoint (eqs, diseqs, members, log).
+
+
 def test_dnf_single_equation():
+    # the equation defines x, so the fixpoint is empty and logs x = a
     clauses = nnf_dnf(WEq(X, "a"))
-    assert len(clauses) == 1
-    assert clauses[0].eqs == [(X, "a")]
-    assert clauses[0].diseqs == []
-    assert clauses[0].members == {}
+    assert clauses == [([], [], {}, [(X, "a")])]
 
 
 def test_dnf_negated_equation_is_disequation():
     clauses = nnf_dnf(WNot(WEq(X, Y)))
-    assert len(clauses) == 1
-    assert clauses[0].eqs == []
-    assert clauses[0].diseqs == [(X, Y)]
+    assert clauses == [([], [(X, Y)], {}, [])]
 
 
 def test_dnf_negated_membership_complements():
     clauses = nnf_dnf(WNot(WIn(X, lit("ab"))))
     assert len(clauses) == 1
-    d = clauses[0].members[X]
+    eqs, diseqs, members, log = clauses[0]
+    assert (eqs, diseqs, list(members), log) == ([], [], [X], [])
+    d = members[X]
     assert not d.accepts("ab")
     assert d.accepts("")
     assert d.accepts("ba")
@@ -117,14 +119,22 @@ def test_dnf_distributes_or_under_and():
         WOr(WEq(X, ""), WEq(X, "a")),
         WOr(WEq(Y, ""), WEq(Y, "b")),
     )
-    assert len(nnf_dnf(w)) == 4
+    clauses = nnf_dnf(w)
+    assert len(clauses) == 4
+    assert [log for _, _, _, log in clauses] == [
+        [(X, ""), (Y, "")],
+        [(X, ""), (Y, "b")],
+        [(X, "a"), (Y, "")],
+        [(X, "a"), (Y, "b")],
+    ]
+    assert all(c[:3] == ([], [], {}) for c in clauses)
 
 
 def test_dnf_merges_memberships():
     w = WAnd(WIn(X, star(lit("a"))), WIn(X, union(lit(""), lit("a"))))
     clauses = nnf_dnf(w)
     assert len(clauses) == 1
-    d = clauses[0].members[X]
+    d = clauses[0][2][X]
     assert d.accepts("") and d.accepts("a") and not d.accepts("aa")
 
 
@@ -158,22 +168,31 @@ def _replayable(it):
     return again
 
 
+class RawClause(NamedTuple):
+    """A clause as distributing And over Or builds it: a conjunction on
+    str sides, not simplified."""
+
+    eqs: list = []
+    diseqs: list = []
+    members: dict = {}
+
+
 def _eager_dnf(w):
-    """The reference: the clauses of distributing And over Or, left to
-    right, dropping only those whose memberships intersect to nothing.
-    It is the eager normal form, yielded in order so that a test can
-    take a prefix of a large one."""
+    """The reference: the raw clauses of distributing And over Or, left
+    to right, dropping only those whose memberships intersect to
+    nothing. It is the eager normal form, yielded in order so that a
+    test can take a prefix of a large one."""
     match w:
         case WBool(value=v):
             if v:
-                yield Clause()
+                yield RawClause()
         case WEq(left=l, right=r):
-            yield Clause(eqs=[(l, r)])
+            yield RawClause(eqs=[(l, r)])
         case WNot(arg=WEq(left=l, right=r)):
-            yield Clause(diseqs=[(l, r)])
+            yield RawClause(diseqs=[(l, r)])
         case WIn(var=x, dfa=d):
             if not d.is_empty():
-                yield Clause(members={x: d})
+                yield RawClause(members={x: d})
         case WNot(arg=WIn(var=x, dfa=d)):
             yield from _eager_dnf(WIn(x, d.complement()))
         case WOr(left=l, right=r):
@@ -187,29 +206,29 @@ def _eager_dnf(w):
                     for x, d in c2.members.items():
                         members[x] = members[x].intersect(d) if x in members else d
                     if not any(d.is_empty() for d in members.values()):
-                        yield Clause(c1.eqs + c2.eqs, c1.diseqs + c2.diseqs, members)
+                        yield RawClause(c1.eqs + c2.eqs, c1.diseqs + c2.diseqs, members)
         case _:
             raise TypeError(w)
 
 
 def _assert_pruned_reference(w, limit: int | None = None) -> int:
-    """The lazy clauses are the reference's minus those _simplify
-    refutes or the length theory, run from scratch on the whole clause,
-    refutes, in the same order and with the same content (memberships
-    in the same key order); with a limit, as far as the first limit
-    reference clauses reach. Returns how many the pruning dropped."""
+    """The lazy clauses are the fixpoints _simplify gives from scratch
+    to the reference's clauses, minus the clauses _simplify refutes or
+    the length theory, run from scratch on the whole clause, refutes, in
+    the same order and with the same content (memberships in the same
+    key order); with a limit, as far as the first limit reference
+    clauses reach. Returns how many the pruning dropped."""
     ref = list(itertools.islice(_eager_dnf(w), limit))
-    kept = [
-        c
-        for c in ref
-        if _simplify(c.eqs, c.diseqs, c.members)[0] == "ok"
-        and not _length_infeasible(c.eqs, c.members)
-    ]
+    kept = []
+    for c in ref:
+        res = _simplify(c.eqs, c.diseqs, c.members)
+        if res[0] == "ok" and not _length_infeasible(c.eqs, c.members):
+            kept.append(res[1:])
     lazy = list(itertools.islice(wordsolver._clauses(w, 10**6), len(kept) + 1))
     if limit is not None and len(ref) == limit:
         lazy = lazy[: len(kept)]
     assert lazy == kept
-    assert [list(c.members) for c in lazy] == [list(c.members) for c in kept]
+    assert [list(c[2]) for c in lazy] == [list(c[2]) for c in kept]
     return len(ref) - len(kept)
 
 
@@ -252,7 +271,8 @@ def test_lazy_clauses_drop_contradictory_memberships():
         WAnd(WIn(X, lit("a")), WIn(Y, lit("b"))),
     )
     assert _assert_pruned_reference(w) == 0
-    assert nnf_dnf(w) == [Clause(members={X: lit("a"), Y: lit("b")})]
+    # the singleton memberships pin x and y
+    assert nnf_dnf(w) == [([], [], {}, [(X, "a"), (Y, "b")])]
 
 
 def test_lazy_clause_cap_counts_clauses_after_pruning():
@@ -271,6 +291,34 @@ def test_lazy_clause_cap_counts_clauses_after_pruning():
     assert [next(clauses) for _ in range(3)] == nnf_dnf(w)[:3]
     with pytest.raises(ClauseCapExceeded):
         next(clauses)
+
+
+def _assert_fixpoint(clause):
+    """_simplify from scratch leaves the clause as it is, with an empty
+    log and its memberships in the same key order."""
+    eqs, diseqs, members, _ = clause
+    res = _simplify(eqs, diseqs, members)
+    assert res == ("ok", eqs, diseqs, members, [])
+    assert list(res[3]) == list(members)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.seq")))
+def test_walk_yields_fixpoints_on_the_corpus(name):
+    w = _problem(parse_formula((CORPUS / name).read_text())).matrix
+    for clause in wordsolver._clauses(w, 10**6):
+        _assert_fixpoint(clause)
+
+
+def test_walk_yields_fixpoints_on_random_formulas():
+    # the random-500 set of seed 0, each formula's first 2,000 clauses
+    rng = random.Random(0)
+    n = 0
+    for _ in range(500):
+        f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
+        for clause in itertools.islice(wordsolver._clauses(_problem(f).matrix, 10**6), 2000):
+            _assert_fixpoint(clause)
+            n += 1
+    assert n > 2_000
 
 
 def test_strip_common_affixes():
@@ -699,6 +747,34 @@ def test_simplify_matches_the_reference_on_random_systems():
     assert min(runs["full ok"], runs["step ok"], runs["fixed ok"]) > 500, runs
 
 
+def test_extending_a_fixpoint_by_a_branch_matches_a_rescan():
+    # a branch of a split disequation extends its clause's fixpoint by
+    # its equations and the fresh any-letter membership; simplifying the
+    # same system from scratch must give the same fixpoint, and the
+    # branch's log is the clause's followed by the rescan's
+    rng = random.Random(0)
+    runs = collections.Counter()
+    while min(runs["ok"], runs["fail"]) < 1_000:
+        res = _simplify(*_random_system(rng))
+        if res[0] == "fail" or not res[2]:
+            continue
+        _, eqs, diseqs, members, log = res
+        diseqs = list(dict.fromkeys(diseqs))
+        (u, v), rest = diseqs[0], diseqs[1:]
+        for extra_eqs, extra_mem in _diseq_branches(u, v, 1):
+            mem = members | extra_mem
+            branch = _extend((eqs, rest, mem, log), extra_eqs, [])
+            full = _simplify(eqs + extra_eqs, rest, mem)
+            if full[0] == "fail":
+                assert branch is None
+                runs["fail"] += 1
+                continue
+            _, eqs2, diseqs2, members2, log2 = full
+            assert branch == (eqs2, diseqs2, members2, log + log2)
+            assert list(branch[2]) == list(members2)
+            runs["ok"] += 1
+
+
 def test_replay_restores_time_ordered_values():
     log = [(X, Y + "a"), (Y, "b")]
     sigma = _replay(log, {})
@@ -837,7 +913,7 @@ def test_equations_model_that_separates_needs_no_split():
     # x y = ab has the first model x = eps, y = ab, and that already
     # makes x differ from y
     ctl = _Search(BUDGET)
-    st, sigma = _solve_constraints([(X + Y, "ab")], [(X, Y)], {}, ctl, None)
+    st, sigma = _solve_constraints(_simplify([(X + Y, "ab")], [(X, Y)], {})[1:], ctl, None)
     assert st == "sat" and ctl.fresh == 0
     assert (sigma.get(X, ""), sigma[Y]) == ("", "ab")
 
@@ -846,10 +922,24 @@ def test_equations_model_that_does_not_separate_still_splits():
     # the first model of x y = y x is x = y = eps; the split on x != y
     # then finds two different commuting words
     ctl = _Search(BUDGET)
-    st, sigma = _solve_constraints([(X + Y, Y + X)], [(X, Y)], {}, ctl, None)
+    st, sigma = _solve_constraints(_simplify([(X + Y, Y + X)], [(X, Y)], {})[1:], ctl, None)
     assert st == "sat" and ctl.fresh == 1
     x, y = sigma.get(X, ""), sigma.get(Y, "")
     assert x + y == y + x and x != y
+
+
+def test_split_answer_is_replayed_through_the_clause_log():
+    # z = x merges x into z, and the shortest words z = y = a do not
+    # separate z from y, so the clause splits; the branch's model names
+    # z and y, and the clause's log gives x back
+    ctl = _Search(BUDGET)
+    a_plus = plus(lit("a"))
+    clause = _simplify([(Z, X)], [(Z, Y)], {X: a_plus, Y: a_plus})[1:]
+    assert clause[3] == [(X, Z)]
+    st, sigma = _solve_constraints(clause, ctl, None)
+    assert st == "sat" and ctl.fresh == 1
+    x, y, z = (sigma.get(c, "") for c in (X, Y, Z))
+    assert x == z != y and a_plus.accepts(x) and a_plus.accepts(y)
 
 
 def test_components_split_independent_systems():
