@@ -318,9 +318,9 @@ def qf(matrix: Matrix) -> Formula:
 # coercions, and map_atom_terms applies it to every term of an atom. A
 # pass that only changes atoms is an atom function over these maps and
 # writes no recursion of its own. Rebuilt nodes carry no source location.
-# The elaborator runs atoms, map_atoms and map_terms over every node
-# several times per formula, so they dispatch on exact node types where
-# a match statement would try its cases one by one.
+# The elaborator runs atoms, map_atoms, map_terms and fold_consts over
+# every node several times per formula, so they dispatch on exact node
+# types where a match statement would try its cases one by one.
 
 _CONNECTIVES = frozenset((Not, And, Or, Imp, Iff))
 
@@ -455,3 +455,43 @@ def conj(parts: list[Matrix]) -> Matrix:
         out = And(p, out)
     return out
 
+
+def fold_consts(m: Matrix) -> Matrix:
+    """Collapse the Boolean constants of a matrix bottom-up. A constant
+    operand of !, & or | decides its connective or drops out of it;
+    => and <=> fold only where that needs no new negation, so a false
+    conclusion or a false side of <=> stays."""
+    kind = type(m)
+    if kind not in _CONNECTIVES:
+        return m
+    if kind is Not:
+        a = fold_consts(m.arg)
+        return BoolLit(not a.value) if type(a) is BoolLit else Not(a)
+    l, r = fold_consts(m.left), fold_consts(m.right)
+    lv = l.value if type(l) is BoolLit else None
+    rv = r.value if type(r) is BoolLit else None
+    if kind is And:
+        if lv is False or rv is False:
+            return BoolLit(False)
+        if lv is True:
+            return r
+        if rv is True:
+            return l
+    elif kind is Or:
+        if lv is True or rv is True:
+            return BoolLit(True)
+        if lv is False:
+            return r
+        if rv is False:
+            return l
+    elif kind is Imp:
+        if lv is False or rv is True:
+            return BoolLit(True)
+        if lv is True:
+            return r
+    else:  # Iff
+        if lv is True:
+            return r
+        if rv is True:
+            return l
+    return kind(l, r)

@@ -10,6 +10,11 @@ The core language the encoder accepts:
 
 Everything else is rewritten away here: reversal, subranges, length
 bounds, derived comparisons, integer constants and nested arithmetic.
+Atoms that are constant fold away too: a comparison whose two sides
+differ by a constant, and an equation between sides built from eps
+and integer literals, become true or false, and the constants then
+propagate through & and |, so a false conjunct leaves the formula
+false before it reaches the encoder.
 Rewrites that need a name for an intermediate value introduce fresh
 '$'-variables together with guard constraints that pin them down; for
 every assignment to the original variables the guards are satisfiable
@@ -19,10 +24,11 @@ existential (or prefix-free) formulas are elaborated: a universal one
 is decided by refuting its negation, which is existential.
 
 The stages run in order: reversal, subranges, length bounds, negations,
-arithmetic. Each stage except negation pushing is an atom rewrite: a
-function on one atom that ast.map_atoms runs over the Boolean skeleton,
-with any change inside terms made by a rule that ast.map_terms runs
-top-down over each term of the atom.
+arithmetic (with the constant atoms), and last ast.fold_consts on the
+guarded matrix. Each stage but negation pushing and that last fold is
+an atom rewrite: a function on one atom that ast.map_atoms runs over
+the Boolean skeleton, with any change inside terms made by a rule that
+ast.map_terms runs top-down over each term of the atom.
 
 Reversal has no core form. It is removed in two stages. First rev is
 pushed inward:
@@ -89,6 +95,7 @@ from .ast import (
     atom_seq_terms,
     atoms,
     conj,
+    fold_consts,
     map_atom_terms,
     map_atoms,
     map_terms,
@@ -501,7 +508,10 @@ class _AtomLowering:
     element of a variable. Sums and differences that cannot be folded
     get a fresh variable whose first element is pinned by a core sum
     atom; constants in variable positions get a shared one-element
-    witness variable pinned by a membership."""
+    witness variable pinned by a membership. An atom that has one value
+    in every environment becomes that BoolLit before any of this: a
+    comparison whose sides differ by a constant (their linear forms over
+    first elements cancel), or an equation between ground sides."""
 
     def __init__(self, fresh: _Fresh):
         self.fresh = fresh
@@ -633,8 +643,6 @@ class _AtomLowering:
                         "==", self.as_fst(na), IAdd(self.as_fst(nl), self.as_fst(nb))
                     )
         nl, nr = self.intt(l), self.intt(r)
-        if nl[0] == "const" and nr[0] == "const":
-            return BoolLit(nl[1] == nr[1] if op == "==" else nl[1] < nr[1])
         if op == "==":
             if nr[0] == "const" and nr[1] in (0, 1) and nl[0] == "fst":
                 return IntCmp("==", IOfSeq(SVar(nl[1])), IConst(nr[1]))
@@ -647,12 +655,77 @@ class _AtomLowering:
             case BoolLit():
                 return a
             case SeqEq(left=l, right=r):
-                return SeqEq(self.seq(l), self.seq(r))
+                l, r = self.seq(l), self.seq(r)
+                vl, vr = _ground_value(l), _ground_value(r)
+                if vl is None or vr is None:
+                    return SeqEq(l, r)
+                return BoolLit(vl == vr)
             case InRe(arg=t, regex=rx):
                 return InRe(self.alias(t), rx)
             case IntCmp(op=op, left=l, right=r):
-                return self.int_atom(op, l, r)
+                d = _constant_difference(l, r)
+                return self.int_atom(op, l, r) if d is None else BoolLit(_holds(op, d))
         raise TypeError(f"unexpected node after earlier stages: {a!r}")
+
+
+def _constant_difference(l: IntTerm, r: IntTerm) -> int | None:
+    """l - r, if it is one integer in every environment: its linear
+    form over first-element terms, reading first(eps) as 0 and first(k)
+    as k, has no nonzero coefficient. None otherwise."""
+    coeffs: dict[SeqTerm, int] = {}
+    const = 0
+    todo = [(l, 1), (r, -1)]
+    while todo:
+        i, sign = todo.pop()
+        match i:
+            case IConst(value=k):
+                const += sign * k
+            case IAdd(left=a, right=b):
+                todo += ((a, sign), (b, sign))
+            case ISub(left=a, right=b):
+                todo += ((a, sign), (b, -sign))
+            case IOfSeq(arg=SEmpty()):
+                pass
+            case IOfSeq(arg=SInt(value=j)):
+                todo.append((j, sign))
+            case IOfSeq(arg=t):
+                coeffs[t] = coeffs.get(t, 0) + sign
+            case _:
+                raise TypeError(f"not an integer term: {i!r}")
+    return None if any(coeffs.values()) else const
+
+
+def _holds(op: str, d: int) -> bool:
+    """Whether l op r holds when l - r == d."""
+    match op:
+        case "==":
+            return d == 0
+        case "!=":
+            return d != 0
+        case "<":
+            return d < 0
+        case "<=":
+            return d <= 0
+        case ">":
+            return d > 0
+        case ">=":
+            return d >= 0
+    raise ValueError(f"unknown comparison {op!r}")
+
+
+def _ground_value(t: SeqTerm) -> tuple[int, ...] | None:
+    """The value of a lowered sequence term made of eps and integer
+    literals only; None if it holds anything else."""
+    match t:
+        case SEmpty():
+            return ()
+        case SInt(value=IConst(value=k)):
+            return (k,)
+        case SConcat(left=l, right=r):
+            vl, vr = _ground_value(l), _ground_value(r)
+            if vl is not None and vr is not None:
+                return vl + vr
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +805,7 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
     work = [push_negations(g) for g in work]
 
     lower = _AtomLowering(fresh)
-    matrix = map_atoms(matrix, lower.atom)
+    matrix = fold_consts(map_atoms(matrix, lower.atom))
     work = [map_atoms(g, lower.atom) for g in work]
     guards = tuple(work + lower.guards)
 
@@ -740,7 +813,7 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
         validate_core(g)
     validate_core(matrix)
 
-    combined = And(conj(list(guards)), matrix) if guards else matrix
+    combined = fold_consts(And(conj(list(guards)), matrix))
     if f.quantifier is None:
         out = Formula(None, (), combined)
     else:

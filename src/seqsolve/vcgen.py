@@ -70,6 +70,7 @@ from .ast import (
     atom_seq_terms,
     atoms,
     conj,
+    fold_consts,
     map_atom_terms,
     map_atoms,
     matrix_vars,
@@ -533,49 +534,6 @@ class _Expander:
 # condition assembly
 
 
-def _fold_consts(m: Matrix) -> Matrix:
-    """Collapse the boolean constants that dropping sorted(...)
-    hypotheses leaves behind."""
-    match m:
-        case Not(arg=a):
-            a = _fold_consts(a)
-            return BoolLit(not a.value) if isinstance(a, BoolLit) else Not(a)
-        case And(left=l, right=r):
-            l, r = _fold_consts(l), _fold_consts(r)
-            if BoolLit(False) in (l, r):
-                return BoolLit(False)
-            if l == BoolLit(True):
-                return r
-            if r == BoolLit(True):
-                return l
-            return And(l, r)
-        case Or(left=l, right=r):
-            l, r = _fold_consts(l), _fold_consts(r)
-            if BoolLit(True) in (l, r):
-                return BoolLit(True)
-            if l == BoolLit(False):
-                return r
-            if r == BoolLit(False):
-                return l
-            return Or(l, r)
-        case Imp(left=l, right=r):
-            l, r = _fold_consts(l), _fold_consts(r)
-            if l == BoolLit(False) or r == BoolLit(True):
-                return BoolLit(True)
-            if l == BoolLit(True):
-                return r
-            return Imp(l, r)
-        case Iff(left=l, right=r):
-            l, r = _fold_consts(l), _fold_consts(r)
-            if l == BoolLit(True):
-                return r
-            if r == BoolLit(True):
-                return l
-            return Iff(l, r)
-        case _:
-            return m
-
-
 def _split_pieces(hyps: list[Matrix], concl: Matrix, folded: bool):
     """Sequent shaping: conjunction conclusions split, implication
     conclusions move their premise into the hypotheses."""
@@ -603,8 +561,8 @@ def _contains_loop(stmts: tuple[Stmt, ...]) -> bool:
 def _finalize(ob: _Obligation, program: Program) -> list[VC]:
     expander = _Expander()
     try:
-        hyps = [_fold_consts(expander.walk(h, positive=False)) for h in ob.hyps]
-        concl = _fold_consts(expander.walk(ob.concl, positive=True))
+        hyps = [fold_consts(expander.walk(h, positive=False)) for h in ob.hyps]
+        concl = fold_consts(expander.walk(ob.concl, positive=True))
     except _PolarityError as e:
         matrix = Imp(conj(list(ob.hyps)), ob.concl)
         formula = Formula(FORALL, tuple(sorted(matrix_vars(matrix))), matrix)

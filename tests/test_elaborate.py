@@ -13,6 +13,7 @@ oracle-backed.
 """
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,9 @@ from seqsolve.ast import (
     SEmpty,
     SVar,
     SeqEq,
+    atoms,
     matrix_vars,
+    qf,
 )
 from seqsolve.elaborate import (
     Elaboration,
@@ -47,6 +50,7 @@ from seqsolve.elaborate import (
 from seqsolve.oracle import Bounds, enum_seqs, iter_envs, matrix_value
 from seqsolve.parser import parse_formula, parse_matrix
 from seqsolve.printer import print_formula
+from seqsolve.randgen import gen_formula
 from seqsolve.wordsolver import negation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -252,6 +256,54 @@ def test_constants_share_one_witness_variable():
     assert elab.fresh_vars.count("$c5") == 1
     memberships = [g for g in elab.guards if isinstance(g, InRe)]
     assert len(memberships) == 1
+
+
+# constant atoms fold to their value during lowering [DERIVED]
+@pytest.mark.parametrize(
+    "src, value",
+    [
+        ("x - 2 == x - 1", False),
+        ("x + 1 <= x + 1", True),
+        ("-2 = eps", False),
+        ("eps ++ 1 = 1", True),
+        ("first(2) - 1 == 1", True),
+        ("x - first(x) > 0", False),
+    ],
+)
+def test_constant_atoms_fold(src, value):
+    elab = elaborate(parse_formula(src))
+    assert elab.formula.matrix == elab.core_matrix == BoolLit(value)
+    assert elab.guards == elab.fresh_vars == ()
+
+
+@pytest.mark.parametrize("src", ["x - 1 == z + 2", "first(x) < first(y)"])
+def test_nonconstant_atoms_do_not_fold(src):
+    elab = elaborate(parse_formula(src))
+    assert not any(isinstance(a, BoolLit) for a in atoms(elab.formula.matrix))
+
+
+def test_false_conjunct_folds_the_formula():
+    elab = elaborate(parse_formula("exists x, y . eps = -1 & (first(x) < first(y) | x = y)"))
+    assert elab.formula.matrix == BoolLit(False)
+    assert elab.formula.prefix == ("x", "y")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_folded_atoms_agree_with_the_oracle(seed):
+    # every atom of the random-500 set that elaborates to a constant
+    # has that value in every environment of the bounded oracle
+    rng = random.Random(seed)
+    folded = 0
+    for _ in range(500):
+        f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
+        for a in atoms(f.matrix):
+            m = elaborate(qf(a)).formula.matrix
+            if isinstance(m, BoolLit):
+                folded += 1
+                names = tuple(sorted(matrix_vars(a)))
+                for env in iter_envs(names, Bounds(2)):
+                    assert matrix_value(a, env) == m.value, (a, env)
+    assert folded > 100
 
 
 def test_universal_formula_is_refused():

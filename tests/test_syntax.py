@@ -59,3 +59,22 @@ def test_library_does_not_print(path):
             ), node.lineno
         if isinstance(node, ast.ImportFrom) and node.module == "sys":
             assert not {a.name for a in node.names} & {"stdout", "stderr"}, node.lineno
+
+
+def _package_imports(name: str) -> set[str]:
+    """The package modules a runtime module imports. They can only be
+    relative imports: an absolute one fails the stdlib test above."""
+    tree = ast.parse((ROOT / "src" / "seqsolve" / name).read_text(encoding="utf-8"))
+    return {
+        node.module or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+    }
+
+
+def test_oracle_and_rewriting_stay_independent():
+    # the interpreter that checks the solver's answers shares only the
+    # AST with the pipeline, and elaboration never consults it
+    assert _package_imports("oracle.py") == {"ast"}
+    assert "oracle" not in _package_imports("elaborate.py")

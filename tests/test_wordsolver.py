@@ -32,6 +32,7 @@ from seqsolve.encode import (
     WordProblem,
     bstar_dfa,
     encode_elaboration,
+    encode_int,
     var,
     var_name,
     wconj,
@@ -239,11 +240,13 @@ def _problem(f):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_lazy_clauses_are_the_pruned_eager_dnf_on_random_formulas(seed):
-    # the random-500 set; a formula whose normal form has more than a
-    # thousand clauses (13 of each 500) is compared on its first thousand
+    # the random-500 set and the next 500 formulas of its stream (since
+    # elaboration folds constant atoms, 500 formulas drop fewer than
+    # 20,000 clauses); a formula whose normal form has more than a
+    # thousand clauses is compared on its first thousand
     rng = random.Random(seed)
     dropped = 0
-    for _ in range(500):
+    for _ in range(1000):
         f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
         dropped += _assert_pruned_reference(_problem(f).matrix, limit=1000)
     assert dropped > 20_000
@@ -255,12 +258,20 @@ def test_lazy_clauses_are_the_pruned_eager_dnf_on_the_corpus(name):
 
 
 def test_lazy_clauses_prune_a_ground_contradiction():
-    f = parse_formula(
-        "exists x, y . eps = -1 & (first(x) < first(y) | first(y) < last(x)"
-        " | x = y ++ y)"
+    # eps = -1 as the encoder spells it, between two disjunctions;
+    # elaboration folds such an atom to false, so the formula is built
+    # by hand: each partial clause of the first disjunction is refuted
+    # at the contradiction, and the second is never expanded
+    w = wconj(
+        [
+            WIn(X, bstar_dfa()),
+            WIn(Y, bstar_dfa()),
+            WOr(WOr(WEq(X, Y + "b"), WEq(Y, X + "b")), WNot(WEq(X, Y))),
+            WEq("", encode_int(-1)),
+            WOr(WEq(X, Y + Y), WOr(WEq(Y, ""), WNot(WEq(Y, X)))),
+        ]
     )
-    w = _problem(f).matrix
-    assert _assert_pruned_reference(w) == len(list(_eager_dnf(w))) > 0
+    assert _assert_pruned_reference(w) == len(list(_eager_dnf(w))) == 9
     assert nnf_dnf(w) == []
 
 
@@ -310,10 +321,11 @@ def test_walk_yields_fixpoints_on_the_corpus(name):
 
 
 def test_walk_yields_fixpoints_on_random_formulas():
-    # the random-500 set of seed 0, each formula's first 2,000 clauses
+    # the random-500 set of seed 0 and the next 500 formulas of its
+    # stream, each formula's first 2,000 clauses
     rng = random.Random(0)
     n = 0
-    for _ in range(500):
+    for _ in range(1000):
         f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
         for clause in itertools.islice(wordsolver._clauses(_problem(f).matrix, 10**6), 2000):
             _assert_fixpoint(clause)
