@@ -10,11 +10,13 @@ The core language the encoder accepts:
 
 Everything else is rewritten away here: reversal, subranges, length
 bounds, derived comparisons, integer constants and nested arithmetic.
-Atoms that are constant fold away too: a comparison whose two sides
-differ by a constant, and an equation between sides built from eps
-and integer literals, become true or false, and the constants then
-propagate through & and |, so a false conjunct leaves the formula
-false before it reaches the encoder.
+Each integer comparison is lowered from its linear form over first
+elements, so equivalent spellings give the same atoms. Atoms that are
+constant fold away: a comparison whose linear form has no terms, and
+an equation between sides built from eps and integer literals, become
+true or false, and the constants then propagate through & and |, so
+a false conjunct leaves the formula false, with no fresh variables,
+before it reaches the encoder.
 Rewrites that need a name for an intermediate value introduce fresh
 '$'-variables together with guard constraints that pin them down; for
 every assignment to the original variables the guards are satisfiable
@@ -52,7 +54,9 @@ supported fragment and ElaborationError is raised.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import eq, ge, gt, le, lt, ne
 
 from .ast import (
     And,
@@ -500,23 +504,43 @@ def push_negations(m: Matrix, neg: bool = False) -> Matrix:
 # stage 6: integer arithmetic and remaining compound atoms
 
 
+_MIRROR = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+_HOLDS = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+# A linear form sum(c * first(n)) + k over lowered names n: the pairs
+# (n, c) sorted by name, with no zero c, and k.
+Form = tuple[tuple[tuple[str, int], ...], int]
+
+
 class _AtomLowering:
-    """Flattens integer terms to first-elements of variables and
+    """Lowers integer comparisons from their linear forms and
     normalizes membership arguments to variables, accumulating guards.
 
-    A normalized integer term is either a known constant or the first
-    element of a variable. Sums and differences that cannot be folded
-    get a fresh variable whose first element is pinned by a core sum
-    atom; constants in variable positions get a shared one-element
-    witness variable pinned by a membership. An atom that has one value
-    in every environment becomes that BoolLit before any of this: a
-    comparison whose sides differ by a constant (their linear forms over
-    first elements cancel), or an equation between ground sides."""
+    An integer term or comparison is read as its linear form
+    sum(c * first(n)) + k over variable names n (first(eps) is 0,
+    first(k) is k, any other first(t) aliases t), so equivalent
+    spellings give one atom. A comparison is the bound `form op 0`,
+    negated with op mirrored if every c is negative:
+
+      no terms               true or false
+      two terms, c = 1, -1,  a bound d op k' on d = first(n1) - first(n2),
+      k != 0, op not ==/!=   n1 before n2 by name, so that every bound on
+                             one difference shares one variable d
+      any other form         positive terms op negative terms; for == and
+                             != the constant stays positive (t == v + 1,
+                             never v == t + (-1)), else it goes right
+
+    <=, >= and != become disjunctions of < and ==. A side that is not
+    one name or one integer is a fresh variable, one per linear form,
+    pinned by the guard `v == form`, which is lowered the same way; an
+    integer in a variable position gets a shared one-element witness
+    variable pinned by a membership. An equation between ground sides
+    becomes its BoolLit."""
 
     def __init__(self, fresh: _Fresh):
         self.fresh = fresh
         self.guards: list[Matrix] = []
-        self.int_cache: dict[IntTerm, tuple] = {}
+        self.int_cache: dict[Form, str] = {}
         self.alias_cache: dict[SeqTerm, SVar] = {}
         self.const_cache: dict[int, SVar] = {}
 
@@ -530,10 +554,8 @@ class _AtomLowering:
             case SConcat(left=l, right=r):
                 return SConcat(self.seq(l), self.seq(r))
             case SInt(value=i):
-                ni = self.intt(i)
-                if ni[0] == "const":
-                    return SInt(IConst(ni[1]))
-                return SInt(IOfSeq(SVar(ni[1])))
+                v = self.value(self.linear(i))
+                return SInt(IConst(v) if isinstance(v, int) else IOfSeq(SVar(v)))
         raise ElaborationError(f"unexpected term after earlier stages: {t!r}")
 
     def alias(self, t: SeqTerm) -> SVar:
@@ -549,44 +571,50 @@ class _AtomLowering:
 
     # integer terms
 
-    def intt(self, i: IntTerm) -> tuple:
-        if i in self.int_cache:
-            return self.int_cache[i]
-        out = self._intt(i)
-        self.int_cache[i] = out
-        return out
+    def linear(self, l: IntTerm, r: IntTerm = IConst(0)) -> Form:
+        """The linear form of l - r. The first-element terms are
+        aliased left to right, and only those whose coefficients do not
+        cancel."""
+        coeffs: dict[SeqTerm, int] = {}
+        k = 0
+        todo = [(r, -1), (l, 1)]
+        while todo:
+            i, sign = todo.pop()
+            match i:
+                case IConst(value=v):
+                    k += sign * v
+                case IAdd(left=a, right=b):
+                    todo += ((b, sign), (a, sign))
+                case ISub(left=a, right=b):
+                    todo += ((b, -sign), (a, sign))
+                case IOfSeq(arg=SEmpty()):
+                    pass
+                case IOfSeq(arg=SInt(value=j)):
+                    todo.append((j, sign))
+                case IOfSeq(arg=t):
+                    coeffs[t] = coeffs.get(t, 0) + sign
+                case _:
+                    raise TypeError(f"not an integer term: {i!r}")
+        names: dict[str, int] = {}
+        for t, c in coeffs.items():
+            if c:
+                n = self.alias(t).name
+                names[n] = names.get(n, 0) + c
+        return tuple(sorted((n, c) for n, c in names.items() if c)), k
 
-    def _intt(self, i: IntTerm) -> tuple:
-        match i:
-            case IConst(value=k):
-                return ("const", k)
-            case IOfSeq(arg=SVar(name=n)):
-                return ("fst", n)
-            case IOfSeq(arg=SEmpty()):
-                return ("const", 0)
-            case IOfSeq(arg=SInt(value=j)):
-                return self.intt(j)
-            case IOfSeq(arg=t):
-                return ("fst", self.alias(t).name)
-            case IAdd(left=l, right=r):
-                nl, nr = self.intt(l), self.intt(r)
-                if nl[0] == "const" and nr[0] == "const":
-                    return ("const", nl[1] + nr[1])
-                s = SVar(self.fresh.new("s"))
-                self.guards.append(
-                    IntCmp("==", IOfSeq(s), IAdd(self.as_fst(nl), self.as_fst(nr)))
-                )
-                return ("fst", s.name)
-            case ISub(left=l, right=r):
-                nl, nr = self.intt(l), self.intt(r)
-                if nl[0] == "const" and nr[0] == "const":
-                    return ("const", nl[1] - nr[1])
-                d = SVar(self.fresh.new("d"))
-                self.guards.append(
-                    IntCmp("==", self.as_fst(nl), IAdd(IOfSeq(d), self.as_fst(nr)))
-                )
-                return ("fst", d.name)
-        raise TypeError(f"not an integer term: {i!r}")
+    def value(self, form: Form) -> str | int:
+        """A name whose first element is the form's value, or the value
+        itself when the form is constant."""
+        terms, k = form
+        if not terms:
+            return k
+        if k == 0 and len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]
+        if form not in self.int_cache:
+            v = self.fresh.new("d" if any(c < 0 for _, c in terms) else "s")
+            self.guards.append(self.compare("==", (((v, -1),) + terms, k)))
+            self.int_cache[form] = v
+        return self.int_cache[form]
 
     def const_var(self, k: int) -> SVar:
         if k in self.const_cache:
@@ -598,57 +626,57 @@ class _AtomLowering:
         self.const_cache[k] = v
         return v
 
-    def as_fst(self, n: tuple) -> IOfSeq:
-        if n[0] == "const":
-            return IOfSeq(self.const_var(n[1]))
-        return IOfSeq(SVar(n[1]))
+    def fst(self, side: list[str | int]) -> IOfSeq:
+        """The first element of a variable holding the sum of side."""
+        if len(side) == 1:
+            v = side[0]
+        else:
+            terms = tuple(sorted(Counter(n for n in side if isinstance(n, str)).items()))
+            v = self.value((terms, sum(n for n in side if isinstance(n, int))))
+        return IOfSeq(self.const_var(v) if isinstance(v, int) else SVar(v))
 
     # atoms
 
-    def int_atom(self, op: str, l: IntTerm, r: IntTerm) -> Matrix:
+    def compare(self, op: str, form: Form) -> Matrix:
+        """The bound form op 0 in core atoms."""
+        terms, k = form
+        if not terms:
+            return BoolLit(_HOLDS[op](k, 0))
+        if all(c < 0 for _, c in terms):
+            op, terms, k = _MIRROR[op], tuple((n, -c) for n, c in terms), -k
+        if k and op not in ("==", "!=") and [c for _, c in terms] in ([1, -1], [-1, 1]):
+            (n1, c1), (n2, _) = terms
+            d = self.value((((n1, 1), (n2, -1)), 0))
+            return self.compare(op, (((d, c1),), k))
+        pos = [n for n, c in terms if c > 0 for _ in range(c)]
+        neg = [n for n, c in terms if c < 0 for _ in range(-c)]
+        if k > 0 and neg and op in ("==", "!="):
+            pos.append(k)
+        elif k or not neg:
+            neg.append(-k)
+        return self.lower(op, pos, neg)
+
+    def lower(self, op: str, l: list[str | int], r: list[str | int]) -> Matrix:
+        """l op r for two sums of names and integers; an integer can
+        only be the last summand of a side."""
+        if op in ("==", "!=") and len(l) > len(r):
+            l, r = r, l
         match op:
-            case "==" | "<":
-                pass
             case "!=":
-                return Or(self.int_atom("<", l, r), self.int_atom("<", r, l))
+                return Or(self.lower("<", l, r), self.lower("<", r, l))
             case "<=":
-                return Or(self.int_atom("<", l, r), self.int_atom("==", l, r))
+                return Or(self.lower("<", l, r), self.lower("==", l, r))
             case ">=":
-                return Or(self.int_atom("<", r, l), self.int_atom("==", l, r))
+                return Or(self.lower("<", r, l), self.lower("==", l, r))
             case ">":
-                return self.int_atom("<", r, l)
-            case _:
-                raise ValueError(f"unknown comparison {op!r}")
-        if op == "==":
-            # orient sums and differences into the core shape k == i + j
-            if isinstance(l, (IAdd, ISub)) and not isinstance(r, (IAdd, ISub)):
-                l, r = r, l
-            if isinstance(r, IAdd):
-                n1, n2 = self.intt(r.left), self.intt(r.right)
-                if n1[0] == n2[0] == "const":
-                    r = IConst(n1[1] + n2[1])
-                else:
-                    nl = self.intt(l)
-                    return IntCmp(
-                        "==", self.as_fst(nl), IAdd(self.as_fst(n1), self.as_fst(n2))
-                    )
-            elif isinstance(r, ISub):
-                # l == a - b is a == l + b
-                na, nb = self.intt(r.left), self.intt(r.right)
-                if na[0] == nb[0] == "const":
-                    r = IConst(na[1] - nb[1])
-                else:
-                    nl = self.intt(l)
-                    return IntCmp(
-                        "==", self.as_fst(na), IAdd(self.as_fst(nl), self.as_fst(nb))
-                    )
-        nl, nr = self.intt(l), self.intt(r)
-        if op == "==":
-            if nr[0] == "const" and nr[1] in (0, 1) and nl[0] == "fst":
-                return IntCmp("==", IOfSeq(SVar(nl[1])), IConst(nr[1]))
-            if nl[0] == "const" and nl[1] in (0, 1) and nr[0] == "fst":
-                return IntCmp("==", IOfSeq(SVar(nr[1])), IConst(nl[1]))
-        return IntCmp(op, self.as_fst(nl), self.as_fst(nr))
+                return self.lower("<", r, l)
+            case "==" if len(r) > 1:
+                return IntCmp("==", self.fst(l), IAdd(self.fst(r[:1]), self.fst(r[1:])))
+            case "==" if r in ([0], [1]):
+                return IntCmp("==", self.fst(l), IConst(r[0]))
+            case "==" | "<":
+                return IntCmp(op, self.fst(l), self.fst(r))
+        raise ValueError(f"unknown comparison {op!r}")
 
     def atom(self, a: Atom) -> Matrix:
         match a:
@@ -663,54 +691,8 @@ class _AtomLowering:
             case InRe(arg=t, regex=rx):
                 return InRe(self.alias(t), rx)
             case IntCmp(op=op, left=l, right=r):
-                d = _constant_difference(l, r)
-                return self.int_atom(op, l, r) if d is None else BoolLit(_holds(op, d))
+                return self.compare(op, self.linear(l, r))
         raise TypeError(f"unexpected node after earlier stages: {a!r}")
-
-
-def _constant_difference(l: IntTerm, r: IntTerm) -> int | None:
-    """l - r, if it is one integer in every environment: its linear
-    form over first-element terms, reading first(eps) as 0 and first(k)
-    as k, has no nonzero coefficient. None otherwise."""
-    coeffs: dict[SeqTerm, int] = {}
-    const = 0
-    todo = [(l, 1), (r, -1)]
-    while todo:
-        i, sign = todo.pop()
-        match i:
-            case IConst(value=k):
-                const += sign * k
-            case IAdd(left=a, right=b):
-                todo += ((a, sign), (b, sign))
-            case ISub(left=a, right=b):
-                todo += ((a, sign), (b, -sign))
-            case IOfSeq(arg=SEmpty()):
-                pass
-            case IOfSeq(arg=SInt(value=j)):
-                todo.append((j, sign))
-            case IOfSeq(arg=t):
-                coeffs[t] = coeffs.get(t, 0) + sign
-            case _:
-                raise TypeError(f"not an integer term: {i!r}")
-    return None if any(coeffs.values()) else const
-
-
-def _holds(op: str, d: int) -> bool:
-    """Whether l op r holds when l - r == d."""
-    match op:
-        case "==":
-            return d == 0
-        case "!=":
-            return d != 0
-        case "<":
-            return d < 0
-        case "<=":
-            return d <= 0
-        case ">":
-            return d > 0
-        case ">=":
-            return d >= 0
-    raise ValueError(f"unknown comparison {op!r}")
 
 
 def _ground_value(t: SeqTerm) -> tuple[int, ...] | None:
@@ -813,16 +795,21 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
         validate_core(g)
     validate_core(matrix)
 
+    fresh_vars = tuple(fresh.names)
+    if isinstance(matrix, BoolLit):
+        # the guards hold for some value of the fresh variables in every
+        # environment, so a constant matrix needs neither
+        guards = fresh_vars = ()
     combined = fold_consts(And(conj(list(guards)), matrix))
     if f.quantifier is None:
         out = Formula(None, (), combined)
     else:
-        out = Formula(EXISTS, prefix + tuple(fresh.names), combined)
+        out = Formula(EXISTS, prefix + fresh_vars, combined)
 
     return Elaboration(
         formula=out,
         core_matrix=matrix,
         guards=guards,
-        fresh_vars=tuple(fresh.names),
+        fresh_vars=fresh_vars,
         rev_map=rev_map,
     )

@@ -23,6 +23,7 @@ from seqsolve.ast import (
     BoolLit,
     EXISTS,
     FORALL,
+    IAdd,
     IOfSeq,
     InRe,
     IntCmp,
@@ -47,6 +48,7 @@ from seqsolve.elaborate import (
     z_at_most,
     z_exact,
 )
+from seqsolve.encode import encode_elaboration
 from seqsolve.oracle import Bounds, enum_seqs, iter_envs, matrix_value
 from seqsolve.parser import parse_formula, parse_matrix
 from seqsolve.printer import print_formula
@@ -137,6 +139,13 @@ def test_subrange_of_concatenation_faithful():
         "x + y == z - x",
         "x == 0",
         "x == 1 & y == x + x",
+        "x - y < 1",
+        "1 >= y - x",
+        "y + 1 != x",
+        "x + (-1) == y",
+        "x + x < y",
+        "z + 1 == x + y",
+        "x = first(y) - 1",
     ],
 )
 def test_arithmetic_lowering_faithful(src):
@@ -286,6 +295,60 @@ def test_false_conjunct_folds_the_formula():
     elab = elaborate(parse_formula("exists x, y . eps = -1 & (first(x) < first(y) | x = y)"))
     assert elab.formula.matrix == BoolLit(False)
     assert elab.formula.prefix == ("x", "y")
+
+
+def test_folded_formula_keeps_no_fresh_variables():
+    # random-500 #141: the guards of its other atoms go with the false
+    rng = random.Random(0)
+    f = [gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2) for _ in range(142)][141]
+    elab = elaborate(f)
+    assert print_formula(elab.formula) == "exists x, y, z . false"
+    assert elab.guards == elab.fresh_vars == ()
+    assert encode_elaboration(elab).variables == ("x", "y", "z")
+
+
+# Spellings of one bound on one difference: where the constants stand,
+# + (-k) against - k, and which side is which. Each is the linear form
+# y - x + 5 < 0 and elaborates to the same formula. [DERIVED]
+DIFFERENCE_SPELLINGS = [
+    "y + (-9) < x + (-14)",
+    "y - 9 < x - 14",
+    "y < x - 5",
+    "y - x < -5",
+    "x - y > 5",
+]
+
+
+def test_spellings_of_one_comparison_elaborate_alike():
+    texts = {
+        print_formula(elaborate(parse_formula(f"exists x, y . {src}")).formula)
+        for src in DIFFERENCE_SPELLINGS
+    }
+    assert texts == {"exists x, y, $d1, $c5 . (x == $d1 + y & $c5 in 5) & $c5 < $d1"}
+
+
+def test_bounds_on_one_difference_share_its_variable():
+    elab = elaborate(parse_formula("exists x, y . y - 9 < x - 14 & x - y <= 3"))
+    assert [g for g in elab.guards if isinstance(g, IntCmp)] == [
+        IntCmp("==", IOfSeq(SVar("x")), IAdd(IOfSeq(SVar("$d1")), IOfSeq(SVar("y"))))
+    ]
+
+
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        ("x + 1 == y", "exists x, y, $c1 . $c1 in 1 & y == x + $c1"),
+        ("y == x + (-1)", "exists x, y, $c1 . $c1 in 1 & x == y + $c1"),
+        ("x + (-1) != y", "exists x, y, $s1, $c1 . ($c1 in 1 & $s1 == y + $c1) & (x < $s1 | $s1 < x)"),
+        ("3 > x", "exists x, y, $c3 . $c3 in 3 & x < $c3"),
+        ("x = first(y) - first(y)", "exists x, y . x = 0"),
+    ],
+)
+def test_lowered_shapes(src, text):
+    # == and != take the encoder's sum shape t == v + k with k > 0,
+    # never a difference; a lone term stays on the left; a constant
+    # integer in a sequence folds
+    assert print_formula(elaborate(parse_formula(f"exists x, y . {src}")).formula) == text
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -240,15 +240,16 @@ def _problem(f):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_lazy_clauses_are_the_pruned_eager_dnf_on_random_formulas(seed):
-    # the random-500 set and the next 500 formulas of its stream (since
-    # elaboration folds constant atoms, 500 formulas drop fewer than
-    # 20,000 clauses); a formula whose normal form has more than a
-    # thousand clauses is compared on its first thousand
+    # 1,400 formulas of up to 8 atoms with constants in [-5, 5]; a
+    # formula whose normal form has more than 5,000 clauses is compared
+    # on its first 5,000. (Since comparisons lower to one bound without
+    # sign-split sums, the first 1,000 formulas of the random-500 profile
+    # drop fewer than 4,000 clauses.)
     rng = random.Random(seed)
     dropped = 0
-    for _ in range(1000):
-        f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
-        dropped += _assert_pruned_reference(_problem(f).matrix, limit=1000)
+    for _ in range(1400):
+        f = gen_formula(rng, max_vars=3, max_atoms=8, lo=-5, hi=5)
+        dropped += _assert_pruned_reference(_problem(f).matrix, limit=5000)
     assert dropped > 20_000
 
 
