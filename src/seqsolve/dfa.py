@@ -10,6 +10,16 @@ automata serve as cheap memoization keys. Canonical form also keeps the
 set of automata generated by repeated intersections and start/accept
 surgery finite, which the solver's termination argument relies on.
 
+Minimizing is the cost of canonical form, so only the operations that
+can merge states minimize (_canon): make_dfa and the constructors, the
+product of intersect, and accept_at, which changes the accepting set.
+The others inherit minimality from their canonical argument. complement
+keeps the transitions and flips acceptance, which keeps every pair of
+states told apart by the same words. with_start, and so derivative,
+keeps the states reachable from the new start: each still differs from
+every other, so they only need relabeling. is_singleton reads its
+answer off the canonical structure.
+
 Build automata with the regex-style constructors (lit, union, concat,
 star, plus, power) or from explicit parts with make_dfa.
 """
@@ -77,12 +87,13 @@ class Dfa:
 
 @lru_cache(maxsize=None)
 def _complement(d: Dfa) -> Dfa:
-    return _canon(d.delta, d.start, frozenset(range(d.n)) - d.accepting)
+    return _intern(d.delta, frozenset(range(d.n)) - d.accepting)
 
 
 @lru_cache(maxsize=None)
 def _with_start(d: Dfa, q: int) -> Dfa:
-    return _canon(d.delta, q, d.accepting)
+    order, rows = _renumber(d.delta, q)
+    return _intern(tuple(rows), frozenset(i for i, s in enumerate(order) if s in d.accepting))
 
 
 @lru_cache(maxsize=None)
@@ -113,65 +124,80 @@ def _shortest_word(d: Dfa) -> str | None:
 
 @lru_cache(maxsize=None)
 def _is_singleton(d: Dfa) -> bool:
+    """The canonical automaton of {w} is w's path, of distinct states,
+    and one dead state that every edge off the path enters. Only the
+    path's end can accept: the path before it spells words shorter than
+    the shortest, and an accepting dead state would equal the end."""
     w = d.shortest_word()
-    if w is None:
+    if w is None or d.n != len(w) + 2:
         return False
-    return d.intersect(lit(w).complement()).is_empty()
+    path = [d.start]
+    for ch in w:
+        path.append(d.step(path[-1], ch))
+    (dead,) = set(range(d.n)).difference(path)
+    on_path = {(q, _IDX[ch]): t for q, ch, t in zip(path, w, path[1:])}
+    return all(
+        t == on_path.get((q, i), dead) for q, row in enumerate(d.delta) for i, t in enumerate(row)
+    )
 
 
 _interned: dict[tuple, Dfa] = {}  # (delta, accepting) -> the one instance
 
 
-def _canon(delta, start, accepting) -> Dfa:
-    """Restrict to reachable states, minimize, relabel canonically, and
-    return the interned instance of the result."""
-    n = len(delta)
-    # reachable
-    order = [start]
-    seen = {start}
-    for s in order:
-        for t in delta[s]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    # Moore partition refinement
-    cls = {s: (s in accepting) for s in order}
-    while True:
-        sig = {s: (cls[s], tuple(cls[t] for t in delta[s])) for s in order}
-        ids: dict[tuple, int] = {}
-        new = {}
-        for s in order:
-            new[s] = ids.setdefault(sig[s], len(ids))
-        if len(set(new.values())) == len(set(cls.values())):
-            cls = new
-            break
-        cls = new
-    # quotient, then BFS relabel from the start class
-    rep: dict[int, int] = {}
-    for s in order:
-        rep.setdefault(cls[s], s)
-    label = {cls[start]: 0}
-    bfs = [cls[start]]
-    for c in bfs:
-        s = rep[c]
-        for t in delta[s]:
-            ct = cls[t]
-            if ct not in label:
-                label[ct] = len(label)
-                bfs.append(ct)
-    m = len(label)
-    out = [None] * m
-    acc = set()
-    for c in bfs:
-        s = rep[c]
-        out[label[c]] = tuple(label[cls[t]] for t in delta[s])
-        if s in accepting:
-            acc.add(label[c])
-    key = (tuple(out), frozenset(acc))
+def _intern(delta, accepting) -> Dfa:
+    """The one instance of the canonical automaton (delta, accepting)."""
+    key = (delta, accepting)
     d = _interned.get(key)
     if d is None:
-        d = _interned[key] = Dfa(key[0], 0, key[1])
+        d = _interned[key] = Dfa(delta, 0, accepting)
     return d
+
+
+def _renumber(delta, start):
+    """The states reachable from start in breadth-first order, letters in
+    alphabet order, and their rows with each state renamed by its
+    position in that order."""
+    num = {start: 0}
+    order = [start]
+    for s in order:
+        for t in delta[s]:
+            if t not in num:
+                num[t] = len(order)
+                order.append(t)
+    return order, [tuple([num[t] for t in delta[s]]) for s in order]
+
+
+def _canon(delta, start, accepting) -> Dfa:
+    """Restrict to reachable states, minimize, relabel canonically, and
+    return the interned instance of the result.
+
+    Moore refinement over the states renumbered in breadth-first order:
+    a state's signature is its class with its successors' classes, and
+    refinement stops when the class count stops growing. Classes are
+    numbered by their first state in that order, which is the order a
+    breadth-first search of the quotient meets them, so the final
+    numbering is already the canonical labeling."""
+    order, rows = _renumber(delta, start)
+    cls = [s in accepting for s in order]
+    count = len(set(cls))
+    while True:
+        ids: dict[tuple, int] = {}
+        cls = [
+            ids.setdefault((cls[s], cls[a], cls[b], cls[c], cls[d]), len(ids))
+            for s, (a, b, c, d) in enumerate(rows)
+        ]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    out = []
+    acc = set()
+    for s, row in enumerate(rows):
+        c = cls[s]
+        if c == len(out):
+            out.append(tuple([cls[t] for t in row]))
+            if order[s] in accepting:
+                acc.add(c)
+    return _intern(tuple(out), frozenset(acc))
 
 
 def make_dfa(delta, start, accepting) -> Dfa:

@@ -369,8 +369,12 @@ def _clauses(w, cap: int):
     by intersection and is dropped when empty. A joining membership is
     examined first on a rescan, so after one the fixpoint is computed
     from scratch at the next join, or before the clause is yielded.
-    Each clause is yielded as the fixpoint _simplify gives it from
-    scratch, and no clause that fails _simplify is yielded.
+    No clause that fails _simplify is yielded. A yielded clause has the
+    models of the fixpoint _simplify gives the whole clause from
+    scratch, but it need not be that fixpoint: the rules can run in
+    another order. A disequation the walk drops when it joins, for
+    differing letters, can survive from scratch, where a later
+    substitution strips it to an empty side against one with a letter.
 
     The partial clause also carries its length theory state. A joining
     equation adds its length row, computed once per atom, and a joining
@@ -494,10 +498,19 @@ def _length_bounds(d: Dfa):
 
 @lru_cache(maxsize=None)
 def _length_feasible(d: Dfa, n: int) -> bool:
-    states = {d.start}
-    for _ in range(n):
-        states = {d.step(q, ch) for q in states for ch in ALPHABET}
-    return bool(states & d.accepting)
+    """Does d accept a word of length n? The state sets reached by k
+    letters are eventually periodic, so stepping stops at the first set
+    that repeats and reads the set for n off the period."""
+    states = frozenset([d.start])
+    first: dict[frozenset, int] = {}  # a state set -> the k letters that reach it
+    for k in range(n):
+        if states in first:
+            j = first[states]
+            states = list(first)[j + (n - j) % (k - j)]
+            break
+        first[states] = k
+        states = frozenset([t for q in states for t in d.delta[q]])
+    return not states.isdisjoint(d.accepting)
 
 
 def _length_row(u: str, v: str):

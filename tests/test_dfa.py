@@ -3,10 +3,12 @@ arithmetic over an exhaustive enumeration of short words [TRIVIAL
 oracle-by-enumeration]."""
 
 import itertools
+import random
 
 from seqsolve.dfa import (
     ALPHABET,
     Dfa,
+    _canon,
     concat,
     empty_dfa,
     lit,
@@ -127,3 +129,99 @@ def test_make_dfa_canonicalizes():
     d = make_dfa([(1, 1, 1, 1), (0, 0, 0, 0)], 0, [0, 1])
     assert d == empty_dfa().complement()
     assert d.n == 1
+
+
+# ---------------------------------------------------------------------------
+# the dict-based Moore refinement, frozen as the reference: reachable states
+# by search, refinement until the class count stops growing, then a second
+# breadth-first search of the quotient for the canonical labels; every
+# operation minimized its result
+
+
+def _reference_canon(delta, start, accepting) -> tuple:
+    order = [start]
+    seen = {start}
+    for s in order:
+        for t in delta[s]:
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    cls = {s: (s in accepting) for s in order}
+    while True:
+        sig = {s: (cls[s], tuple(cls[t] for t in delta[s])) for s in order}
+        ids: dict[tuple, int] = {}
+        new = {}
+        for s in order:
+            new[s] = ids.setdefault(sig[s], len(ids))
+        if len(set(new.values())) == len(set(cls.values())):
+            cls = new
+            break
+        cls = new
+    rep: dict[int, int] = {}
+    for s in order:
+        rep.setdefault(cls[s], s)
+    label = {cls[start]: 0}
+    bfs = [cls[start]]
+    for c in bfs:
+        s = rep[c]
+        for t in delta[s]:
+            ct = cls[t]
+            if ct not in label:
+                label[ct] = len(label)
+                bfs.append(ct)
+    out = [None] * len(label)
+    acc = set()
+    for c in bfs:
+        s = rep[c]
+        out[label[c]] = tuple(label[cls[t]] for t in delta[s])
+        if s in accepting:
+            acc.add(label[c])
+    return tuple(out), frozenset(acc)
+
+
+def _parts(d: Dfa) -> tuple:
+    assert d.start == 0
+    return d.delta, d.accepting
+
+
+def _reference_singleton(d: Dfa) -> bool:
+    w = d.shortest_word()
+    return w is not None and d.intersect(lit(w).complement()).is_empty()
+
+
+def test_operations_match_the_reference_canon_on_random_automata():
+    rng = random.Random(0)
+    for _ in range(2_000):
+        n = rng.randint(1, 12)
+        delta = tuple(tuple(rng.randrange(n) for _ in ALPHABET) for _ in range(n))
+        accepting = frozenset(s for s in range(n) if rng.random() < 0.3)
+        for start in range(n):
+            assert _parts(_canon(delta, start, accepting)) == _reference_canon(delta, start, accepting)
+        d = _canon(delta, rng.randrange(n), accepting)
+        everything = frozenset(range(d.n))
+        assert _parts(d.complement()) == _reference_canon(d.delta, 0, everything - d.accepting)
+        q = rng.randrange(d.n)
+        assert _parts(d.with_start(q)) == _reference_canon(d.delta, q, d.accepting)
+        assert _parts(d.accept_at(q)) == _reference_canon(d.delta, 0, {q})
+        ch = rng.choice(ALPHABET)
+        assert _parts(d.derivative(ch)) == _reference_canon(d.delta, d.step(0, ch), d.accepting)
+        assert d.is_singleton() == _reference_singleton(d)
+
+
+def test_is_singleton_matches_the_reference():
+    rng = random.Random(1)
+    cases = [lit("abcd"), lit(""), lit("a").complement(), empty_dfa(), star(B)]
+    for _ in range(200):
+        w = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 6)))
+        x = rng.choice(ALPHABET)
+        cases += [
+            lit(w),
+            union(lit(w), lit(w + x)),
+            union(lit(w), lit(x + w)),
+            concat(lit(w), star(lit(x))),
+            lit(w).intersect(star(lit(x))),
+        ]
+    for d in cases:
+        assert d.is_singleton() == _reference_singleton(d), d
+    assert lit("abcd").is_singleton() and lit("").is_singleton()
+    assert not union(lit("abcd"), lit("abcda")).is_singleton()

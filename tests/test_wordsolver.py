@@ -20,7 +20,7 @@ import pytest
 
 from seqsolve import oracle, wordsolver
 from seqsolve.ast import FORALL, matrix_vars
-from seqsolve.dfa import empty_dfa, lit, plus, star, union
+from seqsolve.dfa import ALPHABET, empty_dfa, lit, make_dfa, plus, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
 from seqsolve.encode import (
     WAnd,
@@ -54,6 +54,7 @@ from seqsolve.wordsolver import (
     _extend,
     _Search,
     _length_bounds,
+    _length_feasible,
     _length_infeasible,
     _length_row,
     _lengths_add,
@@ -256,6 +257,61 @@ def test_lazy_clauses_are_the_pruned_eager_dnf_on_random_formulas(seed):
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.seq")))
 def test_lazy_clauses_are_the_pruned_eager_dnf_on_the_corpus(name):
     _assert_pruned_reference(_problem(parse_formula((CORPUS / name).read_text())).matrix)
+
+
+def test_lazy_clauses_differ_from_scratch_only_by_rule_order():
+    # formula #286 of the 12-atom stream: the walk checks the disequation
+    # 'aca' != 'adba' x w when it joins and drops it for its differing
+    # letters; from scratch, w is substituted first and the disequation
+    # is stripped to '' != 'dba' x 'a', which _simplify keeps, although a
+    # side with a letter is never empty. The two fixpoints differ in that
+    # disequation only, and each clause has the same models both ways.
+    rng = random.Random(0)
+    for _ in range(286):
+        gen_formula(rng, max_vars=3, max_atoms=12, lo=-5, hi=5)
+    f = gen_formula(rng, max_vars=3, max_atoms=12, lo=-5, hi=5)
+    w = _problem(f).matrix
+    scratch = []
+    for c in _eager_dnf(w):
+        res = _simplify(c.eqs, c.diseqs, c.members)
+        if res[0] == "ok" and not _length_infeasible(c.eqs, c.members):
+            scratch.append(res[1:])
+    lazy = list(wordsolver._clauses(w, 10**6))
+    assert len(lazy) == len(scratch) == 13
+    differ = [k for k, (a, b) in enumerate(zip(lazy, scratch)) if a != b]
+    assert differ == [1]
+    (eqs, diseqs, members, log), (eqs2, diseqs2, members2, log2) = lazy[1], scratch[1]
+    assert (eqs, members, log) == (eqs2, members2, log2)
+    assert diseqs == [] and len(diseqs2) == 1
+    u, v = diseqs2[0]
+    assert u == "" and min(v) <= "d"
+
+    names = oracle.search_names(f)
+    bounds = Bounds(max_len=1, values=(-2, -1, 0, 1, 2))
+    envs = list(itertools.product(oracle.enum_seqs(bounds), repeat=len(names)))
+
+    def models(fix) -> set:
+        # the environments whose encoding, pinned by equations, the clause admits
+        out = set()
+        for vals in envs:
+            pins = [(var(x), "".join(map(encode_int, s))) for x, s in zip(names, vals)]
+            branch = _extend(fix, pins, [])
+            if branch is None:
+                continue
+            st, _ = _solve_constraints(branch, _Search(BUDGET), None)
+            assert st != "unknown"
+            if st == "sat":
+                out.add(vals)
+        return out
+
+    admitted = set()
+    for a, b in zip(lazy, scratch):
+        got = models(a)
+        assert got == models(b)
+        admitted |= got
+    truth = [vals for vals in envs if oracle.matrix_value(f.matrix, dict(zip(names, vals)))]
+    assert admitted == set(truth) and len(truth) == 56
+    assert oracle.brute_force_sat(f.matrix, names, bounds) == dict(zip(names, truth[0]))
 
 
 def test_lazy_clauses_prune_a_ground_contradiction():
@@ -845,6 +901,22 @@ def test_length_bounds_of_automata():
     assert _length_bounds(star(lit("bb"))) == (0, None)
     assert _length_bounds(lit("a").intersect(lit("b"))) is None
     assert _lengths_bound(_NO_LENGTHS, X, empty_dfa(), {}) is None
+
+
+def test_length_feasible_matches_plain_stepping():
+    # the period read-off against stepping once per letter, for every
+    # length up to three times past the states plus one
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        delta = [[rng.randrange(n) for _ in ALPHABET] for _ in range(n)]
+        d = make_dfa(delta, 0, [s for s in range(n) if rng.random() < 0.3])
+        states = {d.start}
+        for k in range(3 * (d.n + 1) + 1):
+            assert _length_feasible(d, k) == bool(states & d.accepting), (d, k)
+            states = {t for q in states for t in d.delta[q]}
+    assert _length_feasible(star(lit("bbb")), 30_000)
+    assert not _length_feasible(star(lit("bbb")), 30_001)
 
 
 # automata with the lengths they accept, for the soundness test below
