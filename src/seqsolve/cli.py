@@ -12,15 +12,17 @@ One process runs one command against one input file::
 Exit codes follow the reported status: 0 for sat/valid/ok, 1 for
 unsat/invalid, 2 for unknown or undetermined outcomes, and 3 or above
 for configuration, parse, or I/O errors, which are diagnosed on
-stderr. JSON output follows the res-1 schema, except for the full
-encoding dump, which follows wp-1. Output ordering is deterministic
-throughout; nothing in the solver path is randomized.
+stderr. A standard output closed before the report is written ends
+the run quietly with 3. JSON output follows the res-1 schema, except
+for the full encoding dump, which follows wp-1. Output ordering is
+deterministic throughout; nothing in the solver path is randomized.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -423,7 +425,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout before the report was written (say,
+        # `| head -0`); end quietly, with stdout on devnull so that the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

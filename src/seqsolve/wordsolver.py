@@ -59,6 +59,14 @@ flag per equation that a substitution clears when it changes the
 equation, and the rules rewrite and delete equations in place. They
 fire in the same order as on a full rescan of the child.
 
+A variable that leaves every equation of a child is then pinned: its
+membership is dropped and the child's log sets it to the shortest word
+of its automaton, the word the final assignment would pick. The search
+carries no disequations, so such a variable is independent of the rest
+of the system, and children that differ only in its automaton share
+one memo key. The step stays out of _simplify, whose clause walk still
+gains atoms and carries disequations.
+
 A satisfiable system yields a word assignment, rebuilt by replaying the
 substitution trail backwards; callers decode it and verify it against
 the reference semantics before reporting.
@@ -741,6 +749,13 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
         if res[0] == "fail":
             return
         _, eqs2, _, members2, elog = res
+        # a variable that left every equation is independent of the rest:
+        # pin it to the word _final_assignment would pick, so the key
+        # forgets its automaton (every membership of an accepted child
+        # is nonempty)
+        used = "".join([u + v for u, v in eqs2])
+        for x in [x for x in members2 if x not in used]:
+            elog.append((x, members2.pop(x).shortest_word()))
         g2 = g + extra_letters
         if g2 > ctl.budget.witness_letters:
             capped = True
@@ -759,7 +774,7 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None)
         _, _, _, key = heapq.heappop(heap)
         eqs, members, _, _, g = store[key]
         if not eqs:
-            sigma = _final_assignment(members)
+            sigma = {}  # a child without equations pinned every variable
             k = key
             while k is not None:
                 _, _, parent, elog, _ = store[k]

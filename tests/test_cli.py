@@ -546,3 +546,19 @@ def test_python_dash_m_runs_the_cli():
     )
     assert (proc.returncode, proc.stderr) == (1, "")
     assert "status: invalid" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end of the pipe is closed before the child has started,
+    # so writing the report fails with a broken pipe
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqsolve", "sat", str(CORPUS / "sorted_123.seq")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (3, b"")
