@@ -1411,7 +1411,8 @@ def test_universal_problem_cannot_be_solved_directly():
 
 # The search's exploration, pinned: (file, status, nodes, clauses,
 # counterexample). A change that moves these figures must update them
-# and say why in CHANGES.md.
+# and say why in CHANGES.md. Each case is named by its file alone, so
+# re-pinning a figure does not rename the test.
 EXPLORATION = [
     ("comparison_hold.seq", "valid", 2733, 27, None),
     ("comparison_viol.seq", "invalid", 919, 5, {"h": (4, 5), "t": (7,), "v": (5,)}),
@@ -1419,7 +1420,9 @@ EXPLORATION = [
 ]
 
 
-@pytest.mark.parametrize("name,status,nodes,clauses,counterexample", EXPLORATION)
+@pytest.mark.parametrize(
+    "name,status,nodes,clauses,counterexample", EXPLORATION, ids=[e[0] for e in EXPLORATION]
+)
 def test_search_exploration_pinned(name, status, nodes, clauses, counterexample):
     r = check_valid(parse_formula((CORPUS / name).read_text()), BUDGET)
     assert (r.status, r.nodes, r.clauses) == (status, nodes, clauses)
