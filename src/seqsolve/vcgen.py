@@ -45,7 +45,7 @@ and discharge reports "undetermined" instead of "invalid".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ast import (
@@ -76,7 +76,7 @@ from .ast import (
     matrix_vars,
     seq_subterms,
 )
-from .elaborate import ElaborationError, elaborate
+from .elaborate import Elaboration, ElaborationError, elaborate
 from .parser import OLD_PREFIX, ParseError, parse_matrix, parse_seq_term
 from .wordsolver import Budget, check_valid, negation
 
@@ -176,6 +176,9 @@ class VC:
     line: int
     weakened: bool = False
     unencodable: str = ""
+    # the elaboration of the negation check_valid refutes, made once by
+    # the encodability probe and handed to discharge
+    elaboration: Elaboration | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +581,9 @@ def _finalize(ob: _Obligation, program: Program) -> list[VC]:
         piece_hyps = [h for h in piece_hyps if h != BoolLit(True)]
         matrix = Imp(conj(piece_hyps), piece_concl) if piece_hyps else piece_concl
         formula = Formula(FORALL, tuple(sorted(matrix_vars(matrix))), matrix)
-        unencodable = ""
+        elab, unencodable = None, ""
         try:
-            elaborate(negation(formula))
+            elab = elaborate(negation(formula))
         except ElaborationError as e:
             unencodable = str(e)
         out.append(
@@ -591,6 +594,7 @@ def _finalize(ob: _Obligation, program: Program) -> list[VC]:
                 line=ob.line,
                 weakened=expander.weakened,
                 unencodable=unencodable,
+                elaboration=elab,
             )
         )
     return out
@@ -643,7 +647,7 @@ def discharge(conditions: list[VC], budget: Budget | None = None) -> list[Discha
         if vc.unencodable:
             out.append(Discharge(vc, "unencodable", vc.unencodable))
             continue
-        r = check_valid(vc.formula, budget)
+        r = check_valid(vc.formula, budget, vc.elaboration)
         if r.status == "valid":
             out.append(Discharge(vc, "valid"))
         elif r.status == "invalid" and vc.weakened:

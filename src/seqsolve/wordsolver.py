@@ -42,6 +42,12 @@ transformation is str.replace and a side is ground when
 max(side) <= "d". Assignments are mapped back to variable names on the
 way out.
 
+Each system's search is bounded by an allowance of nodes, and the
+clauses still unknown are searched again at a larger one (_LEVELS),
+the last unbounded, so a hard branch cannot starve an easy satisfiable
+one. An allowance is counted per variable: a system gets the level's
+figure times the number of distinct variables in its equations.
+
 Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
 an intermediate automaton state for the boundary. States are memoized
@@ -239,9 +245,12 @@ def _simplify(
     while True:
         if dirty:
             # pinning a singleton dirties nothing, so one pass over the
-            # dirty keys finds them in the order rescans would
-            for x in [x for x in members if x in dirty]:
-                d = members[x]
+            # dirty keys finds them in the order rescans would; a branch
+            # dirties one or two keys, and only several need ordering
+            for x in dirty if len(dirty) == 1 else [x for x in members if x in dirty]:
+                d = members.get(x)
+                if d is None:
+                    continue
                 if d.is_empty():
                     return _FAIL
                 if d.is_singleton():
@@ -730,11 +739,17 @@ def _splits(d: Dfa) -> tuple:
     return tuple(out)
 
 
-def _solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None):
+def _solve_system(eqs: list, members: dict, ctl: _Search, per_var: int | None):
+    """Search one component; an allowance of per_var nodes for each
+    variable of its equations bounds the search, None leaves it
+    unbounded."""
     if _length_infeasible(eqs, members):
         return "unsat", None
     if not eqs:
         return "sat", _final_assignment(members)
+    allowance = None
+    if per_var is not None:
+        allowance = per_var * len({c for u, v in eqs for c in u + v if c > "d"})
 
     key0 = _canon(eqs, members)
     store = {key0: (eqs, members, None, [], 0)}
@@ -879,12 +894,12 @@ def _diseq_branches(u: str, v: str, n: int):
     return out
 
 
-def _solve_equations(eqs, members, ctl: _Search, allowance: int | None):
+def _solve_equations(eqs, members, ctl: _Search, per_var: int | None):
     """Solve a system without disequations component by component."""
     sigma: dict[str, str] = {}
     saw_unknown = False
     for comp_eqs, comp_members in _components(eqs, members):
-        st, s = _solve_system(comp_eqs, comp_members, ctl, allowance)
+        st, s = _solve_system(comp_eqs, comp_members, ctl, per_var)
         if st == "unsat":
             return "unsat", None
         if st == "unknown":
@@ -896,14 +911,14 @@ def _solve_equations(eqs, members, ctl: _Search, allowance: int | None):
     return "sat", sigma
 
 
-def _solve_constraints(clause, ctl: _Search, allowance: int | None):
+def _solve_constraints(clause, ctl: _Search, per_var: int | None):
     """Solve a clause fixpoint (eqs, diseqs, members, log). The
     equations and memberships are solved first. Their model answers the
     whole clause when it separates every disequation; only otherwise is
     the first disequation split. A branch extends the fixpoint by its
     equations, with the rest of the disequations."""
     eqs, diseqs, members, log = clause
-    st, sigma = _solve_equations(eqs, members, ctl, allowance)
+    st, sigma = _solve_equations(eqs, members, ctl, per_var)
     if st == "unsat":
         return "unsat", None
     # the disequations are already substituted by the log, so they are
@@ -930,7 +945,7 @@ def _solve_constraints(clause, ctl: _Search, allowance: int | None):
         branch = _extend((eqs, rest, members | extra_mem, log), extra_eqs, [])
         if branch is None:
             continue
-        st, sigma = _solve_constraints(branch, ctl, allowance)
+        st, sigma = _solve_constraints(branch, ctl, per_var)
         if st == "sat":
             return "sat", sigma
         if st == "unknown":
@@ -938,9 +953,13 @@ def _solve_constraints(clause, ctl: _Search, allowance: int | None):
     return ("unknown" if saw_unknown else "unsat"), None
 
 
-# Node allowances per equation system, escalated so that one hard
-# branch cannot starve an easy satisfiable one elsewhere.
-_LEVELS = (400, 6000, None)
+# Node allowances per variable of an equation system, escalated so that
+# one hard branch cannot starve an easy satisfiable one elsewhere. A
+# system's allowance at a level is the level's figure times the number
+# of distinct variables in its equations, because the search widens with
+# them: every system of the corpus and the programs ends within 27 nodes
+# per variable, and a small hopeless branch is cut early.
+_LEVELS = (32, 480, None)
 
 
 def solve_problem(wp: WordProblem, budget: Budget | None = None):
@@ -961,12 +980,12 @@ def _solve_clauses(clauses, ctl: _Search):
     still unknown."""
     pending = clauses
     try:
-        for allowance in _LEVELS:
+        for per_var in _LEVELS:
             still_unknown = []
             for clause in pending:
                 if pending is clauses:
                     ctl.clauses += 1
-                st, sigma = _solve_constraints(clause, ctl, allowance)
+                st, sigma = _solve_constraints(clause, ctl, per_var)
                 if st == "sat":
                     return "sat", sigma
                 if st == "unknown":
@@ -994,17 +1013,22 @@ def _decode_witness(sigma: dict, f: Formula, elab: Elaboration) -> dict:
     return env
 
 
-def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
+def check_sat(
+    f: Formula, budget: Budget | None = None, elab: Elaboration | None = None
+) -> SolverResult:
     """Decide satisfiability. A universal formula is treated as the
     sentence it denotes: it is sat when valid, and unsat with the
-    counterexample when invalid."""
+    counterexample when invalid. elab, when the caller already has it,
+    is the elaboration of the existential formula solved: f, or
+    negation(f) when f is universal."""
     budget = budget or Budget()
     if f.quantifier == FORALL:
-        r = check_valid(f, budget)
+        r = check_valid(f, budget, elab)
         r.status = {"valid": "sat", "invalid": "unsat", "unknown": "unknown"}[r.status]
         return r
 
-    elab = elaborate(f)
+    if elab is None:
+        elab = elaborate(f)
     wp = encode_elaboration(elab)
     status, sigma, ctl, nclauses = solve_problem(wp, budget)
     result = SolverResult(status=status, nodes=ctl.nodes, clauses=nclauses)
@@ -1029,11 +1053,14 @@ def negation(f: Formula) -> Formula:
     return Formula(EXISTS, oracle.search_names(f), Not(f.matrix))
 
 
-def check_valid(f: Formula, budget: Budget | None = None) -> SolverResult:
+def check_valid(
+    f: Formula, budget: Budget | None = None, elab: Elaboration | None = None
+) -> SolverResult:
     """Decide validity of the universal closure by refuting the
     negation. A counterexample assignment is reported when one
-    exists."""
-    inner = check_sat(negation(f), budget)
+    exists. elab, when the caller already has it, is the elaboration of
+    negation(f)."""
+    inner = check_sat(negation(f), budget, elab)
     status = {"sat": "invalid", "unsat": "valid", "unknown": "unknown"}[inner.status]
     return SolverResult(
         status=status,

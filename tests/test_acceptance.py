@@ -86,10 +86,12 @@ def _decide(name: str):
 
 # The search's totals, pinned so that any change to the search order
 # shows: (nodes, clauses) over the corpus, each file under its frozen
-# command, and over the seed-0 random formulas. A change that moves them
-# must update them and say why in CHANGES.md.
-CORPUS_SEARCH_TOTALS = (8_409, 79)
+# command, over the seed-0 random formulas, and over every condition of
+# each program under check_valid. A change that moves them must update
+# them and say why in CHANGES.md.
+CORPUS_SEARCH_TOTALS = (8_047, 79)
 RANDOM_SEARCH_TOTALS = (2_747, 409)
+PROGRAM_SEARCH_TOTALS = {"reverse.sqp": (2_051, 4), "merge_sort.sqp": (8_809, 86)}
 
 
 def test_property_corpus_statuses():
@@ -120,6 +122,16 @@ def test_property_corpus_statuses():
 # ---------------------------------------------------------------------------
 # 2. annotated programs: the two reference conditions are generated
 #    and discharged valid
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAM_SEARCH_TOTALS))
+def test_program_search_totals(name):
+    nodes = clauses = 0
+    for vc in vcs(parse_program_file(PROGRAMS / name)):
+        r = check_valid(vc.formula, None, vc.elaboration)
+        nodes += r.nodes
+        clauses += r.clauses
+    assert (nodes, clauses) == PROGRAM_SEARCH_TOTALS[name]
 
 
 def test_reversal_program_inductive_step_discharged():

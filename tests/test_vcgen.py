@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from seqsolve import wordsolver
 from seqsolve.ast import (
     And,
     BoolLit,
@@ -274,6 +275,19 @@ def test_reverse_discharges_valid():
     assert [r.verdict for r in results] == ["valid"] * 5
 
 
+def test_discharge_reuses_the_probe_elaboration(monkeypatch):
+    # vcs elaborates each condition's negation once to probe whether it
+    # is encodable, and discharge solves that elaboration
+    conditions = conditions_of("reverse.sqp")
+    assert all(vc.elaboration is not None for vc in conditions)
+
+    def elaborate_again(f, reading=None):
+        raise AssertionError(f"elaborated again: {print_formula(f)}")
+
+    monkeypatch.setattr(wordsolver, "elaborate", elaborate_again)
+    assert [r.verdict for r in discharge(conditions)] == ["valid"] * 5
+
+
 def test_reverse_vcs_hold_in_reference_semantics():
     rng = random.Random(11)
     for vc in conditions_of("reverse.sqp"):
@@ -396,6 +410,7 @@ def test_reversal_palindrome_is_unencodable():
     prog = parse_program("program p(x)\ndo\nskip\nend\nensure rev(x) = x\n")
     [vc] = vcs(prog)
     assert vc.unencodable
+    assert vc.elaboration is None
 
 
 # ---------------------------------------------------------------------------

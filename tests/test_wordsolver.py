@@ -60,6 +60,7 @@ from seqsolve.wordsolver import (
     _length_feasible,
     _length_infeasible,
     _length_row,
+    _LEVELS,
     _lengths_add,
     _lengths_bound,
     _NO_LENGTHS,
@@ -1414,8 +1415,8 @@ def test_universal_problem_cannot_be_solved_directly():
 # and say why in CHANGES.md. Each case is named by its file alone, so
 # re-pinning a figure does not rename the test.
 EXPLORATION = [
-    ("comparison_hold.seq", "valid", 2733, 27, None),
-    ("comparison_viol.seq", "invalid", 919, 5, {"h": (4, 5), "t": (7,), "v": (5,)}),
+    ("comparison_hold.seq", "valid", 2319, 27, None),
+    ("comparison_viol.seq", "invalid", 971, 5, {"h": (4, 5), "t": (7,), "v": (5,)}),
     ("mergesort_final_vc.seq", "valid", 211, 4, None),
 ]
 
@@ -1471,6 +1472,27 @@ def test_ladder_finds_a_model_past_a_hard_first_branch():
     r = check_sat(f)
     assert r.status == "sat"
     assert oracle.matrix_value(f.matrix, r.witness)
+    # the first level cuts each of the twelve letter-pair branches after
+    # 5 x 32 nodes, and the last branch has the model; pinned so that a
+    # ladder that spends more before reaching it shows
+    assert r.nodes == 1_938
+
+
+def test_allowance_is_per_variable_of_the_system():
+    # a letter-pair branch of the ladder formula has no model, and its
+    # search never ends: every bounded level stops it after exactly its
+    # per-variable allowance times the branch's five variables
+    f = parse_formula("exists x, y . x ++ y = y ++ x & !(x = y)")
+    [(eqs, diseqs, members, log)] = nnf_dnf(encode_elaboration(elaborate(f)).matrix)
+    extra_eqs, extra_mem = _diseq_branches(*diseqs[0], 1)[0]
+    eqs, _, members, _ = _extend((eqs, [], members | extra_mem, log), extra_eqs, [])
+    assert len(_components(eqs, members)) == 1
+    assert len({c for u, v in eqs for c in u + v if c > "d"}) == 5
+    assert _LEVELS[-1] is None
+    for per_var in _LEVELS[:-1]:
+        ctl = _Search(BUDGET)
+        assert _solve_system(eqs, members, ctl, per_var) == ("unknown", None)
+        assert ctl.nodes == 5 * per_var
 
 
 def test_results_are_deterministic():
