@@ -18,7 +18,9 @@ keeps the transitions and flips acceptance, which keeps every pair of
 states told apart by the same words. with_start, and so derivative,
 keeps the states reachable from the new start: each still differs from
 every other, so they only need relabeling. is_singleton reads its
-answer off the canonical structure.
+answer off the canonical structure, and image, the states a set of
+states reaches by the words of another automaton, searches the pairs
+of the product without building it.
 
 Build automata with the regex-style constructors (lit, union, concat,
 star, plus, power) or from explicit parts with make_dfa.
@@ -64,6 +66,11 @@ class Dfa:
 
     def intersect(self, other: Dfa) -> Dfa:
         return _intersect(self, other)
+
+    def image(self, states, other: Dfa) -> frozenset[int]:
+        """The states reached from a state of states by reading a word
+        of other."""
+        return frozenset().union(*[_image(self, q, other) for q in states])
 
     def with_start(self, q: int) -> Dfa:
         """The language read from state q to acceptance."""
@@ -225,6 +232,21 @@ def _intersect(a: Dfa, b: Dfa) -> Dfa:
         ids[(s, t)] for (s, t) in order if s in a.accepting and t in b.accepting
     )
     return _canon(tuple(rows), 0, acc)
+
+
+@lru_cache(maxsize=None)
+def _image(a: Dfa, q: int, b: Dfa) -> frozenset[int]:
+    """The states of a that words of b lead to from q: breadth-first
+    search over the pairs of the product from (q, b.start), keeping the
+    states of a paired with an accepting state of b."""
+    seen = {(q, b.start)}
+    order = [(q, b.start)]
+    for s, t in order:
+        for nxt in zip(a.delta[s], b.delta[t]):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return frozenset([s for s, t in order if t in b.accepting])
 
 
 # ---------------------------------------------------------------------------

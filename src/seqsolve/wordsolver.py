@@ -56,14 +56,25 @@ one language is one object), the frontier is ordered by how many
 letters a branch has committed to, and the length theory, run from
 scratch on each system, discards systems whose lengths cannot balance.
 
-Every node is a fixpoint of cheap rewrite rules (_simplify). A root
-is one component of a clause's fixpoint, so it is one already. A child
-starts from its parent's fixpoint and re-examines only what its branch
-touched: the equations the branch substitution changed and the
-memberships the branch wrote. Settledness is tracked by position, one
-flag per equation that a substitution clears when it changes the
-equation, and the rules rewrite and delete equations in place. They
-fire in the same order as on a full rescan of the child.
+Every node is a fixpoint of cheap rewrite rules (_simplify): affix
+stripping, ground resolution, forced-empty sides, pinned variables,
+variable merging, and the substitution of a variable x defined by a
+side v it does not occur in. That last rule needs x to have no
+membership, or the memberships of v's variables to imply x's: every
+word of v, each variable read as a word of its membership, lies in x's
+automaton. The check steps a set of x's states through v's letters and
+maps it through each variable's automaton (Dfa.image), with no
+concatenation automaton built. It keeps the models, so an alias that
+only names a concatenation is gone before the search, which would
+otherwise peel it letter by letter.
+
+A root is one component of a clause's fixpoint, so it is one already.
+A child starts from its parent's fixpoint and re-examines only what
+its branch touched: the equations the branch substitution changed, the
+memberships the branch wrote and the equations that hold their
+variables. Settledness is tracked by position, one flag per equation,
+and the rules rewrite and delete equations in place. They fire in the
+same order as on a full rescan of the child.
 
 A variable that leaves every equation of a child is then pinned: its
 membership is dropped and the child's log sets it to the shortest word
@@ -183,12 +194,28 @@ _FAIL = ("fail", None, None, None, None)
 
 
 def _substitute(eqs: list, settled: list, x: str, repl: str):
-    """Substitute repl for x in eqs in place; an equation that changes
+    """Substitute repl for x in eqs in place; an equation that holds x
     is no longer settled."""
     for i, (u, v) in enumerate(eqs):
         if x in u or x in v:
             eqs[i] = u.replace(x, repl), v.replace(x, repl)
             settled[i] = False
+
+
+def _implied(d: Dfa, side: str, members: dict) -> bool:
+    """Does d accept every word of side, each variable read as a word
+    of its membership? False when a variable of side has none. The set
+    of d's states the side can reach is stepped letter by letter and
+    mapped through each variable's automaton (Dfa.image)."""
+    states = frozenset([d.start])
+    for c in side:
+        if c > "d":
+            if c not in members:
+                return False
+            states = d.image(states, members[c])
+        else:
+            states = frozenset([d.step(q, c) for q in states])
+    return states <= d.accepting
 
 
 def _simplify(
@@ -201,22 +228,28 @@ def _simplify(
 ):
     """Fixpoint of the cheap rules: affix stripping, ground resolution,
     forced-empty sides, pinned variables (singleton automata, one-sided
-    variables), and variable merging. Returns (ok, eqs, diseqs,
-    members, log); the log records substitutions for witness replay.
+    variables), variable merging, and the substitution of a variable
+    defined by a side it does not occur in, when it has no membership
+    or the memberships of the side's variables imply it. Returns (ok,
+    eqs, diseqs, members, log); the log records substitutions for
+    witness replay.
 
     Settledness is tracked by position: settled[i] is True once a scan
     has passed eqs[i] with no rule firing, a substitution clears the
-    flag of each equation it changes, and the next equation examined is
-    the first one not settled. Rules rewrite and delete equations in
-    place. The disequations are read once the equations are a fixpoint,
-    with the log substituted into them.
+    flag of each equation it changes, a membership that is written or
+    merged and not pinned clears the flag of each equation that holds
+    its variable, and the next equation examined is the first one not
+    settled. Rules rewrite and delete equations in place. The
+    disequations are read once the equations are a fixpoint, with the
+    log substituted into them.
 
     A search child passes its parent's fixpoint as eqs, its branch
     substitution as step and the membership keys the branch wrote as
-    written; its log starts with step. Equations the substitution
-    leaves alone and memberships the branch did not write were settled
-    in the parent and are not examined again, and the rules fire in
-    the same order as on the substituted child with nothing settled.
+    written; its log starts with step. Memberships the branch did not
+    write, and equations the substitution leaves alone that hold no
+    variable whose membership it wrote, were settled in the parent and
+    are not examined again, and the rules fire in the same order as on
+    the substituted child with nothing settled.
 
     _extend passes a clause's fixpoint with new atoms appended,
     substituted by the fixpoint's log, and the number of the fixpoint's
@@ -226,10 +259,10 @@ def _simplify(
     members = dict(members)
     log: list[tuple[str, str]] = []
     # Whether a rule fires on an equation depends only on the equation
-    # and, for a variable it defines, on that variable having no
-    # membership; a membership is dropped only when its variable is
-    # substituted away, so a settled equation stays settled while it
-    # stands.
+    # and on the memberships of its variables. A membership is dropped
+    # only when its variable is substituted away, and a written or
+    # merged one unsettles the equations of its variable, so a settled
+    # equation stays settled while it stands.
     if step is not None:
         settled = [True] * len(eqs)
         dirty = set(written)
@@ -258,6 +291,11 @@ def _simplify(
                     w = d.shortest_word()
                     _substitute(eqs, settled, x, w)
                     log.append((x, w))
+                elif True in settled:
+                    # a definition that holds x may now imply its variable's
+                    # membership; x for itself changes no side but unsettles
+                    # every equation that holds x
+                    _substitute(eqs, settled, x, x)
             dirty.clear()
         if False not in settled:
             break
@@ -285,17 +323,20 @@ def _simplify(
         if len(v) == 1 and v > "d":
             u, v = v, u
         if len(u) == 1 and u > "d" and (
-            len(v) == 1 or max(v) <= "d" or u not in members and u not in v
+            len(v) == 1
+            or max(v) <= "d"
+            or u not in v and (u not in members or _implied(members[u], v, members))
         ):
             # u is defined by a ground word, by another variable, or by a
-            # side it does not occur in while it has no membership
+            # side it does not occur in while it has no membership or
+            # the memberships of the side's variables imply its own
             x = u
             if x in members:
                 d = members.pop(x)
                 if max(v) <= "d":
                     if not d.accepts(v):
                         return _FAIL
-                else:  # x and the variable v are merged
+                elif len(v) == 1:  # x and the variable v are merged
                     d = members[v].intersect(d) if v in members else d
                     if d.is_empty():
                         return _FAIL
@@ -957,7 +998,7 @@ def _solve_constraints(clause, ctl: _Search, per_var: int | None):
 # one hard branch cannot starve an easy satisfiable one elsewhere. A
 # system's allowance at a level is the level's figure times the number
 # of distinct variables in its equations, because the search widens with
-# them: every system of the corpus and the programs ends within 27 nodes
+# them: every system of the corpus and the programs ends within 12 nodes
 # per variable, and a small hopeless branch is cut early.
 _LEVELS = (32, 480, None)
 

@@ -89,9 +89,9 @@ def _decide(name: str):
 # command, over the seed-0 random formulas, and over every condition of
 # each program under check_valid. A change that moves them must update
 # them and say why in CHANGES.md.
-CORPUS_SEARCH_TOTALS = (8_047, 79)
-RANDOM_SEARCH_TOTALS = (2_747, 409)
-PROGRAM_SEARCH_TOTALS = {"reverse.sqp": (2_051, 4), "merge_sort.sqp": (8_809, 86)}
+CORPUS_SEARCH_TOTALS = (4_486, 78)
+RANDOM_SEARCH_TOTALS = (1_917, 409)
+PROGRAM_SEARCH_TOTALS = {"reverse.sqp": (1_096, 4), "merge_sort.sqp": (3_083, 86)}
 
 
 def test_property_corpus_statuses():
@@ -276,6 +276,21 @@ def test_contradictory_difference_bounds_refuted_without_search():
         assert (r.status, r.nodes) == ("unsat", 0)
     bounds = Bounds(max_len=1, values=tuple(range(-20, 21)))
     assert brute_force_sat(small.matrix, small.prefix, bounds) is None
+
+
+# #70 of seed 1's stream with up to 8 atoms and constants in [-20, 20]
+# ended `unknown (witness length cap)`. It is unsat: in
+# y ++ y ++ [-20] = [12] ++ y ++ x the lengths force |x| = |y|, so the
+# first |y| + 1 elements of each side give y = [12] ++ y[0:-1] and
+# first(y) = last(y). y is a rotation of itself that starts with 12, so
+# every element is 12, which contradicts y in INT* 14 INT*.
+def test_rotation_contradiction_decided_unsat():
+    rng = random.Random(1)
+    f = [gen_formula(rng, max_vars=3, max_atoms=8, lo=-20, hi=20) for _ in range(71)][70]
+    assert "y ++ y ++ (-20) = 12 ++ y ++ x" in print_formula(f)
+    assert check_sat(f).status == "unsat"
+    bounds = Bounds(max_len=2, values=(-20, -14, 3, 9, 10, 12, 14, 17, 19))
+    assert brute_force_sat(f.matrix, f.prefix, bounds) is None
 
 
 def test_random_search_totals_pinned(formula_runs):

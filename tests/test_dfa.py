@@ -225,3 +225,24 @@ def test_is_singleton_matches_the_reference():
         assert d.is_singleton() == _reference_singleton(d), d
     assert lit("abcd").is_singleton() and lit("").is_singleton()
     assert not union(lit("abcd"), lit("abcda")).is_singleton()
+
+
+def test_image_is_the_states_some_word_reaches():
+    # s is in the image of q under b when b meets the words that lead
+    # from q to s; a set's image is the union of its states' images
+    rng = random.Random(2)
+    automata = [empty_dfa(), empty_dfa().complement(), A, B, C, star(C)]
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        delta = tuple(tuple(rng.randrange(n) for _ in ALPHABET) for _ in range(n))
+        automata.append(_canon(delta, 0, frozenset(s for s in range(n) if rng.random() < 0.3)))
+    nonempty = 0
+    for _ in range(2_000):
+        a, b = rng.choice(automata), rng.choice(automata)
+        q = rng.randrange(a.n)
+        image = a.image({q}, b)
+        assert image == {s for s in range(a.n) if not b.intersect(_canon(a.delta, q, {s})).is_empty()}
+        nonempty += bool(image)
+        states = {s for s in range(a.n) if rng.random() < 0.5}
+        assert a.image(states, b) == set().union(*[a.image({s}, b) for s in states])
+    assert nonempty > 1_000

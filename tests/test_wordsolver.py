@@ -21,7 +21,7 @@ import pytest
 
 from seqsolve import oracle, wordsolver
 from seqsolve.ast import FORALL, matrix_vars
-from seqsolve.dfa import ALPHABET, empty_dfa, lit, make_dfa, plus, star, union
+from seqsolve.dfa import ALPHABET, concat, empty_dfa, lit, make_dfa, plus, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
 from seqsolve.encode import (
     WAnd,
@@ -31,9 +31,13 @@ from seqsolve.encode import (
     WNot,
     WOr,
     WordProblem,
+    bplus_dfa,
     bstar_dfa,
     encode_elaboration,
     encode_int,
+    frame_dfa,
+    lstar_dfa,
+    sign_dfa,
     var,
     var_name,
     wconj,
@@ -41,6 +45,7 @@ from seqsolve.encode import (
 from seqsolve.oracle import Bounds
 from seqsolve.parser import parse_formula
 from seqsolve.randgen import gen_formula, gen_quadratic_clause
+from seqsolve.vcgen import parse_program_file, vcs
 from seqsolve.wordsolver import (
     Budget,
     ClauseCapExceeded,
@@ -76,6 +81,7 @@ from seqsolve.wordsolver import (
 
 BUDGET = Budget(max_nodes=200_000)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+PROGRAMS = CORPUS.parent / "programs"
 
 
 def _quadratic_problems() -> list[WordProblem]:
@@ -454,6 +460,24 @@ def test_simplify_eliminates_defined_variable():
     assert (X, Y + Z) in log
 
 
+def test_simplify_eliminates_a_variable_its_definition_implies():
+    # x = y b z with x in (a|b)*, y in a* and z in b+: every word of the
+    # right side lies in (a|b)*, so x is substituted away and its
+    # membership dropped, and the memberships of y and z stay
+    a_or_b = star(union(lit("a"), lit("b")))
+    members = {X: a_or_b, Y: star(lit("a")), Z: plus(lit("b"))}
+    ok, eqs, _, members2, log = _simplify([(X, Y + "b" + Z)], [], members)
+    assert ok == "ok" and eqs == [] and log == [(X, Y + "b" + Z)]
+    assert members2 == {Y: members[Y], Z: members[Z]}
+    # with x in a*, y b z has words outside x's language
+    members[X] = star(lit("a"))
+    assert _simplify([(X, Y + "b" + Z)], [], members)[1] == [(X, Y + "b" + Z)]
+    # a variable of the side without a membership may hold any word
+    del members[Z]
+    members[X] = a_or_b
+    assert _simplify([(X, Y + "b" + Z)], [], members)[1] == [(X, Y + "b" + Z)]
+
+
 def test_simplify_solves_tail_recursion_by_stripping():
     # x = y x is x-suffix stripping away, forcing y empty
     ok, eqs, _, _, log = _simplify([(X, Y + X)], [], {})
@@ -474,6 +498,23 @@ def test_simplify_fails_on_equal_disequation_sides():
 def test_simplify_drops_settled_disequations():
     ok, _, diseqs, _, _ = _simplify([], [("a", ""), ("a" + X, "b" + Y)], {})
     assert ok == "ok" and diseqs == []
+
+
+def _run_watched_inputs():
+    """Solve the inputs whose _simplify calls the cross-checks below
+    watch: three corpus files under check_valid, every condition of
+    merge_sort.sqp, and the 200 quadratic clauses."""
+    for name, status in (
+        ("comparison_viol.seq", "invalid"),
+        ("comparison_hold.seq", "valid"),
+        ("reversal_step_vc.seq", "valid"),
+    ):
+        f = parse_formula((CORPUS / name).read_text())
+        assert check_valid(f, BUDGET).status == status
+    for vc in vcs(parse_program_file(PROGRAMS / "merge_sort.sqp")):
+        assert check_valid(vc.formula, BUDGET, vc.elaboration).status != "unknown"
+    for wp in _quadratic_problems():
+        solve_problem(wp, BUDGET)
 
 
 def test_incremental_simplify_matches_full_rescan(monkeypatch):
@@ -507,11 +548,7 @@ def test_incremental_simplify_matches_full_rescan(monkeypatch):
         return res
 
     monkeypatch.setattr(wordsolver, "_simplify", both)
-    for name, status in (("comparison_viol.seq", "invalid"), ("comparison_hold.seq", "valid")):
-        f = parse_formula((CORPUS / name).read_text())
-        assert check_valid(f, BUDGET).status == status
-    for wp in _quadratic_problems():
-        solve_problem(wp, BUDGET)
+    _run_watched_inputs()
     assert children > 5_000 and with_written > 1_000 and joins > 100
 
 
@@ -528,6 +565,21 @@ def test_incremental_simplify_rechecks_merged_membership():
     assert _replay(log, {}) == {X: "a", Y: "a", W: ""}
     full = _simplify(_subst_eqs(parent, W, Z), [], members)
     assert full == ("ok", [], [], {}, log[1:])
+
+
+def test_incremental_simplify_rechecks_a_written_membership():
+    # the parent settles x = y b while y may hold an a. The split z = y z
+    # writes y's membership down to b* and leaves x = y b as it is; y b
+    # then implies x's b*, so the child substitutes x away as a rescan does
+    b_star, a_or_b = star(lit("b")), star(union(lit("a"), lit("b")))
+    parent = [(X, Y + "b"), (Z + "a", Y + W)]
+    members = {X: b_star, Y: a_or_b, Z: a_or_b}
+    assert _simplify(parent, [], members)[1] == parent  # a fixpoint
+    step, mem = (Z, Y + Z), {X: b_star, Y: b_star, Z: a_or_b}
+    ok, eqs, _, members2, log = _simplify(parent, [], mem, step, (Y, Z))
+    assert ok == "ok" and eqs == [] and members2 == {Y: b_star, Z: a_or_b}
+    assert log == [step, (X, Y + "b"), (W, Z + "a")]
+    assert _simplify(_subst_eqs(parent, *step), [], mem) == ("ok", [], [], members2, log[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +602,15 @@ def _reference_strip(u: str, v: str) -> tuple:
 _FAIL = ("fail", None, None, None, None)
 
 
+def _reference_implied(d, side: str, members: dict) -> bool:
+    """Does d contain the concatenation of side's letters and its
+    variables' memberships? False when a variable has none."""
+    if any(c > "d" and c not in members for c in side):
+        return False
+    parts = [members[c] if c > "d" else lit(c) for c in side]
+    return concat(*parts).intersect(d.complement()).is_empty()
+
+
 def _reference_simplify(
     eqs: list,
     diseqs: list,
@@ -560,8 +621,11 @@ def _reference_simplify(
 ):
     """Fixpoint of the cheap rules: affix stripping, ground resolution,
     forced-empty sides, pinned variables (singleton automata, one-sided
-    variables), and variable merging. Returns (ok, eqs, diseqs,
-    members, log); the log records substitutions for witness replay.
+    variables), variable merging, and the substitution of a variable
+    defined by a side it does not occur in, when it has no membership
+    or the memberships of the side's variables imply it. Returns (ok,
+    eqs, diseqs, members, log); the log records substitutions for
+    witness replay.
 
     A search child passes its parent's fixpoint as eqs, its branch
     substitution as step and the membership keys the branch wrote as
@@ -579,10 +643,11 @@ def _reference_simplify(
     members = dict(members)
     log: list[tuple[str, str]] = []
     # An equation is settled once a scan passes it with no rule firing.
-    # Whether a rule fires on it depends only on the equation and, for a
-    # variable it defines, on that variable having no membership; a
-    # membership is dropped only when its variable is substituted away,
-    # so a settled equation stays settled while it stands.
+    # Whether a rule fires on it depends only on the equation and on the
+    # memberships of its variables; a membership is dropped only when its
+    # variable is substituted away, and every equation that holds a
+    # variable whose membership is written or merged, and not pinned, is
+    # dropped from the settled set.
     settled = set()
     dirty = set(members)  # keys whose membership may be empty or a singleton
 
@@ -615,6 +680,8 @@ def _reference_simplify(
                 if d.is_singleton():
                     del members[x]
                     substitute(x, d.shortest_word())
+                else:
+                    settled.difference_update([e for e in settled if x in e[0] + e[1]])
             dirty.clear()
 
         for i, (u0, v0) in enumerate(eqs):
@@ -662,7 +729,8 @@ def _reference_simplify(
                     eqs = eqs[:i] + eqs[i + 1 :]
                     substitute(x, v)
                     return "again"
-                if x not in members and x not in v:
+                if x not in v and (x not in members or _reference_implied(members[x], v, members)):
+                    members.pop(x, None)
                     eqs = eqs[:i] + eqs[i + 1 :]
                     substitute(x, v)
                     return "again"
@@ -710,8 +778,15 @@ def _assert_same_result(res, ref):
 
 
 def test_simplify_matches_the_reference_on_solver_runs(monkeypatch):
-    simplify = wordsolver._simplify
+    # each yes of the reference's implication check is a firing of the
+    # rule (see the random systems below)
+    simplify, reference = wordsolver._simplify, _reference_implied
     calls = collections.Counter()
+
+    def implied(d, side, members):
+        yes = reference(d, side, members)
+        calls["implied"] += yes
+        return yes
 
     def both(eqs, diseqs, members, step=None, written=(), fixed=None):
         res = simplify(eqs, diseqs, members, step, written, fixed)
@@ -722,15 +797,13 @@ def test_simplify_matches_the_reference_on_solver_runs(monkeypatch):
         return res
 
     monkeypatch.setattr(wordsolver, "_simplify", both)
-    for name, status in (("comparison_viol.seq", "invalid"), ("comparison_hold.seq", "valid")):
-        f = parse_formula((CORPUS / name).read_text())
-        assert check_valid(f, BUDGET).status == status
-    for wp in _quadratic_problems():
-        solve_problem(wp, BUDGET)
+    monkeypatch.setitem(globals(), "_reference_implied", implied)
+    _run_watched_inputs()
     rng = random.Random(0)
     for _ in range(100):  # a prefix of the random-500 set
         check_sat(gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2), BUDGET)
     assert calls["step"] > 5_000 and calls["fixed"] > 100 and calls["full"] > 100
+    assert calls["implied"] > 1_000, calls
 
 
 # memberships for the random systems: singletons, one holding only eps,
@@ -762,6 +835,22 @@ def _random_system(rng):
     return eqs, diseqs, members
 
 
+def _random_definition(rng, members: dict) -> tuple:
+    """An equation x = side, x not in side, that gives x and every
+    variable of side a membership in members; about half the time x's
+    automaton is built to hold the side's language."""
+    x = rng.choice(SMALL_VARS)
+    side = _random_side(rng).replace(x, "") or rng.choice("abcd")
+    for c in side:
+        if c > "d" and c not in members:
+            members[c] = rng.choice(SMALL_AUTOMATA)
+    d = rng.choice(SMALL_AUTOMATA)
+    if rng.random() < 0.5:
+        d = union(d, concat(*[members[c] if c > "d" else lit(c) for c in side]))
+    members[x] = d
+    return x, side
+
+
 def _random_step(rng, eqs: list, members: dict):
     """A branch of the search from the fixpoint (eqs, members): a
     variable of eqs becomes empty, gains a head letter, or gains a head
@@ -788,13 +877,25 @@ def _random_step(rng, eqs: list, members: dict):
     return (z, y + z), (), mem
 
 
-def test_simplify_matches_the_reference_on_random_systems():
+def test_simplify_matches_the_reference_on_random_systems(monkeypatch):
     # with nothing settled, as a search child from its parent's fixpoint,
-    # and as a partial clause that an equation or a disequation joins
+    # and as a partial clause that an equation or a disequation joins;
+    # the reference asks whether a definition implies its variable's
+    # membership only when that variable has one, so each yes is a firing
     rng = random.Random(0)
     runs = collections.Counter()
+    reference = _reference_implied
+
+    def implied(d, side, members):
+        yes = reference(d, side, members)
+        runs["implied"] += yes
+        return yes
+
+    monkeypatch.setitem(globals(), "_reference_implied", implied)
     while min(runs["full"], runs["step"], runs["fixed"]) < 2_000:
         eqs, diseqs, members = _random_system(rng)
+        if runs["full"] % 2:
+            eqs.append(_random_definition(rng, members))
         res = _simplify(eqs, diseqs, members)
         _assert_same_result(res, _reference_simplify(eqs, diseqs, members))
         runs["full"] += 1
@@ -823,6 +924,36 @@ def test_simplify_matches_the_reference_on_random_systems():
         runs["fixed"] += 1
         runs["fixed ok"] += res[0] == "ok"
     assert min(runs["full ok"], runs["step ok"], runs["fixed ok"]) > 500, runs
+    assert runs["implied"] > 300, runs
+
+
+def test_implied_matches_the_reference():
+    # the state-set image against the product with the complement, on
+    # random sides over SMALL_AUTOMATA and the encoder's automata, some
+    # variables without a membership. The automaton is drawn from the
+    # same pool, or built around the side's own language so that both
+    # answers are common: its union with another automaton always holds
+    # it, and the removal of its shortest word does not
+    pool = SMALL_AUTOMATA + [frame_dfa(), lstar_dfa(), sign_dfa(), bstar_dfa(), bplus_dfa()]
+    rng = random.Random(0)
+    answers = collections.Counter()
+    for _ in range(3_000):
+        members = {x: rng.choice(pool) for x in SMALL_VARS if rng.random() < 0.9}
+        side = _random_side(rng) or rng.choice(SMALL_VARS)
+        kind = rng.randrange(3)
+        if kind == 0 or any(c > "d" and c not in members for c in side):
+            d = rng.choice(pool)
+        else:
+            own = concat(*[members[c] if c > "d" else lit(c) for c in side])
+            if kind == 1:
+                d = union(own, rng.choice(pool))
+            else:
+                d = own.intersect(lit(own.shortest_word()).complement())
+        got = wordsolver._implied(d, side, members)
+        assert got == _reference_implied(d, side, members), (side, members, d)
+        answers[kind, got] += 1
+    assert answers[1, True] > 300 and answers[2, False] > 300, answers
+    assert answers[0, True] > 50 and answers[0, False] > 500, answers
 
 
 def test_extending_a_fixpoint_by_a_branch_matches_a_rescan():
@@ -1415,9 +1546,9 @@ def test_universal_problem_cannot_be_solved_directly():
 # and say why in CHANGES.md. Each case is named by its file alone, so
 # re-pinning a figure does not rename the test.
 EXPLORATION = [
-    ("comparison_hold.seq", "valid", 2319, 27, None),
-    ("comparison_viol.seq", "invalid", 971, 5, {"h": (4, 5), "t": (7,), "v": (5,)}),
-    ("mergesort_final_vc.seq", "valid", 211, 4, None),
+    ("comparison_hold.seq", "valid", 1309, 27, None),
+    ("comparison_viol.seq", "invalid", 478, 5, {"h": (4, 5), "t": (7,), "v": (5,)}),
+    ("mergesort_final_vc.seq", "valid", 174, 4, None),
 ]
 
 
