@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .elaborate import ElaborationError, elaborate
@@ -138,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     vc = sub.add_parser("vc", parents=[common, solver], help="verification conditions")
     vc.add_argument(
         "--discharge", action="store_true", help="run the solver on each condition"
-    )
-    vc.add_argument(
-        "--jobs", type=_positive, default=1,
-        help="parallel workers for independent obligations (default 1)",
     )
     return parser
 
@@ -329,11 +324,6 @@ def _run_oracle(args) -> int:
     return _verdict(args, status, fields, note, witness=witness)
 
 
-def _discharge_one(payload: tuple[VC, Budget]) -> Discharge:
-    vc, budget = payload
-    return discharge([vc], budget)[0]
-
-
 def _vc_json(vc: VC, result: Discharge | None) -> dict:
     doc = {
         "label": vc.label,
@@ -362,14 +352,7 @@ def _run_vc(args) -> int:
     conditions = vcs(program)
     results: list[Discharge | None] = [None] * len(conditions)
     if args.discharge:
-        budget = _budget(args)
-        if args.jobs > 1 and len(conditions) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(
-                    pool.map(_discharge_one, [(vc, budget) for vc in conditions])
-                )
-        else:
-            results = discharge(conditions, budget)
+        results = discharge(conditions, _budget(args))
         status_code = max((_STATUS_EXIT[r.verdict] for r in results), default=0)
         status = {0: "valid", 1: "invalid", 2: "unknown"}[status_code]
     else:

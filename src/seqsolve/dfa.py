@@ -11,16 +11,21 @@ set of automata generated by repeated intersections and start/accept
 surgery finite, which the solver's termination argument relies on.
 
 Minimizing is the cost of canonical form, so only the operations that
-can merge states minimize (_canon): make_dfa and the constructors, the
-product of intersect, and accept_at, which changes the accepting set.
-The others inherit minimality from their canonical argument. complement
-keeps the transitions and flips acceptance, which keeps every pair of
-states told apart by the same words. with_start, and so derivative,
-keeps the states reachable from the new start: each still differs from
-every other, so they only need relabeling. is_singleton reads its
-answer off the canonical structure, and image, the states a set of
-states reaches by the words of another automaton, searches the pairs
-of the product without building it.
+can merge states minimize (_canon). union, concat and star (and through
+concat, plus and power) and the product of intersect are each one
+breadth-first search over the tuples or sets of their arguments' states
+that the start reaches (_reach), which _canon then minimizes; make_dfa
+minimizes its explicit parts, and accept_at minimizes because it
+changes the accepting set. The others only relabel or flip a canonical
+automaton. lit spells its word's path and one dead state, which is
+already minimal, and relabels it. complement keeps the transitions and
+flips acceptance, which keeps every pair of states told apart by the
+same words. with_start, and so derivative, keeps the states reachable
+from the new start: each still differs from every other, so they only
+need relabeling. is_singleton reads its answer off the canonical
+structure, and image, the states a set of states reaches by the words
+of another automaton, searches the pairs of the product without
+building it.
 
 Build automata with the regex-style constructors (lit, union, concat,
 star, plus, power) or from explicit parts with make_dfa.
@@ -213,25 +218,34 @@ def make_dfa(delta, start, accepting) -> Dfa:
     return _canon(tuple(tuple(row) for row in delta), start, frozenset(accepting))
 
 
+def _reach(start, step, accepting) -> Dfa:
+    """The canonical automaton of the states reachable from start, where
+    step(s) gives the successors of s in alphabet order and accepting(s)
+    says whether s accepts: a breadth-first search numbers the states in
+    the order it meets them, and _canon minimizes."""
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    for s in order:
+        row = []
+        for t in step(s):
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(tuple(row))
+    return _canon(tuple(rows), 0, frozenset([i for i, s in enumerate(order) if accepting(s)]))
+
+
 @lru_cache(maxsize=None)
 def _intersect(a: Dfa, b: Dfa) -> Dfa:
     """The product automaton of a and b, accepting where both accept."""
-    ids = {(a.start, b.start): 0}
-    order = [(a.start, b.start)]
-    rows = []
-    for (s, t) in order:
-        row = []
-        for i in range(4):
-            nxt = (a.delta[s][i], b.delta[t][i])
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                order.append(nxt)
-            row.append(ids[nxt])
-        rows.append(tuple(row))
-    acc = frozenset(
-        ids[(s, t)] for (s, t) in order if s in a.accepting and t in b.accepting
+    return _reach(
+        (a.start, b.start),
+        lambda st: zip(a.delta[st[0]], b.delta[st[1]]),
+        lambda st: st[0] in a.accepting and st[1] in b.accepting,
     )
-    return _canon(tuple(rows), 0, acc)
 
 
 @lru_cache(maxsize=None)
@@ -250,113 +264,74 @@ def _image(a: Dfa, q: int, b: Dfa) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# regex-style constructors, via a small epsilon-NFA
-
-
-class _Nfa:
-    def __init__(self):
-        self.n = 0
-        self.eps: list[tuple[int, int]] = []
-        self.edges: list[tuple[int, int, int]] = []  # (src, letter index, dst)
-
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def closure(self, states: frozenset[int]) -> frozenset[int]:
-        out = set(states)
-        changed = True
-        while changed:
-            changed = False
-            for s, t in self.eps:
-                if s in out and t not in out:
-                    out.add(t)
-                    changed = True
-        return frozenset(out)
-
-    def determinize(self, start: int, accept: int) -> Dfa:
-        init = self.closure(frozenset([start]))
-        ids = {init: 0}
-        order = [init]
-        rows = []
-        for cur in order:
-            row = []
-            for i in range(4):
-                step = frozenset(d for (s, l, d) in self.edges if s in cur and l == i)
-                step = self.closure(step)
-                if step not in ids:
-                    ids[step] = len(ids)
-                    order.append(step)
-                row.append(ids[step])
-            rows.append(tuple(row))
-        acc = frozenset(ids[s] for s in order if accept in s)
-        return _canon(tuple(rows), 0, acc)
-
-
-def _from_parts(build) -> Dfa:
-    nfa = _Nfa()
-    start, accept = nfa.state(), nfa.state()
-    build(nfa, start, accept)
-    return nfa.determinize(start, accept)
-
-
-def _add_dfa(nfa: _Nfa, d: Dfa, src: int, dst: int) -> None:
-    base = nfa.n
-    for _ in range(d.n):
-        nfa.state()
-    nfa.eps.append((src, base + d.start))
-    for s in range(d.n):
-        for i in range(4):
-            nfa.edges.append((base + s, i, base + d.delta[s][i]))
-        if s in d.accepting:
-            nfa.eps.append((base + s, dst))
+# regex-style constructors, each a reachability search over tuples or
+# sets of their parts' states
 
 
 @lru_cache(maxsize=None)
 def lit(word: str) -> Dfa:
     """The language containing exactly the given word. Memoized: the
     encoder asks for the same sign letters and literals in every
-    formula."""
-
-    def build(nfa, src, dst):
-        cur = src
-        for ch in word:
-            nxt = nfa.state()
-            nfa.edges.append((cur, _IDX[ch], nxt))
-            cur = nxt
-        nfa.eps.append((cur, dst))
-
-    return _from_parts(build)
+    formula. The word's path of distinct states and one dead state is
+    already minimal, so it only needs relabeling."""
+    dead = len(word) + 1
+    delta = [[dead] * 4 for _ in range(dead + 1)]
+    for p, ch in enumerate(word):
+        delta[p][_IDX[ch]] = p + 1
+    order, rows = _renumber(delta, 0)
+    return _intern(tuple(rows), frozenset([order.index(len(word))]))
 
 
 def union(*parts: Dfa) -> Dfa:
-    def build(nfa, src, dst):
-        for p in parts:
-            _add_dfa(nfa, p, src, dst)
-
-    return _from_parts(build)
+    """A state is a tuple of the parts' states; it accepts when any
+    part accepts."""
+    return _reach(
+        tuple(p.start for p in parts),
+        lambda st: [tuple([p.delta[q][i] for p, q in zip(parts, st)]) for i in range(4)],
+        lambda st: any(q in p.accepting for p, q in zip(parts, st)),
+    )
 
 
 def concat(*parts: Dfa) -> Dfa:
-    def build(nfa, src, dst):
-        cur = src
-        for p in parts:
-            nxt = nfa.state()
-            _add_dfa(nfa, p, cur, nxt)
-            cur = nxt
-        nfa.eps.append((cur, dst))
+    """A state is a set of pairs (j, q), part j being in state q. A pair
+    that accepts in its part brings in the next part's start, and a set
+    accepts when it holds an accepting pair of the last part."""
+    if not parts:
+        return lit("")
+    last = len(parts) - 1
 
-    return _from_parts(build)
+    def close(pairs) -> frozenset:
+        out = set(pairs)
+        todo = list(out)
+        while todo:
+            j, q = todo.pop()
+            if j < last and q in parts[j].accepting:
+                nxt = (j + 1, parts[j + 1].start)
+                if nxt not in out:
+                    out.add(nxt)
+                    todo.append(nxt)
+        return frozenset(out)
+
+    return _reach(
+        close([(0, parts[0].start)]),
+        lambda s: [close([(j, parts[j].delta[q][i]) for j, q in s]) for i in range(4)],
+        lambda s: any(j == last and q in parts[last].accepting for j, q in s),
+    )
 
 
 def star(d: Dfa) -> Dfa:
-    def build(nfa, src, dst):
-        mid = nfa.state()
-        nfa.eps.append((src, mid))
-        _add_dfa(nfa, d, mid, mid)
-        nfa.eps.append((mid, dst))
+    """A state is a set of d's states, holding d.start too whenever it
+    holds an accepting state. The empty set is the start, before any
+    letter, and accepts; d is complete, so no later state is empty."""
 
-    return _from_parts(build)
+    def close(states: frozenset) -> frozenset:
+        return states | {d.start} if states & d.accepting else states
+
+    return _reach(
+        frozenset(),
+        lambda s: [close(frozenset([d.delta[q][i] for q in s or (d.start,)])) for i in range(4)],
+        lambda s: not s or not s.isdisjoint(d.accepting),
+    )
 
 
 def plus(d: Dfa) -> Dfa:
@@ -364,15 +339,7 @@ def plus(d: Dfa) -> Dfa:
 
 
 def power(d: Dfa, k: int) -> Dfa:
-    def build(nfa, src, dst):
-        cur = src
-        for _ in range(max(k, 0)):
-            nxt = nfa.state()
-            _add_dfa(nfa, d, cur, nxt)
-            cur = nxt
-        nfa.eps.append((cur, dst))
-
-    return _from_parts(build)
+    return concat(*[d] * max(k, 0))
 
 
 @lru_cache(maxsize=None)

@@ -42,11 +42,11 @@ transformation is str.replace and a side is ground when
 max(side) <= "d". Assignments are mapped back to variable names on the
 way out.
 
-Each system's search is bounded by an allowance of nodes, and the
-clauses still unknown are searched again at a larger one (_LEVELS),
-the last unbounded, so a hard branch cannot starve an easy satisfiable
-one. An allowance is counted per variable: a system gets the level's
-figure times the number of distinct variables in its equations.
+Each system's search is first bounded by an allowance of nodes, and
+the clauses still unknown are searched again without one (_LEVELS), so
+a hard branch cannot starve an easy satisfiable one. The allowance is
+counted per variable: a system gets the bounded level's figure times
+the number of distinct variables in its equations.
 
 Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
@@ -994,13 +994,14 @@ def _solve_constraints(clause, ctl: _Search, per_var: int | None):
     return ("unknown" if saw_unknown else "unsat"), None
 
 
-# Node allowances per variable of an equation system, escalated so that
-# one hard branch cannot starve an easy satisfiable one elsewhere. A
-# system's allowance at a level is the level's figure times the number
-# of distinct variables in its equations, because the search widens with
-# them: every system of the corpus and the programs ends within 12 nodes
-# per variable, and a small hopeless branch is cut early.
-_LEVELS = (32, 480, None)
+# Node allowances per variable of an equation system: one bounded level
+# so that one hard branch cannot starve an easy satisfiable one
+# elsewhere, then an unbounded one. A system's allowance at the bounded
+# level is its figure times the number of distinct variables in its
+# equations, because the search widens with them: every system of the
+# corpus and the programs ends within 12 nodes per variable, and a small
+# hopeless branch is cut early.
+_LEVELS = (32, None)
 
 
 def solve_problem(wp: WordProblem, budget: Budget | None = None):
@@ -1017,8 +1018,8 @@ def solve_problem(wp: WordProblem, budget: Budget | None = None):
 
 def _solve_clauses(clauses, ctl: _Search):
     """The first level pulls the clauses from the enumeration, so a
-    satisfiable clause ends it; later levels revisit only the clauses
-    still unknown."""
+    satisfiable clause ends it; the unbounded level revisits only the
+    clauses still unknown."""
     pending = clauses
     try:
         for per_var in _LEVELS:

@@ -317,14 +317,6 @@ def test_vc_discharge_reverse_all_valid(capsys):
     jsonschema.validate(doc, RES_SCHEMA)
 
 
-def test_vc_discharge_jobs_parity(capsys):
-    code1, doc1 = run_json(capsys, "vc", str(PROGRAMS / "reverse.sqp"), "--discharge")
-    code2, doc2 = run_json(
-        capsys, "vc", str(PROGRAMS / "reverse.sqp"), "--discharge", "--jobs", "4"
-    )
-    assert (code1, doc1["vcs"]) == (code2, doc2["vcs"])
-
-
 def test_vc_text_output_lists_verdicts(capsys):
     code, out, err = run_cli(capsys, "vc", str(PROGRAMS / "reverse.sqp"), "--discharge")
     assert code == 0 and err == ""
@@ -448,6 +440,7 @@ def test_bad_budget_value_exits_3(capsys):
         ("sat", "--jobs", "2"),
         ("valid", "--jobs", "2"),
         ("encode", "--jobs", "2"),
+        ("vc", "--jobs", "2"),
     ],
 )
 def test_flags_only_where_they_act(capsys, argv):

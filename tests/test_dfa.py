@@ -5,6 +5,7 @@ oracle-by-enumeration]."""
 import itertools
 import random
 
+from seqsolve import dfa
 from seqsolve.dfa import (
     ALPHABET,
     Dfa,
@@ -129,6 +130,74 @@ def test_make_dfa_canonicalizes():
     d = make_dfa([(1, 1, 1, 1), (0, 0, 0, 0)], 0, [0, 1])
     assert d == empty_dfa().complement()
     assert d.n == 1
+
+
+SHORT = 4  # the word sets multiplied below grow as their product
+
+
+def _cat(x: set, y: set) -> set:
+    return {u + v for u in x for v in y if len(u) + len(v) <= SHORT}
+
+
+def _star(x: set) -> set:
+    out = {""}
+    while True:
+        more = out | _cat(out, x)
+        if more == out:
+            return out
+        out = more
+
+
+def test_constructors_match_word_set_arithmetic():
+    # random canonical parts, among them the empty language, lit("") and
+    # parts whose start accepts, joined in 0-4 parts
+    rng = random.Random(3)
+    pool = [empty_dfa(), lit(""), empty_dfa().complement(), lit("a")]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        delta = tuple(tuple(rng.randrange(n) for _ in ALPHABET) for _ in range(n))
+        accepting = {s for s in range(n) if rng.random() < 0.3}
+        if rng.random() < 0.3:
+            accepting.add(0)
+        pool.append(_canon(delta, 0, frozenset(accepting)))
+    assert any(d.accepts("") for d in pool[4:])
+    short = {d: lang(d, SHORT) for d in pool}
+    for _ in range(100):
+        parts = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        assert lang(union(*parts), SHORT) == set().union(*[short[d] for d in parts])
+        expect = {""}
+        for d in parts:
+            expect = _cat(expect, short[d])
+        assert lang(concat(*parts), SHORT) == expect
+        d = rng.choice(pool)
+        assert lang(star(d), SHORT) == _star(short[d])
+        assert lang(plus(d), SHORT) == _cat(short[d], _star(short[d]))
+        k = rng.randint(0, 4)
+        expect = {""}
+        for _ in range(k):
+            expect = _cat(expect, short[d])
+        assert lang(power(d, k), SHORT) == expect
+
+
+def test_lit_is_the_canonical_path_automaton():
+    # the word's path and one dead state are already minimal, so lit's
+    # relabeling must land on the instance make_dfa minimizes to
+    rng = random.Random(4)
+    for _ in range(300):
+        w = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 40)))
+        dead = len(w) + 1
+        delta = [[dead] * 4 for _ in range(dead + 1)]
+        for p, ch in enumerate(w):
+            delta[p][ALPHABET.index(ch)] = p + 1
+        assert lit(w) is make_dfa(delta, 0, [len(w)])
+
+
+def test_lit_needs_no_minimization(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dfa, "_canon", lambda *args: calls.append(args))
+    d = lit.__wrapped__("a" * 500)
+    assert calls == []
+    assert d.n == 502 and d.accepts("a" * 500) and not d.accepts("a" * 499)
 
 
 # ---------------------------------------------------------------------------
