@@ -149,9 +149,7 @@ def z_at_most(n: int) -> ZRegex:
     """Language of sequences of length at most n (empty language if n < 0)."""
     if n < 0:
         return ZUnion(())
-    if n == 0:
-        return ZPow(ZAny(), 0)
-    return ZUnion(tuple(ZPow(ZAny(), i) for i in range(n + 1)))
+    return ZPow(ZUnion((ZAny(), ZCat(()))), n)
 
 
 def rev_regex(r: ZRegex) -> ZRegex:

@@ -46,7 +46,7 @@ wp-1 dump and the solver's assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -302,8 +302,6 @@ class WordProblem:
 
     variables: tuple[str, ...]  # every word variable, in a fixed order
     matrix: WFormula  # frame and witness memberships already conjoined
-    source_vars: tuple[str, ...]  # the variables of the core formula
-    components: dict[str, tuple[str, str, str, str]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         eqs, diseqs, members, rest = [], [], {}, []
@@ -500,26 +498,19 @@ def encode_elaboration(elab: Elaboration) -> WordProblem:
     # Every variable ranges over encodings; the full component frame is
     # attached only where some atom looks at the first block.
     frame: list[WFormula] = []
-    components = {}
+    variables = list(core_vars)
     for x in core_vars:
         if x in tr.used_components:
             frame.extend(frame_constraints(x))
-            components[x] = (h_of(x), sg_of(x), m_of(x), t_of(x))
+            variables.extend((h_of(x), sg_of(x), m_of(x), t_of(x)))
         else:
             frame.append(WIn(var(x), lstar_dfa()))
     frame.extend(tr.extra)
-
-    variables = list(core_vars)
-    for x in core_vars:
-        if x in components:
-            variables.extend(components[x])
     variables.extend(tr.pair_order)
 
     return WordProblem(
         variables=tuple(variables),
         matrix=WAnd(wconj(frame), wmatrix) if frame else wmatrix,
-        source_vars=core_vars,
-        components=components,
     )
 
 

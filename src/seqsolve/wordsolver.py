@@ -10,8 +10,8 @@ of the clause. The walk is depth first over the negation-normal matrix
 and extends the fixpoint of its partial clause as atoms join. It drops
 a partial clause as soon as the rules or the length theory refute it,
 together with every clause that would extend it, and yields each
-clause as its fixpoint. The first ladder level pulls clauses from the
-walk, so a satisfiable clause ends it.
+clause as its fixpoint. The search pulls clauses from the walk, so a
+satisfiable clause ends it.
 
 The length theory reads each equation as a linear equation over the
 lengths of its variables and each membership as the range of lengths
@@ -42,11 +42,12 @@ transformation is str.replace and a side is ground when
 max(side) <= "d". Assignments are mapped back to variable names on the
 way out.
 
-Each system's search is first bounded by an allowance of nodes, and
-the clauses still unknown are searched again without one (_LEVELS), so
-a hard branch cannot starve an easy satisfiable one. The allowance is
-counted per variable: a system gets the bounded level's figure times
-the number of distinct variables in its equations.
+The searches take turns (_race): the clauses as the walk hands them
+out, the branches of a disequation and the components of a system. So
+a hard branch cannot starve an easy satisfiable one, nor a hard
+component an unsatisfiable one. A system's search yields its turn after
+_ALLOWANCE nodes per distinct variable of its equations, and it goes
+on from where it stopped when resumed.
 
 Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
@@ -91,6 +92,7 @@ the reference semantics before reporting.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -780,24 +782,28 @@ def _splits(d: Dfa) -> tuple:
     return tuple(out)
 
 
-def _solve_system(eqs: list, members: dict, ctl: _Search, per_var: int | None):
-    """Search one component; an allowance of per_var nodes for each
-    variable of its equations bounds the search, None leaves it
-    unbounded."""
+# A system's turn is this many nodes per distinct variable of its
+# equations, because the search widens with them; every system of the
+# corpus and the programs ends within 12 nodes per variable.
+_ALLOWANCE = 32
+
+
+def _solve_system(eqs: list, members: dict, ctl: _Search):
+    """Search one component. A generator: it yields its turn after every
+    _ALLOWANCE nodes per variable of its equations, goes on from the
+    same frontier when resumed, and returns (status, sigma)."""
     if _length_infeasible(eqs, members):
         return "unsat", None
     if not eqs:
         return "sat", _final_assignment(members)
-    allowance = None
-    if per_var is not None:
-        allowance = per_var * len({c for u, v in eqs for c in u + v if c > "d"})
+    turn = _ALLOWANCE * len({c for u, v in eqs for c in u + v if c > "d"})
 
     key0 = _canon(eqs, members)
     store = {key0: (eqs, members, None, [], 0)}
     heap = [(0, 0, 0, key0)]
     tick = itertools.count(1)
     capped = False
-    start_nodes = ctl.nodes
+    spent = 0
 
     def emit(parent_key, g, eqs, step, members, written, extra_letters):
         nonlocal capped
@@ -823,8 +829,10 @@ def _solve_system(eqs: list, members: dict, ctl: _Search, per_var: int | None):
         heapq.heappush(heap, (g2, _total_len(eqs2), next(tick), key))
 
     while heap:
-        if allowance is not None and ctl.nodes - start_nodes >= allowance:
-            return "unknown", None
+        if spent == turn:
+            yield
+            spent = 0
+        spent += 1
         if not ctl.spend():
             return "unknown", None
         _, _, _, key = heapq.heappop(heap)
@@ -935,31 +943,21 @@ def _diseq_branches(u: str, v: str, n: int):
     return out
 
 
-def _solve_equations(eqs, members, ctl: _Search, per_var: int | None):
-    """Solve a system without disequations component by component."""
-    sigma: dict[str, str] = {}
-    saw_unknown = False
-    for comp_eqs, comp_members in _components(eqs, members):
-        st, s = _solve_system(comp_eqs, comp_members, ctl, per_var)
-        if st == "unsat":
-            return "unsat", None
-        if st == "unknown":
-            saw_unknown = True
-            continue
-        sigma |= s
-    if saw_unknown:
-        return "unknown", None
-    return "sat", sigma
+def _solve_equations(eqs, members, ctl: _Search):
+    """Solve a system without disequations: its components race, and
+    an unsat one ends the race."""
+    comps = _components(eqs, members)
+    return (yield from _race((_solve_system(e, m, ctl) for e, m in comps), ctl, "unsat"))
 
 
-def _solve_constraints(clause, ctl: _Search, per_var: int | None):
+def _solve_constraints(clause, ctl: _Search):
     """Solve a clause fixpoint (eqs, diseqs, members, log). The
     equations and memberships are solved first. Their model answers the
     whole clause when it separates every disequation; only otherwise is
-    the first disequation split. A branch extends the fixpoint by its
-    equations, with the rest of the disequations."""
+    the first disequation split, and its branches race. A branch extends
+    the fixpoint by its equations, with the rest of the disequations."""
     eqs, diseqs, members, log = clause
-    st, sigma = _solve_equations(eqs, members, ctl, per_var)
+    st, sigma = yield from _solve_equations(eqs, members, ctl)
     if st == "unsat":
         return "unsat", None
     # the disequations are already substituted by the log, so they are
@@ -971,75 +969,84 @@ def _solve_constraints(clause, ctl: _Search, per_var: int | None):
         return st, None
 
     diseqs = list(dict.fromkeys(diseqs))
-    u, v = diseqs[0]
     rest = diseqs[1:]
-    ctl.fresh += 1
-    saw_unknown = False
-    for extra_eqs, extra_mem in _diseq_branches(u, v, ctl.fresh):
-        # branching is search work too; charging it keeps a deep
-        # disequation tree inside the global budget even when every
-        # system below it is cheap
-        if not ctl.spend():
+
+    def branches():
+        ctl.fresh += 1
+        for extra_eqs, extra_mem in _diseq_branches(*diseqs[0], ctl.fresh):
+            # branching is search work too; charging it keeps a deep
+            # disequation tree inside the global budget even when every
+            # system below it is cheap
+            if not ctl.spend():
+                return
+            # l's membership is neither empty nor a singleton and l occurs
+            # in no equation of the fixpoint, so it is settled as well
+            branch = _extend((eqs, rest, members | extra_mem, log), extra_eqs, [])
+            if branch is not None:
+                yield _solve_constraints(branch, ctl)
+
+    return (yield from _race(branches(), ctl))
+
+
+def _race(searches, ctl: _Search, goal: str = "sat"):
+    """Run by turns the searches an iterator hands out. A search runs
+    until it yields its turn or answers; a new one starts before a
+    suspended one resumes, and the race yields when a search does, so
+    nested races take turns too. The first answer with the status goal
+    ends the race. Otherwise the answer is unknown if one was or the
+    node budget ran out, and else the other definite status, with the
+    models of the searches joined when that is sat."""
+    suspended = collections.deque()
+    status = "unsat" if goal == "sat" else "sat"
+    sigma: dict[str, str] = {}
+    while True:
+        search = next(searches, None)
+        if search is None:
+            if not suspended:
+                return status, sigma if status == "sat" else None
+            search = suspended.popleft()
+        try:
+            next(search)
+        except StopIteration as done:
+            st, s = done.value
+            if st == goal:
+                return st, s
+            if st == "unknown":
+                status = st
+            elif s:
+                sigma |= s
+        else:
+            suspended.append(search)
+            yield
+        if ctl.exhausted():
             return "unknown", None
-        # l's membership is neither empty nor a singleton and l occurs
-        # in no equation of the fixpoint, so it is settled as well
-        branch = _extend((eqs, rest, members | extra_mem, log), extra_eqs, [])
-        if branch is None:
-            continue
-        st, sigma = _solve_constraints(branch, ctl, per_var)
-        if st == "sat":
-            return "sat", sigma
-        if st == "unknown":
-            saw_unknown = True
-    return ("unknown" if saw_unknown else "unsat"), None
-
-
-# Node allowances per variable of an equation system: one bounded level
-# so that one hard branch cannot starve an easy satisfiable one
-# elsewhere, then an unbounded one. A system's allowance at the bounded
-# level is its figure times the number of distinct variables in its
-# equations, because the search widens with them: every system of the
-# corpus and the programs ends within 12 nodes per variable, and a small
-# hopeless branch is cut early.
-_LEVELS = (32, None)
 
 
 def solve_problem(wp: WordProblem, budget: Budget | None = None):
-    """Solve a word problem clause by clause. Returns (status, sigma,
-    search, clause count); sigma maps word variables to words, and the
-    count is of the clauses handed to the search."""
+    """Solve a word problem: its clauses race as the walk hands them
+    out. Returns (status, sigma, search, clause count); sigma maps word
+    variables to words, and the count is of the clauses handed to the
+    search."""
     budget = budget or Budget()
     ctl = _Search(budget)
-    status, sigma = _solve_clauses(_clauses(wp.matrix, budget.clause_cap), ctl)
+
+    def searches():
+        for clause in _clauses(wp.matrix, budget.clause_cap):
+            ctl.clauses += 1
+            yield _solve_constraints(clause, ctl)
+
+    race = _race(searches(), ctl)
+    try:
+        while True:
+            next(race)
+    except StopIteration as done:
+        status, sigma = done.value
+    except ClauseCapExceeded:
+        ctl.overflowed = True
+        status, sigma = "unknown", None
     if sigma is not None:
         sigma = {var_name(c): w for c, w in sigma.items()}
     return status, sigma, ctl, ctl.clauses
-
-
-def _solve_clauses(clauses, ctl: _Search):
-    """The first level pulls the clauses from the enumeration, so a
-    satisfiable clause ends it; the unbounded level revisits only the
-    clauses still unknown."""
-    pending = clauses
-    try:
-        for per_var in _LEVELS:
-            still_unknown = []
-            for clause in pending:
-                if pending is clauses:
-                    ctl.clauses += 1
-                st, sigma = _solve_constraints(clause, ctl, per_var)
-                if st == "sat":
-                    return "sat", sigma
-                if st == "unknown":
-                    still_unknown.append(clause)
-                if ctl.exhausted():
-                    return "unknown", None
-            if not still_unknown:
-                return "unsat", None
-            pending = still_unknown
-    except ClauseCapExceeded:
-        ctl.overflowed = True
-    return "unknown", None
 
 
 # ---------------------------------------------------------------------------

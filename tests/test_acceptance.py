@@ -18,6 +18,7 @@ prints a one-line PASS summary with its measurements (visible under
 pytest -s or -rA); failures carry the same detail in the assertion.
 """
 
+import collections
 import itertools
 import json
 import random
@@ -293,6 +294,21 @@ def test_rotation_contradiction_decided_unsat():
     assert brute_force_sat(f.matrix, f.prefix, bounds) is None
 
 
+# 200 formulas of seed 1's stream with up to 8 atoms and constants in
+# [-20, 20], a harder profile than the differential's, whose searches
+# use up their turns: the totals show a search that starts over instead
+# of resuming. #197 took 8,001 nodes that way. #64 needs a longer
+# witness than the default cap allows.
+def test_harder_profile_pinned():
+    rng = random.Random(1)
+    runs = [check_sat(gen_formula(rng, max_vars=3, max_atoms=8, lo=-20, hi=20)) for _ in range(200)]
+    counts = collections.Counter((r.status, r.reason) for r in runs)
+    assert counts == {("sat", ""): 143, ("unsat", ""): 56, ("unknown", "witness length cap"): 1}
+    assert runs[64].status == "unknown"
+    assert sum(r.nodes for r in runs) == 6_709
+    assert runs[197].status == "sat" and runs[197].nodes <= 1_000
+
+
 def test_random_search_totals_pinned(formula_runs):
     nodes = sum(r.nodes for _, r in formula_runs)
     clauses = sum(r.clauses for _, r in formula_runs)
@@ -391,7 +407,6 @@ def test_quadratic_clauses_decided_completely():
         wp = WordProblem(
             variables=tuple(names),
             matrix=wconj([WEq(l, r) for l, r in eqs]),
-            source_vars=tuple(names),
         )
         status, sigma, _, _ = solve_problem(wp)
         assert status != "unknown", f"clause #{i} returned unknown: {eqs}"

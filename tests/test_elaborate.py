@@ -422,20 +422,22 @@ def test_elaborate_is_idempotent_on_core():
 # encoding names its word variables after these and the search's
 # choices depend on those names, so the node counts pinned in
 # tests/test_wordsolver.py move when this text does: a change that moves
-# it updates this pin and says why.
+# it updates this pin and says why. A length bound len(s) <= n reads
+# s in (INT | eps)^n: one power, whose single chain is built once, and
+# the automaton of the union INT^0 | ... | INT^n of the same language.
 ELABORATED = {
     "reversal_step_vc.seq": (
         'exists olda, $rev_res, s, $u1, $v1, $w1, $u2, $v2, $w2 . ((s in INT^2 INT* '
-        '& s = $u1 ++ $v1 ++ $w1 & $u1 in INT^0 & ($w1 in INT^1) | s in INT^0 | '
-        'INT^1 & $u1 = eps & $v1 = eps & $w1 = eps) & (s in INT^1 INT* & s = $u2 ++ '
-        '$v2 ++ $w2 & $v2 in INT^1 & ($w2 in INT^0) | s in INT^0 & $u2 = eps & $v2 = '
-        'eps & $w2 = eps)) & (s ++ $rev_res = olda & !s in INT^0) & !$v1 ++ $v2 ++ '
-        '$rev_res = olda'
+        '& s = $u1 ++ $v1 ++ $w1 & $u1 in INT^0 & ($w1 in INT^1) | s in (INT | '
+        'eps)^1 & $u1 = eps & $v1 = eps & $w1 = eps) & (s in INT^1 INT* & s = $u2 ++ '
+        '$v2 ++ $w2 & $v2 in INT^1 & ($w2 in INT^0) | s in (INT | eps)^0 & $u2 = eps '
+        '& $v2 = eps & $w2 = eps)) & (s ++ $rev_res = olda & !s in INT^0) & !$v1 ++ '
+        '$v2 ++ $rev_res = olda'
     ),
     "comparison_hold.seq": (
         'exists h, t, v, $u1, $v1, $w1, $g1, $c4, $s1, $c1 . ((h in INT^1 INT* & h = '
-        '$u1 ++ $v1 ++ $w1 & $v1 in INT^1 & ($w1 in INT^0) | h in INT^0 & $u1 = eps '
-        '& $v1 = eps & $w1 = eps) & $g1 = 4 ++ 5 ++ 6 & $c4 in 4 & $c1 in 1 & $s1 == '
+        '$u1 ++ $v1 ++ $w1 & $v1 in INT^1 & ($w1 in INT^0) | h in (INT | eps)^0 & '
+        '$u1 = eps & $v1 = eps & $w1 = eps) & $g1 = 4 ++ 5 ++ 6 & $c4 in 4 & $c1 in 1 & $s1 == '
         'v + $c1) & (($g1 < $c4 | $c4 < $g1) | (4 ++ 5 ++ 6 = h ++ t & h in INT^1 '
         'INT* & t in INT^1 INT* & $v1 == v) & (t < $s1 | $s1 < t))'
     ),

@@ -31,9 +31,12 @@ from seqsolve.ast import (
     SInt,
     SVar,
     SeqEq,
+    ZAny,
+    ZPow,
+    ZUnion,
     matrix_vars,
 )
-from seqsolve.elaborate import Elaboration, ElaborationError
+from seqsolve.elaborate import Elaboration, ElaborationError, elaborate, z_at_most
 from seqsolve.encode import (
     MAX_MAGNITUDE,
     DecodeError,
@@ -147,6 +150,14 @@ def test_encode_regex_matches_oracle(src):
     for s in enum_seqs(Bounds(max_len=3, values=(-2, -1, 0, 1, 2))):
         w = "".join(encode_int(e) for e in s)
         assert d.accepts(w) == oracle.regex_match(rx, s), (src, s)
+
+
+def test_length_bound_is_the_union_of_powers():
+    # z_at_most(n) is one power of (INT | eps); the union of the powers
+    # INT^0 ... INT^n is the same language, so it is the same automaton
+    for n in range(13):
+        union = ZUnion(tuple(ZPow(ZAny(), i) for i in range(n + 1)))
+        assert encode_regex(z_at_most(n)) is encode_regex(union)
 
 
 def test_encode_regex_rejects_non_encodings():
@@ -323,9 +334,11 @@ def assert_pipeline_agrees(src, bounds, fresh_pool):
     f = parse_formula(src)
     if f.quantifier == FORALL:
         f = negation(f)
-    wp = encode(f)
-    user = [v for v in wp.source_vars if not v.startswith("$")]
-    fresh = [v for v in wp.source_vars if v.startswith("$")]
+    elab = elaborate(f)
+    wp = encode_elaboration(elab)
+    names = oracle.search_names(elab.formula)
+    user = [v for v in names if not v.startswith("$")]
+    fresh = [v for v in names if v.startswith("$")]
     ps = p_vars(wp)
     for env in iter_envs(user, bounds):
         expected = matrix_value(f.matrix, env)
@@ -404,23 +417,22 @@ def test_existential_problem_shape():
     assert isinstance(wp.matrix, WAnd)
     # no atom looks at an element of x, so x only needs its range
     # membership, not the component frame
-    assert wp.components == {}
     assert wp.variables == ("x",)
 
 
 def test_component_frame_only_when_needed():
     wp = encode(parse_formula("exists x, y . x = y ++ y & first(x) == 0"))
-    assert wp.components["x"] == ("$h_x", "$sg_x", "$m_x", "$t_x")
-    assert "y" not in wp.components
-    assert "$h_y" not in wp.variables
+    assert {"$h_x", "$sg_x", "$m_x", "$t_x"} <= set(wp.variables)
+    assert not any(v.endswith("_y") for v in wp.variables)
 
 
 def test_variables_unique_and_cover_components():
-    wp = encode(parse_formula("exists x, y . first(x) < first(y)"))
+    f = parse_formula("exists x, y . first(x) < first(y)")
+    wp = encode(f)
     assert len(set(wp.variables)) == len(wp.variables)
-    for x in wp.source_vars:
-        for comp in wp.components[x]:
-            assert comp in wp.variables
+    for x in oracle.search_names(f):
+        for comp in ("$h_", "$sg_", "$m_", "$t_"):
+            assert comp + x in wp.variables
     assert p_vars(wp) == ["$p1"]
 
 

@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -61,17 +62,19 @@ from seqsolve.wordsolver import (
     _final_assignment,
     _join,
     _Search,
+    _ALLOWANCE,
     _length_bounds,
     _length_feasible,
     _length_infeasible,
     _length_row,
-    _LEVELS,
     _lengths_add,
     _lengths_bound,
     _NO_LENGTHS,
     _replay,
     _simplify,
+    _race,
     _solve_constraints,
+    _solve_equations,
     _solve_system,
     _splits,
     _strip,
@@ -80,6 +83,17 @@ from seqsolve.wordsolver import (
 )
 
 BUDGET = Budget(max_nodes=200_000)
+
+
+def _answer(search):
+    """Resume a search, which yields its turns, until it answers."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 PROGRAMS = CORPUS.parent / "programs"
 
@@ -92,7 +106,7 @@ def _quadratic_problems() -> list[WordProblem]:
         eqs = gen_quadratic_clause(rng)
         names = tuple(sorted({var_name(c) for l, r in eqs for c in l + r if c > "d"}))
         matrix = wconj([WEq(l, r) for l, r in eqs])
-        out.append(WordProblem(names, matrix, names))
+        out.append(WordProblem(names, matrix))
     return out
 
 
@@ -311,7 +325,7 @@ def test_lazy_clauses_differ_from_scratch_only_by_rule_order():
             branch = _extend(fix, pins, [])
             if branch is None:
                 continue
-            st, _ = _solve_constraints(branch, _Search(BUDGET), None)
+            st, _ = _answer(_solve_constraints(branch, _Search(BUDGET)))
             assert st != "unknown"
             if st == "sat":
                 out.add(vals)
@@ -1138,7 +1152,7 @@ def test_equations_model_that_separates_needs_no_split():
     # x y = ab has the first model x = eps, y = ab, and that already
     # makes x differ from y
     ctl = _Search(BUDGET)
-    st, sigma = _solve_constraints(_simplify([(X + Y, "ab")], [(X, Y)], {})[1:], ctl, None)
+    st, sigma = _answer(_solve_constraints(_simplify([(X + Y, "ab")], [(X, Y)], {})[1:], ctl))
     assert st == "sat" and ctl.fresh == 0
     assert (sigma.get(X, ""), sigma[Y]) == ("", "ab")
 
@@ -1147,7 +1161,7 @@ def test_equations_model_that_does_not_separate_still_splits():
     # the first model of x y = y x is x = y = eps; the split on x != y
     # then finds two different commuting words
     ctl = _Search(BUDGET)
-    st, sigma = _solve_constraints(_simplify([(X + Y, Y + X)], [(X, Y)], {})[1:], ctl, None)
+    st, sigma = _answer(_solve_constraints(_simplify([(X + Y, Y + X)], [(X, Y)], {})[1:], ctl))
     assert st == "sat" and ctl.fresh == 1
     x, y = sigma.get(X, ""), sigma.get(Y, "")
     assert x + y == y + x and x != y
@@ -1161,7 +1175,7 @@ def test_split_answer_is_replayed_through_the_clause_log():
     a_plus = plus(lit("a"))
     clause = _simplify([(Z, X)], [(Z, Y)], {X: a_plus, Y: a_plus})[1:]
     assert clause[3] == [(X, Z)]
-    st, sigma = _solve_constraints(clause, ctl, None)
+    st, sigma = _answer(_solve_constraints(clause, ctl))
     assert st == "sat" and ctl.fresh == 1
     x, y, z = (sigma.get(c, "") for c in (X, Y, Z))
     assert x == z != y and a_plus.accepts(x) and a_plus.accepts(y)
@@ -1203,7 +1217,7 @@ def test_split_child_pins_a_variable_that_left_every_equation(monkeypatch):
 
     monkeypatch.setattr(wordsolver, "_simplify", record)
     eqs, members = [(X + Y, Z + "b")], {X: a_or_b, Z: a_plus}
-    st, sigma = _solve_system(eqs, members, _Search(BUDGET), None)
+    st, sigma = _answer(_solve_system(eqs, members, _Search(BUDGET)))
     (child,) = [res for res in accepted if res[4][0] == (X, Z + X)]
     _, child_eqs, _, child_members, log = child
     assert child_eqs == [(X + Y, "b")]
@@ -1233,7 +1247,7 @@ def test_nodes_that_differ_only_in_a_finished_membership_share_a_key(monkeypatch
 
     monkeypatch.setattr(wordsolver, "_simplify", record)
     monkeypatch.setattr(wordsolver, "_canon", key)
-    _solve_system([(X + "a", Y + "b")], {X: eps_or_a}, _Search(BUDGET), None)
+    _answer(_solve_system([(X + "a", Y + "b")], {X: eps_or_a}, _Search(BUDGET)))
     # the root's key comes first, then one per accepted child
     assert len(keys) == len(accepted) + 1
     same = [(m, k) for (e, m), k in zip(accepted, keys[1:]) if e == [("a", Y + "b")]]
@@ -1370,7 +1384,7 @@ def test_solve_system_matches_the_reference():
     nodes = collections.Counter()
     for eqs, members, budget in systems:
         ctl, ref_ctl = _Search(budget), _Search(budget)
-        st, sigma = _solve_system(eqs, members, ctl, None)
+        st, sigma = _answer(_solve_system(eqs, members, ctl))
         assert st == _reference_solve_system(eqs, members, ref_ctl, None)[0]
         if st == "sat":
             assert _is_model(eqs, members, sigma)
@@ -1595,35 +1609,85 @@ def test_clause_cap_is_reported():
     assert check_sat(f, Budget(clause_cap=2)).witness == {"x": (1,)}
 
 
-def test_ladder_finds_a_model_past_a_hard_first_branch():
-    # under a single unbounded allowance the search stays in a branch with
-    # no model and spends the whole budget there; the ladder's escalating
-    # allowances reach the model
-    f = parse_formula("exists x, y . x ++ y = y ++ x & !(x = y)")
-    r = check_sat(f)
-    assert r.status == "sat"
-    assert oracle.matrix_value(f.matrix, r.witness)
-    # the first level cuts each of the twelve letter-pair branches after
-    # 5 x 32 nodes, and the last branch has the model; pinned so that a
-    # ladder that spends more before reaching it shows
-    assert r.nodes == 1_938
-
-
-def test_allowance_is_per_variable_of_the_system():
-    # a letter-pair branch of the ladder formula has no model, and its
-    # search never ends: every bounded level stops it after exactly its
-    # per-variable allowance times the branch's five variables
+def _ladder_branch():
+    """A letter-pair branch of exists x, y . x ++ y = y ++ x & !(x = y),
+    the formula of the test below: one system with no model, whose
+    search never ends."""
     f = parse_formula("exists x, y . x ++ y = y ++ x & !(x = y)")
     [(eqs, diseqs, members, log)] = nnf_dnf(encode_elaboration(elaborate(f)).matrix)
     extra_eqs, extra_mem = _diseq_branches(*diseqs[0], 1)[0]
     eqs, _, members, _ = _extend((eqs, [], members | extra_mem, log), extra_eqs, [])
+    return eqs, members
+
+
+def test_ladder_finds_a_model_past_a_hard_first_branch():
+    # a single search that never yields its turn stays in a branch with
+    # no model and spends the whole budget there; the branches' turns
+    # reach the model
+    f = parse_formula("exists x, y . x ++ y = y ++ x & !(x = y)")
+    r = check_sat(f)
+    assert r.status == "sat"
+    assert oracle.matrix_value(f.matrix, r.witness)
+    # each of the twelve letter-pair branches yields its turn after
+    # 5 x 32 nodes, and the thirteenth branch, started before any of them
+    # resumes, has the model; pinned so that a race that spends more
+    # before reaching it shows
+    assert r.nodes == 1_938
+
+
+def test_allowance_is_per_variable_of_the_system(monkeypatch):
+    # a letter-pair branch has no model, and its search never ends: it
+    # yields after its allowance per variable times the branch's five
+    # variables, and resumed, it yields again after as many more nodes.
+    # It went on and did not start over: no node of the first turn is
+    # popped again in the second
+    eqs, members = _ladder_branch()
     assert len(_components(eqs, members)) == 1
     assert len({c for u, v in eqs for c in u + v if c > "d"}) == 5
-    assert _LEVELS[-1] is None
-    for per_var in _LEVELS[:-1]:
-        ctl = _Search(BUDGET)
-        assert _solve_system(eqs, members, ctl, per_var) == ("unknown", None)
-        assert ctl.nodes == 5 * per_var
+    popped = []
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        popped.append(item[-1])  # the node's key
+        return item
+
+    monkeypatch.setattr(wordsolver, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    ctl = _Search(BUDGET)
+    search = _solve_system(eqs, members, ctl)
+    next(search)
+    assert ctl.nodes == len(popped) == 5 * _ALLOWANCE
+    next(search)
+    assert ctl.nodes == len(set(popped)) == 10 * _ALLOWANCE
+
+
+def test_race_starts_new_searches_before_resuming_suspended_ones():
+    turns = []
+
+    def search(name, yields, status):
+        for _ in range(yields):
+            turns.append(name)
+            yield
+        turns.append(name)
+        return status, ({name: name} if status == "sat" else None)
+
+    searches = [search("a", 2, "unsat"), search("b", 0, "unsat"), search("c", 1, "sat")]
+    assert _answer(_race(iter(searches), _Search(BUDGET))) == ("sat", {"c": "c"})
+    assert turns == ["a", "b", "c", "a", "c"]
+    # racing for unsat, the models of searches that are all sat are joined
+    searches = [search("a", 1, "sat"), search("b", 0, "sat")]
+    assert _answer(_race(iter(searches), _Search(BUDGET), "unsat")) == ("sat", {"a": "a", "b": "b"})
+
+
+def test_a_component_that_never_ends_does_not_starve_an_unsat_one():
+    # z a = b z has no model; its component comes after the letter-pair
+    # branch's, which yields its turn after 5 x 32 nodes, and the next
+    # node refutes z's
+    eqs, members = _ladder_branch()
+    eqs, members = eqs + [(Z + "a", "b" + Z)], members | {Z: lstar_dfa()}
+    assert [len(e) for e, _ in _components(eqs, members)] == [3, 1]
+    ctl = _Search(BUDGET)
+    assert _answer(_solve_equations(eqs, members, ctl)) == ("unsat", None)
+    assert ctl.nodes == 5 * _ALLOWANCE + 1
 
 
 def test_results_are_deterministic():
