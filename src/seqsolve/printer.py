@@ -55,7 +55,9 @@ _ADD, _CAT, _POST = range(3)
 
 
 def print_formula(f: Formula) -> str:
-    if f.quantifier is None:
+    # an empty prefix binds nothing and has no syntax: the closed matrix
+    # alone reads to the same verdict, existential or universal
+    if not f.prefix:
         return print_matrix(f.matrix)
     return f"{f.quantifier} {', '.join(f.prefix)} . {print_matrix(f.matrix)}"
 

@@ -158,10 +158,6 @@ class Program:
     old_names: tuple[str, ...]  # names snapshot at entry, sorted
     path: str = "<string>"
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.params + self.locals
-
 
 @dataclass(frozen=True)
 class VC:

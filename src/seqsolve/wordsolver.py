@@ -28,7 +28,9 @@ A clause's equations and memberships are solved first. If they have no
 model, neither has the clause; if their model separates every
 disequation, it is the answer. Only otherwise is a disequation
 eliminated by branching on the first position where the two sides can
-differ; a branch extends the clause's fixpoint by its equations.
+differ; a branch extends the clause's fixpoint by its equations, and
+its theory state by their length rows and its one-letter variable, so
+a branch whose lengths cannot balance is dropped before it is searched.
 Systems of equations are solved by a best-first search over prefix
 transformations:
 
@@ -53,9 +55,8 @@ Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
 an intermediate automaton state for the boundary. States are memoized
 under a canonical form (automata are interned canonical instances, so
-one language is one object), the frontier is ordered by how many
-letters a branch has committed to, and the length theory, run from
-scratch on each system, discards systems whose lengths cannot balance.
+one language is one object), and the frontier is ordered by how many
+letters a branch has committed to.
 
 Every node is a fixpoint of cheap rewrite rules (_simplify): affix
 stripping, ground resolution, forced-empty sides, pinned variables,
@@ -403,11 +404,9 @@ def _extend(fix, eqs: list, diseqs: list):
     new atoms only once everything before them is settled, so the rules
     fire in the same order. The log is fix's with the new one appended."""
     feqs, fdiseqs, members, log = fix
-    new = []
-    for u, v in eqs + diseqs:
-        for x, repl in log:
-            u, v = u.replace(x, repl), v.replace(x, repl)
-        new.append((u, v))
+    new = eqs + diseqs
+    for x, repl in log:
+        new = _subst_eqs(new, x, repl)
     k = len(eqs)
     res = _simplify(feqs + new[:k], fdiseqs + new[k:], members, fixed=len(feqs))
     if res[0] == "fail":
@@ -418,7 +417,8 @@ def _extend(fix, eqs: list, diseqs: list):
 def _clauses(w, cap: int):
     """The fixpoints (eqs, diseqs, members, log) of the clauses of the
     disjunctive normal form of a word formula in negation normal form,
-    lazily and in the order of distributing And over Or left to right.
+    each paired with its length theory state, lazily and in the order
+    of distributing And over Or left to right.
     A negated equation is a disequation and a negated membership
     complements the automaton.
 
@@ -440,6 +440,8 @@ def _clauses(w, cap: int):
     equation adds its length row, computed once per atom, and a joining
     membership bounds its variable by the lengths of the intersection;
     a clause the theory refutes is dropped as a _simplify failure is.
+    The state yielded with a clause has admitted all its atoms, and the
+    search extends it along the clause's disequation branches.
     Raises ClauseCapExceeded before yielding clause cap + 1."""
     rows: dict[int, tuple] = {}  # id of an equation atom -> its length row
     count = 0
@@ -499,13 +501,13 @@ def _clauses(w, cap: int):
             count += 1
             if count > cap:
                 raise ClauseCapExceeded(f"more than {cap} clauses")
-            yield fix
+            yield fix, th
 
 
 def nnf_dnf(w, cap: int = Budget.clause_cap) -> list[tuple]:
     """Every clause fixpoint (eqs, diseqs, members, log) _clauses
     yields; raises ClauseCapExceeded when there are more than cap."""
-    return list(_clauses(w, cap))
+    return [fix for fix, _ in _clauses(w, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -741,22 +743,6 @@ def _propagate(rows: dict, box: dict, todo: list, touched, members: dict):
     return rows, box
 
 
-def _length_infeasible(eqs: list, members: dict) -> bool:
-    """True only on a proof that the lengths of the equations and the
-    memberships admit no solution: the theory run from scratch."""
-    box = {}
-    for x, d in members.items():
-        box[x] = _length_bounds(d)
-        if box[x] is None:
-            return True
-    th = {}, box
-    for u, v in eqs:
-        th = _lengths_add(th, _length_row(u, v), members)
-        if th is None:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # equation systems
 
@@ -789,11 +775,10 @@ _ALLOWANCE = 32
 
 
 def _solve_system(eqs: list, members: dict, ctl: _Search):
-    """Search one component. A generator: it yields its turn after every
+    """Search one component, whose lengths the caller's length theory
+    state has admitted. A generator: it yields its turn after every
     _ALLOWANCE nodes per variable of its equations, goes on from the
     same frontier when resumed, and returns (status, sigma)."""
-    if _length_infeasible(eqs, members):
-        return "unsat", None
     if not eqs:
         return "sat", _final_assignment(members)
     turn = _ALLOWANCE * len({c for u, v in eqs for c in u + v if c > "d"})
@@ -950,12 +935,14 @@ def _solve_equations(eqs, members, ctl: _Search):
     return (yield from _race((_solve_system(e, m, ctl) for e, m in comps), ctl, "unsat"))
 
 
-def _solve_constraints(clause, ctl: _Search):
-    """Solve a clause fixpoint (eqs, diseqs, members, log). The
-    equations and memberships are solved first. Their model answers the
-    whole clause when it separates every disequation; only otherwise is
-    the first disequation split, and its branches race. A branch extends
-    the fixpoint by its equations, with the rest of the disequations."""
+def _solve_constraints(clause, th, ctl: _Search):
+    """Solve a clause fixpoint (eqs, diseqs, members, log) whose lengths
+    the length theory state th has admitted. The equations and
+    memberships are solved first. Their model answers the whole clause
+    when it separates every disequation; only otherwise is the first
+    disequation split, and its branches race. A branch the theory, with
+    its atoms joined, refutes is dropped; the others extend the fixpoint
+    by their equations, with the rest of the disequations."""
     eqs, diseqs, members, log = clause
     st, sigma = yield from _solve_equations(eqs, members, ctl)
     if st == "unsat":
@@ -979,11 +966,20 @@ def _solve_constraints(clause, ctl: _Search):
             # system below it is cheap
             if not ctl.spend():
                 return
+            mem = members | extra_mem
+            bth = th
+            for l, d in extra_mem.items():
+                bth = _lengths_bound(bth, l, d, mem)
+            for u, v in extra_eqs:
+                if bth is not None:
+                    bth = _lengths_add(bth, _length_row(u, v), mem)
+            if bth is None:
+                continue
             # l's membership is neither empty nor a singleton and l occurs
             # in no equation of the fixpoint, so it is settled as well
-            branch = _extend((eqs, rest, members | extra_mem, log), extra_eqs, [])
+            branch = _extend((eqs, rest, mem, log), extra_eqs, [])
             if branch is not None:
-                yield _solve_constraints(branch, ctl)
+                yield _solve_constraints(branch, bth, ctl)
 
     return (yield from _race(branches(), ctl))
 
@@ -1031,9 +1027,9 @@ def solve_problem(wp: WordProblem, budget: Budget | None = None):
     ctl = _Search(budget)
 
     def searches():
-        for clause in _clauses(wp.matrix, budget.clause_cap):
+        for clause, th in _clauses(wp.matrix, budget.clause_cap):
             ctl.clauses += 1
-            yield _solve_constraints(clause, ctl)
+            yield _solve_constraints(clause, th, ctl)
 
     race = _race(searches(), ctl)
     try:

@@ -19,7 +19,7 @@ import pytest
 
 from seqsolve.cli import build_parser, run
 from seqsolve.parser import parse_formula
-from seqsolve.wordsolver import check_sat
+from seqsolve.wordsolver import check_sat, check_valid
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -322,6 +322,18 @@ def test_vc_text_output_lists_verdicts(capsys):
     assert code == 0 and err == ""
     assert out.count("verdict: valid") == 5
     assert "status: valid" in out
+
+
+def test_vc_condition_over_no_variables_parses_back(capsys, tmp_path):
+    # a program without variables has a closed condition, printed as its
+    # matrix alone, which parses back to the same verdict
+    src = tmp_path / "empty.sqp"
+    src.write_text("program p()\ndo\nend\n")
+    code, doc = run_json(capsys, "vc", str(src), "--discharge")
+    assert code == 0 and doc["status"] == "valid"
+    [vc] = doc["vcs"]
+    assert (vc["formula"], vc["verdict"]) == ("true", "valid")
+    assert check_valid(parse_formula(vc["formula"])).status == "valid"
 
 
 def test_vc_failing_program_exits_1(capsys, tmp_path):

@@ -10,6 +10,8 @@ import random
 import pytest
 
 from seqsolve.ast import (
+    EXISTS,
+    FORALL,
     And,
     BoolLit,
     Formula,
@@ -48,6 +50,7 @@ from seqsolve.parser import (
     parse_matrix,
     parse_seq_term,
 )
+from seqsolve.oracle import formula_value
 from seqsolve.printer import print_formula, print_matrix
 from seqsolve.randgen import gen_formula
 
@@ -205,6 +208,18 @@ def test_print_parse_round_trip(src):
 def test_printer_matrix_round_trip_under_negation():
     m = parse_matrix("!(a = eps & b = eps) | !c = eps")
     assert parse_matrix(print_matrix(m)) == m
+
+
+def test_empty_prefix_prints_the_matrix_alone():
+    # vcgen closes a condition over no variables when its program has
+    # none; "forall  . true" would not parse. The closed matrix alone
+    # reads to the same verdict
+    for q in (FORALL, EXISTS):
+        for m in (BoolLit(True), BoolLit(False), parse_matrix("eps = 1 ++ eps")):
+            f = Formula(q, (), m)
+            g = parse_formula(print_formula(f))
+            assert g == qf(m)
+            assert formula_value(g) == formula_value(f)
 
 
 def test_printer_parenthesizes_membership_before_or():

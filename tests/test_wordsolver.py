@@ -65,7 +65,6 @@ from seqsolve.wordsolver import (
     _ALLOWANCE,
     _length_bounds,
     _length_feasible,
-    _length_infeasible,
     _length_row,
     _lengths_add,
     _lengths_bound,
@@ -253,7 +252,7 @@ def _assert_pruned_reference(w, limit: int | None = None) -> int:
         res = _simplify(c.eqs, c.diseqs, c.members)
         if res[0] == "ok" and not _length_infeasible(c.eqs, c.members):
             kept.append(res[1:])
-    lazy = list(itertools.islice(wordsolver._clauses(w, 10**6), len(kept) + 1))
+    lazy = [fix for fix, _ in itertools.islice(wordsolver._clauses(w, 10**6), len(kept) + 1)]
     if limit is not None and len(ref) == limit:
         lazy = lazy[: len(kept)]
     assert lazy == kept
@@ -303,7 +302,7 @@ def test_lazy_clauses_differ_from_scratch_only_by_rule_order():
         res = _simplify(c.eqs, c.diseqs, c.members)
         if res[0] == "ok" and not _length_infeasible(c.eqs, c.members):
             scratch.append(res[1:])
-    lazy = list(wordsolver._clauses(w, 10**6))
+    lazy = [fix for fix, _ in wordsolver._clauses(w, 10**6)]
     assert len(lazy) == len(scratch) == 13
     differ = [k for k, (a, b) in enumerate(zip(lazy, scratch)) if a != b]
     assert differ == [1]
@@ -325,7 +324,7 @@ def test_lazy_clauses_differ_from_scratch_only_by_rule_order():
             branch = _extend(fix, pins, [])
             if branch is None:
                 continue
-            st, _ = _answer(_solve_constraints(branch, _Search(BUDGET)))
+            st, _ = _answer(_solve_constraints(branch, _NO_LENGTHS, _Search(BUDGET)))
             assert st != "unknown"
             if st == "sat":
                 out.add(vals)
@@ -383,7 +382,7 @@ def test_lazy_clause_cap_counts_clauses_after_pruning():
     assert _assert_pruned_reference(w) == 4
     assert len(nnf_dnf(w, cap=4)) == 4
     clauses = wordsolver._clauses(w, 3)
-    assert [next(clauses) for _ in range(3)] == nnf_dnf(w)[:3]
+    assert [next(clauses)[0] for _ in range(3)] == nnf_dnf(w)[:3]
     with pytest.raises(ClauseCapExceeded):
         next(clauses)
 
@@ -400,7 +399,7 @@ def _assert_fixpoint(clause):
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.seq")))
 def test_walk_yields_fixpoints_on_the_corpus(name):
     w = _problem(parse_formula((CORPUS / name).read_text())).matrix
-    for clause in wordsolver._clauses(w, 10**6):
+    for clause, _ in wordsolver._clauses(w, 10**6):
         _assert_fixpoint(clause)
 
 
@@ -411,7 +410,7 @@ def test_walk_yields_fixpoints_on_random_formulas():
     n = 0
     for _ in range(1000):
         f = gen_formula(rng, max_vars=3, max_atoms=4, lo=-2, hi=2)
-        for clause in itertools.islice(wordsolver._clauses(_problem(f).matrix, 10**6), 2000):
+        for clause, _ in itertools.islice(wordsolver._clauses(_problem(f).matrix, 10**6), 2000):
             _assert_fixpoint(clause)
             n += 1
     assert n > 2_000
@@ -1014,6 +1013,25 @@ def test_canon_orients_symmetric_equations():
 # length abstraction
 
 
+def _length_infeasible(eqs: list, members: dict) -> bool:
+    """The length theory run from scratch on a whole system, frozen as
+    the reference: True only on a proof that the lengths of the
+    equations and the memberships admit no solution. The solver keeps
+    one theory state per clause instead, which the clause walk and the
+    disequation branches extend."""
+    box = {}
+    for x, d in members.items():
+        box[x] = _length_bounds(d)
+        if box[x] is None:
+            return True
+    th = {}, box
+    for u, v in eqs:
+        th = _lengths_add(th, _length_row(u, v), members)
+        if th is None:
+            return True
+    return False
+
+
 def test_length_rejects_strict_growth():
     assert _length_infeasible([(X, X + "a")], {})
 
@@ -1152,7 +1170,8 @@ def test_equations_model_that_separates_needs_no_split():
     # x y = ab has the first model x = eps, y = ab, and that already
     # makes x differ from y
     ctl = _Search(BUDGET)
-    st, sigma = _answer(_solve_constraints(_simplify([(X + Y, "ab")], [(X, Y)], {})[1:], ctl))
+    clause = _simplify([(X + Y, "ab")], [(X, Y)], {})[1:]
+    st, sigma = _answer(_solve_constraints(clause, _NO_LENGTHS, ctl))
     assert st == "sat" and ctl.fresh == 0
     assert (sigma.get(X, ""), sigma[Y]) == ("", "ab")
 
@@ -1161,7 +1180,8 @@ def test_equations_model_that_does_not_separate_still_splits():
     # the first model of x y = y x is x = y = eps; the split on x != y
     # then finds two different commuting words
     ctl = _Search(BUDGET)
-    st, sigma = _answer(_solve_constraints(_simplify([(X + Y, Y + X)], [(X, Y)], {})[1:], ctl))
+    clause = _simplify([(X + Y, Y + X)], [(X, Y)], {})[1:]
+    st, sigma = _answer(_solve_constraints(clause, _NO_LENGTHS, ctl))
     assert st == "sat" and ctl.fresh == 1
     x, y = sigma.get(X, ""), sigma.get(Y, "")
     assert x + y == y + x and x != y
@@ -1175,7 +1195,7 @@ def test_split_answer_is_replayed_through_the_clause_log():
     a_plus = plus(lit("a"))
     clause = _simplify([(Z, X)], [(Z, Y)], {X: a_plus, Y: a_plus})[1:]
     assert clause[3] == [(X, Z)]
-    st, sigma = _answer(_solve_constraints(clause, ctl))
+    st, sigma = _answer(_solve_constraints(clause, _NO_LENGTHS, ctl))
     assert st == "sat" and ctl.fresh == 1
     x, y, z = (sigma.get(c, "") for c in (X, Y, Z))
     assert x == z != y and a_plus.accepts(x) and a_plus.accepts(y)
@@ -1363,7 +1383,11 @@ def test_solve_system_matches_the_reference():
     # every model satisfies its system. The random systems are shallow
     # and rarely leave a variable behind; the corpus's sign and
     # magnitude variables often do. Some random systems never end, so
-    # they get a small budget, which the others would exceed
+    # they get a small budget, which the others would exceed.
+    # _solve_system trusts its caller's length theory, and the random
+    # systems never pass one: where the theory from scratch refutes a
+    # system, which the reference does at its root, the search must not
+    # answer sat, and the statuses and nodes are compared on the rest
     problems = _quadratic_problems() + [
         _problem(parse_formula((CORPUS / name).read_text()))
         for name in ("comparison_hold.seq", "mergesort_final_vc.seq")
@@ -1375,7 +1399,7 @@ def test_solve_system_matches_the_reference():
         for eqs, members in _components(clause[0], clause[2])
     ]
     rng = random.Random(0)
-    for _ in range(3_000):
+    for _ in range(4_500):
         eqs, _, members = _random_system(rng)
         res = _simplify(eqs, [], members)
         if res[0] == "ok":
@@ -1385,6 +1409,10 @@ def test_solve_system_matches_the_reference():
     for eqs, members, budget in systems:
         ctl, ref_ctl = _Search(budget), _Search(budget)
         st, sigma = _answer(_solve_system(eqs, members, ctl))
+        if _length_infeasible(eqs, members):
+            assert st != "sat"
+            statuses["refuted by lengths"] += 1
+            continue
         assert st == _reference_solve_system(eqs, members, ref_ctl, None)[0]
         if st == "sat":
             assert _is_model(eqs, members, sigma)
@@ -1573,6 +1601,24 @@ def test_search_exploration_pinned(name, status, nodes, clauses, counterexample)
     r = check_valid(parse_formula((CORPUS / name).read_text()), BUDGET)
     assert (r.status, r.nodes, r.clauses) == (status, nodes, clauses)
     assert r.counterexample == counterexample
+
+
+def test_a_branch_the_clause_theory_refutes_starts_no_search(monkeypatch):
+    # the second clause of reversal_step_vc.seq holds s = $u2 $v2 and
+    # splits $v2 != s; its branch $v2 = s $dl2 $da2, with $dl2 one
+    # letter long, asks |$v2| > |s|. The clause's length theory, extended
+    # by the branch, refutes it before any of its systems is searched
+    systems = []
+    solve_system = wordsolver._solve_system
+
+    def record(eqs, members, ctl):
+        systems.append(eqs)
+        return solve_system(eqs, members, ctl)
+
+    monkeypatch.setattr(wordsolver, "_solve_system", record)
+    r = check_valid(parse_formula((CORPUS / "reversal_step_vc.seq").read_text()), BUDGET)
+    assert (r.status, r.nodes, r.clauses) == ("valid", 710, 2)
+    assert len(systems) == 58
 
 
 def test_quadratic_exploration_pinned():
