@@ -15,12 +15,14 @@ can merge states minimize (_canon). union, concat and star (and through
 concat, plus and power) and the product of intersect are each one
 breadth-first search over the tuples or sets of their arguments' states
 that the start reaches (_reach), which _canon then minimizes; make_dfa
-minimizes its explicit parts, and accept_at minimizes because it
-changes the accepting set. The others only relabel or flip a canonical
-automaton. lit spells its word's path and one dead state, which is
-already minimal, and relabels it. complement keeps the transitions and
-flips acceptance, which keeps every pair of states told apart by the
-same words. with_start, and so derivative, keeps the states reachable
+minimizes its explicit parts. splits, the ways a word splits at a state
+q with its head in a second automaton, searches the pairs of that
+product once and minimizes one head per q that an accepting pair
+reaches and that can still reach acceptance. The others only relabel
+or flip a canonical automaton. lit spells its word's path and one dead
+state, which is already minimal, and relabels it. complement keeps the
+transitions and flips acceptance, which keeps every pair of states told
+apart by the same words. with_start, and so derivative, keeps the states reachable
 from the new start: each still differs from every other, so they only
 need relabeling. is_singleton reads its answer off the canonical
 structure, and image, the states a set of states reaches by the words
@@ -81,9 +83,12 @@ class Dfa:
         """The language read from state q to acceptance."""
         return _with_start(self, q)
 
-    def accept_at(self, q: int) -> Dfa:
-        """The language read from the start to exactly state q."""
-        return _accept_at(self, q)
+    def splits(self, prefix: Dfa) -> tuple:
+        """The ways a word of self splits at an intermediate state q with
+        its head in prefix: pairs (head, tail), head the words of prefix
+        that lead from the start to exactly q and tail the words from q
+        to acceptance, in state order, with both languages nonempty."""
+        return _splits(self, prefix)
 
     def derivative(self, letter: str) -> Dfa:
         return self.with_start(self.step(self.start, letter))
@@ -106,11 +111,6 @@ def _complement(d: Dfa) -> Dfa:
 def _with_start(d: Dfa, q: int) -> Dfa:
     order, rows = _renumber(d.delta, q)
     return _intern(tuple(rows), frozenset(i for i, s in enumerate(order) if s in d.accepting))
-
-
-@lru_cache(maxsize=None)
-def _accept_at(d: Dfa, q: int) -> Dfa:
-    return _canon(d.delta, d.start, frozenset([q]))
 
 
 @lru_cache(maxsize=None)
@@ -218,11 +218,10 @@ def make_dfa(delta, start, accepting) -> Dfa:
     return _canon(tuple(tuple(row) for row in delta), start, frozenset(accepting))
 
 
-def _reach(start, step, accepting) -> Dfa:
-    """The canonical automaton of the states reachable from start, where
-    step(s) gives the successors of s in alphabet order and accepting(s)
-    says whether s accepts: a breadth-first search numbers the states in
-    the order it meets them, and _canon minimizes."""
+def _explore(start, step) -> tuple[list, tuple]:
+    """The states reachable from start, where step(s) gives the
+    successors of s in alphabet order, numbered by a breadth-first search
+    in the order it meets them, and their rows of numbers."""
     ids = {start: 0}
     order = [start]
     rows = []
@@ -235,7 +234,15 @@ def _reach(start, step, accepting) -> Dfa:
                 order.append(t)
             row.append(i)
         rows.append(tuple(row))
-    return _canon(tuple(rows), 0, frozenset([i for i, s in enumerate(order) if accepting(s)]))
+    return order, tuple(rows)
+
+
+def _reach(start, step, accepting) -> Dfa:
+    """The canonical automaton of the states reachable from start, where
+    accepting(s) says whether s accepts: _explore numbers them and
+    _canon minimizes."""
+    order, rows = _explore(start, step)
+    return _canon(rows, 0, frozenset([i for i, s in enumerate(order) if accepting(s)]))
 
 
 @lru_cache(maxsize=None)
@@ -261,6 +268,27 @@ def _image(a: Dfa, q: int, b: Dfa) -> frozenset[int]:
                 seen.add(nxt)
                 order.append(nxt)
     return frozenset([s for s, t in order if t in b.accepting])
+
+
+@lru_cache(maxsize=None)
+def _splits(d: Dfa, prefix: Dfa) -> tuple:
+    """One breadth-first search over the pairs (state of prefix, state
+    of d) of their product. The head at q is that product accepting at
+    the pairs of an accepting state of prefix with q, so only a q that
+    such a pair holds and that reaches acceptance is minimized."""
+    order, rows = _explore(
+        (prefix.start, d.start), lambda st: zip(prefix.delta[st[0]], d.delta[st[1]])
+    )
+    ends: dict[int, list] = {}  # q -> the product states ending a head at q
+    for i, (p, q) in enumerate(order):
+        if p in prefix.accepting:
+            ends.setdefault(q, []).append(i)
+    out = []
+    for q in sorted(ends):
+        tail = d.with_start(q)
+        if not tail.is_empty():
+            out.append((_canon(rows, 0, frozenset(ends[q])), tail))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

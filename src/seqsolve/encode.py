@@ -102,16 +102,22 @@ class LiteralTooLarge(ValueError):
 # long as its value and the work on it grows at least as fast: a formula
 # with a literal of 10^5 already runs for more than 30 s. Past this
 # bound a literal is refused rather than left to exhaust time or memory
-# (above sys.maxsize its spelling cannot be built at all).
+# (above sys.maxsize its spelling cannot be built at all). A repetition
+# count, which lengths and slices elaborate to, is a magnitude too: its
+# automaton is a chain of that many copies.
 MAX_MAGNITUDE = 10**6
 
 
-def encode_int(k: int) -> str:
+def _check_magnitude(what: str, k: int) -> None:
     if abs(k) > MAX_MAGNITUDE:
         raise LiteralTooLarge(
-            f"integer literal {k} is too large to encode"
+            f"{what} {k} is too large to encode"
             f" (magnitudes are unary, at most {MAX_MAGNITUDE})"
         )
+
+
+def encode_int(k: int) -> str:
+    _check_magnitude("integer literal", k)
     if k >= 0:
         return "ac" + "b" * k + "a"
     return "ad" + "b" * (-k) + "a"
@@ -193,6 +199,7 @@ def encode_regex(r: ZRegex) -> Dfa:
         case ZPlus(arg=a):
             return plus(encode_regex(a))
         case ZPow(arg=a, power=k):
+            _check_magnitude("repetition count", k)
             return power(encode_regex(a), k)
     raise TypeError(f"not a regex: {r!r}")
 

@@ -53,7 +53,11 @@ on from where it stopped when resumed.
 
 Memberships follow the transformations: peeling a letter takes the
 derivative of the variable's automaton, and splitting x into y x picks
-an intermediate automaton state for the boundary. States are memoized
+an intermediate state q of x's automaton for the boundary: y keeps the
+words of its own membership that lead to q, and the new x reads on from
+q. One product search of y's and x's automata finds every such q and
+its head (Dfa.splits), and a q that y's words cannot reach, or from
+which x cannot accept, costs no minimization. States are memoized
 under a canonical form (automata are interned canonical instances, so
 one language is one object), and the frontier is ordered by how many
 letters a branch has committed to.
@@ -101,7 +105,7 @@ from functools import lru_cache
 from math import gcd
 
 from .ast import EXISTS, FORALL, Formula, Not
-from .dfa import ALPHABET, Dfa, lit, union
+from .dfa import ALPHABET, Dfa, empty_dfa, lit, union
 from .elaborate import Elaboration, elaborate
 from . import oracle
 from .encode import (
@@ -755,19 +759,6 @@ def _total_len(eqs: list) -> int:
     return sum([len(u) + len(v) for u, v in eqs])
 
 
-@lru_cache(maxsize=None)
-def _splits(d: Dfa) -> tuple:
-    """The ways a word of d splits at an intermediate state q: pairs
-    (head, tail) of the words from the start to q and from q to
-    acceptance, in state order, with both languages nonempty."""
-    out = []
-    for q in range(d.n):
-        head, tail = d.accept_at(q), d.with_start(q)
-        if not head.is_empty() and not tail.is_empty():
-            out.append((head, tail))
-    return tuple(out)
-
-
 # A system's turn is this many nodes per distinct variable of its
 # equations, because the search widens with them; every system of the
 # corpus and the programs ends within 12 nodes per variable.
@@ -858,17 +849,15 @@ def _solve_system(eqs: list, members: dict, ctl: _Search):
         else:
             y = other
             for longer, shorter in ((x, y), (y, x)):
-                # longer = shorter . longer'
+                # longer = shorter . longer': the boundary is a state q of
+                # longer's automaton. shorter keeps its words that lead
+                # there and longer' reads on from q; Dfa.splits finds
+                # every such q with one product search
                 step = (longer, shorter + longer)
                 if longer in members:
-                    for head, tail in _splits(members[longer]):
-                        mem = dict(members)
-                        if shorter in mem:
-                            head = mem[shorter].intersect(head)
-                            if head.is_empty():
-                                continue
-                        mem[shorter] = head
-                        mem[longer] = tail
+                    prefix = members.get(shorter, empty_dfa().complement())
+                    for head, tail in members[longer].splits(prefix):
+                        mem = members | {shorter: head, longer: tail}
                         emit(key, g, eqs, step, mem, (shorter, longer), 0)
                 else:
                     emit(key, g, eqs, step, members, (), 0)

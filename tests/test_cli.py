@@ -415,6 +415,26 @@ def test_literal_too_large_to_encode_exits_3(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "exists x . len(x) >= 99999999999999999999",
+        "exists x . x in INT^99999999999999999999",
+        "exists x . x[99999999999999999999:99999999999999999999] = 1",
+    ],
+)
+def test_repetition_too_large_to_encode_exits_3(capsys, tmp_path, formula):
+    # a length bound, a power and a slice elaborate to a repetition of
+    # INT, whose automaton is a chain as long as the count
+    src = tmp_path / "f.seq"
+    src.write_text(formula + "\n")
+    code, out, err = run_cli(capsys, "sat", str(src))
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "seqsolve: error: repetition count 99999999999999999999 is too large"
+    )
+
+
 def test_formula_syntax_error_exits_3(capsys, tmp_path):
     src = tmp_path / "f.seq"
     src.write_text("exists x . x = = 1\n")

@@ -109,15 +109,18 @@ def test_derivative():
 
 def test_state_surgery_splits_language():
     # every accepted word must split at each prefix into a path to some
-    # state and a completion from it
+    # state and a completion from it, and the split at that state holds
+    # both halves
     d = star(C)
+    splits = d.splits(empty_dfa().complement())
     for w in sorted(lang(d, 4)):
         for cut in range(len(w) + 1):
             s = d.start
             for ch in w[:cut]:
                 s = d.step(s, ch)
-            assert d.accept_at(s).accepts(w[:cut])
-            assert d.with_start(s).accepts(w[cut:])
+            head, tail = _canon(d.delta, d.start, {s}), d.with_start(s)
+            assert head.accepts(w[:cut]) and tail.accepts(w[cut:])
+            assert (head, tail) in splits
 
 
 def test_containment():
@@ -200,6 +203,52 @@ def test_lit_needs_no_minimization(monkeypatch):
     assert d.n == 502 and d.accepts("a" * 500) and not d.accepts("a" * 499)
 
 
+def _reference_splits(d: Dfa, prefix: Dfa) -> tuple:
+    """A split per state q: prefix intersected with the words from the
+    start to exactly q, with the words from q on, both nonempty."""
+    out = []
+    for q in range(d.n):
+        head, tail = prefix.intersect(_canon(d.delta, d.start, {q})), d.with_start(q)
+        if not head.is_empty() and not tail.is_empty():
+            out.append((head, tail))
+    return tuple(out)
+
+
+def test_splits_match_the_reference_on_random_automata():
+    # prefixes include the empty and the universal language, and many
+    # meet only some states of d or none
+    rng = random.Random(3)
+    automata = [empty_dfa(), empty_dfa().complement(), A, B, C, star(C), lit("")]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        delta = tuple(tuple(rng.randrange(n) for _ in ALPHABET) for _ in range(n))
+        automata.append(_canon(delta, 0, frozenset(s for s in range(n) if rng.random() < 0.3)))
+    some = none = 0
+    for _ in range(3_000):
+        d, prefix = rng.choice(automata), rng.choice(automata)
+        got = d.splits(prefix)
+        assert got == _reference_splits(d, prefix)
+        assert d.splits(empty_dfa().complement()) == _reference_splits(d, empty_dfa().complement())
+        if not prefix.is_empty():
+            some += 0 < len(got) < d.n
+            none += not got
+    assert some > 200 and none > 500
+
+
+def test_splits_minimize_only_the_heads_they_keep(monkeypatch):
+    # d spells abcd: 5 live states on its path and a dead one. The prefix
+    # reaches 2 live states (after "" and "ab") and the dead state
+    # (after "b"), so exactly those 2 heads are minimized. A head per
+    # state and a product per live state would minimize 6 + 5
+    d, prefix = lit("abcd"), union(lit(""), lit("ab"), lit("b"))
+    calls = []
+    canon = dfa._canon
+    monkeypatch.setattr(dfa, "_canon", lambda *args: calls.append(args) or canon(*args))
+    got = dfa._splits.__wrapped__(d, prefix)
+    assert len(calls) == 2
+    assert got == ((lit(""), d), (lit("ab"), lit("cd")))
+
+
 # ---------------------------------------------------------------------------
 # the dict-based Moore refinement, frozen as the reference: reachable states
 # by search, refinement until the class count stops growing, then a second
@@ -271,7 +320,11 @@ def test_operations_match_the_reference_canon_on_random_automata():
         assert _parts(d.complement()) == _reference_canon(d.delta, 0, everything - d.accepting)
         q = rng.randrange(d.n)
         assert _parts(d.with_start(q)) == _reference_canon(d.delta, q, d.accepting)
-        assert _parts(d.accept_at(q)) == _reference_canon(d.delta, 0, {q})
+        assert [(_parts(h), _parts(t)) for h, t in d.splits(empty_dfa().complement())] == [
+            (_reference_canon(d.delta, 0, {s}), _reference_canon(d.delta, s, d.accepting))
+            for s in range(d.n)
+            if _reference_canon(d.delta, s, d.accepting)[1]
+        ]
         ch = rng.choice(ALPHABET)
         assert _parts(d.derivative(ch)) == _reference_canon(d.delta, d.step(0, ch), d.accepting)
         assert d.is_singleton() == _reference_singleton(d)

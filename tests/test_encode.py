@@ -95,6 +95,17 @@ def test_encode_int_refuses_magnitudes_past_the_bound():
             encode_int(k)
 
 
+def test_encode_regex_refuses_repetitions_past_the_bound():
+    # a repetition's automaton is a chain as long as its count, so the
+    # count is bounded as a literal is; the bound is checked before the
+    # chain is built
+    for k in (MAX_MAGNITUDE + 1, 5_000_000, 10**20):
+        with pytest.raises(LiteralTooLarge, match=f"repetition count {k} is too large"):
+            encode_regex(ZPow(ZAny(), k))
+        with pytest.raises(LiteralTooLarge, match=str(k)):
+            encode_regex(z_at_most(k))
+
+
 def test_decode_inverts_encode():
     for k in range(-6, 7):
         assert decode_word(encode_int(k)) == (k,)

@@ -8,6 +8,7 @@ bounded domains.
 """
 
 import collections
+import functools
 import heapq
 import itertools
 import os
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import pytest
 
-from seqsolve import oracle, wordsolver
+from seqsolve import dfa, oracle, wordsolver
 from seqsolve.ast import FORALL, matrix_vars
 from seqsolve.dfa import ALPHABET, concat, empty_dfa, lit, make_dfa, plus, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
@@ -75,7 +76,6 @@ from seqsolve.wordsolver import (
     _solve_constraints,
     _solve_equations,
     _solve_system,
-    _splits,
     _strip,
     _subst_eqs,
     _total_len,
@@ -1281,6 +1281,20 @@ def _is_model(eqs: list, members: dict, sigma: dict) -> bool:
     return all(_join(u, sigma) == _join(v, sigma) for u, v in eqs) and all(
         d.accepts(sigma.get(x, "")) for x, d in members.items()
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(d):
+    """The split of a membership as it was before Dfa.splits, frozen for
+    the reference search: a head minimized for every state q of d, with
+    its tail, both nonempty, in state order. The caller intersects each
+    head with the shorter variable's membership."""
+    out = []
+    for q in range(d.n):
+        head, tail = dfa._canon(d.delta, d.start, frozenset([q])), d.with_start(q)
+        if not head.is_empty() and not tail.is_empty():
+            out.append((head, tail))
+    return tuple(out)
 
 
 def _reference_solve_system(eqs: list, members: dict, ctl: _Search, allowance: int | None):
