@@ -5,6 +5,8 @@ A sequence term used in an integer position denotes its first element
 (0 for the empty sequence); an integer term used in a sequence position
 denotes the singleton sequence holding that value.  The coercion nodes
 ``SInt`` and ``IOfSeq`` make these switches explicit in the tree.
+The connectives (``Not``, ``And``, ``Or``, ``BoolLit``) also carry the
+encoder's word formulas, over its atoms ``encode.WEq`` and ``encode.WIn``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,28 @@ class Span:
 
 def _loc_field():
     return field(default=None, compare=False, repr=False)
+
+
+class LiteralTooLarge(ValueError):
+    pass
+
+
+# Magnitudes are spelled in unary, so the encoding of a literal is as
+# long as its value and the work on it grows at least as fast: a formula
+# with a literal of 10^5 already runs for more than 30 s. Past this
+# bound a literal is refused rather than left to exhaust time or memory
+# (above sys.maxsize its spelling cannot be built at all). A repetition
+# count, which lengths and slices elaborate to, is a magnitude too: its
+# automaton is a chain of that many copies.
+MAX_MAGNITUDE = 10**6
+
+
+def check_magnitude(what: str, k: int) -> None:
+    if abs(k) > MAX_MAGNITUDE:
+        raise LiteralTooLarge(
+            f"{what} {k} is too large to encode"
+            f" (magnitudes are unary, at most {MAX_MAGNITUDE})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +470,25 @@ def map_atom_terms(a: Atom, f: Callable[[Term], Term | None]) -> Atom:
     return a
 
 
-def conj(parts: list[Matrix]) -> Matrix:
-    """Right-nested conjunction of a non-empty list (True when empty)."""
+def _chain(kind, parts: list, unit: bool):
+    """parts joined by the connective kind, nested to the right; the
+    constant unit when there are none."""
     if not parts:
-        return BoolLit(True)
+        return BoolLit(unit)
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = And(p, out)
+        out = kind(p, out)
     return out
+
+
+def conj(parts: list[Matrix]) -> Matrix:
+    """Right-nested conjunction of a list (True when empty)."""
+    return _chain(And, parts, True)
+
+
+def disj(parts: list[Matrix]) -> Matrix:
+    """Right-nested disjunction of a list (False when empty)."""
+    return _chain(Or, parts, False)
 
 
 def fold_consts(m: Matrix) -> Matrix:

@@ -29,6 +29,10 @@ structure, and image, the states a set of states reaches by the words
 of another automaton, searches the pairs of the product without
 building it.
 
+Every one of these searches is _explore, the one numbering search:
+_canon, with_start and lit number a table's states with it, and
+_reach, image and splits the tuples, sets or pairs of other states.
+
 Build automata with the regex-style constructors (lit, union, concat,
 star, plus, power) or from explicit parts with make_dfa.
 """
@@ -109,8 +113,8 @@ def _complement(d: Dfa) -> Dfa:
 
 @lru_cache(maxsize=None)
 def _with_start(d: Dfa, q: int) -> Dfa:
-    order, rows = _renumber(d.delta, q)
-    return _intern(tuple(rows), frozenset(i for i, s in enumerate(order) if s in d.accepting))
+    order, rows = _explore(q, d.delta.__getitem__)
+    return _intern(rows, frozenset(i for i, s in enumerate(order) if s in d.accepting))
 
 
 @lru_cache(maxsize=None)
@@ -165,31 +169,17 @@ def _intern(delta, accepting) -> Dfa:
     return d
 
 
-def _renumber(delta, start):
-    """The states reachable from start in breadth-first order, letters in
-    alphabet order, and their rows with each state renamed by its
-    position in that order."""
-    num = {start: 0}
-    order = [start]
-    for s in order:
-        for t in delta[s]:
-            if t not in num:
-                num[t] = len(order)
-                order.append(t)
-    return order, [tuple([num[t] for t in delta[s]]) for s in order]
-
-
 def _canon(delta, start, accepting) -> Dfa:
     """Restrict to reachable states, minimize, relabel canonically, and
     return the interned instance of the result.
 
-    Moore refinement over the states renumbered in breadth-first order:
-    a state's signature is its class with its successors' classes, and
-    refinement stops when the class count stops growing. Classes are
-    numbered by their first state in that order, which is the order a
-    breadth-first search of the quotient meets them, so the final
-    numbering is already the canonical labeling."""
-    order, rows = _renumber(delta, start)
+    Moore refinement over the states _explore numbers in breadth-first
+    order: a state's signature is its class with its successors'
+    classes, and refinement stops when the class count stops growing.
+    Classes are numbered by their first state in that order, which is
+    the order a breadth-first search of the quotient meets them, so the
+    final numbering is already the canonical labeling."""
+    order, rows = _explore(start, delta.__getitem__)
     cls = [s in accepting for s in order]
     count = len(set(cls))
     while True:
@@ -245,28 +235,28 @@ def _reach(start, step, accepting) -> Dfa:
     return _canon(rows, 0, frozenset([i for i, s in enumerate(order) if accepting(s)]))
 
 
+def _pairs(a: Dfa, b: Dfa):
+    """The step of the product of a and b: the successors of a pair
+    (state of a, state of b) in alphabet order."""
+    return lambda st: zip(a.delta[st[0]], b.delta[st[1]])
+
+
 @lru_cache(maxsize=None)
 def _intersect(a: Dfa, b: Dfa) -> Dfa:
     """The product automaton of a and b, accepting where both accept."""
     return _reach(
         (a.start, b.start),
-        lambda st: zip(a.delta[st[0]], b.delta[st[1]]),
+        _pairs(a, b),
         lambda st: st[0] in a.accepting and st[1] in b.accepting,
     )
 
 
 @lru_cache(maxsize=None)
 def _image(a: Dfa, q: int, b: Dfa) -> frozenset[int]:
-    """The states of a that words of b lead to from q: breadth-first
-    search over the pairs of the product from (q, b.start), keeping the
+    """The states of a that words of b lead to from q: the pairs of the
+    product that the search reaches from (q, b.start), keeping the
     states of a paired with an accepting state of b."""
-    seen = {(q, b.start)}
-    order = [(q, b.start)]
-    for s, t in order:
-        for nxt in zip(a.delta[s], b.delta[t]):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
+    order, _ = _explore((q, b.start), _pairs(a, b))
     return frozenset([s for s, t in order if t in b.accepting])
 
 
@@ -276,9 +266,7 @@ def _splits(d: Dfa, prefix: Dfa) -> tuple:
     of d) of their product. The head at q is that product accepting at
     the pairs of an accepting state of prefix with q, so only a q that
     such a pair holds and that reaches acceptance is minimized."""
-    order, rows = _explore(
-        (prefix.start, d.start), lambda st: zip(prefix.delta[st[0]], d.delta[st[1]])
-    )
+    order, rows = _explore((prefix.start, d.start), _pairs(prefix, d))
     ends: dict[int, list] = {}  # q -> the product states ending a head at q
     for i, (p, q) in enumerate(order):
         if p in prefix.accepting:
@@ -306,8 +294,8 @@ def lit(word: str) -> Dfa:
     delta = [[dead] * 4 for _ in range(dead + 1)]
     for p, ch in enumerate(word):
         delta[p][_IDX[ch]] = p + 1
-    order, rows = _renumber(delta, 0)
-    return _intern(tuple(rows), frozenset([order.index(len(word))]))
+    order, rows = _explore(0, delta.__getitem__)
+    return _intern(rows, frozenset([order.index(len(word))]))
 
 
 def union(*parts: Dfa) -> Dfa:

@@ -778,16 +778,13 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
     matrix = map_atoms(matrix, lambda a: map_atom_terms(a, _fold_first))
 
     fresh = _Fresh()
+    # subrange guards hold no length bound and no negation to rewrite
     matrix, sub_guards = expand_subs(matrix, fresh)
-    work = [expand_lencmp(g) for g in sub_guards]
-    matrix = expand_lencmp(matrix)
-    matrix = push_negations(matrix)
-    work = [push_negations(g) for g in work]
+    matrix = push_negations(expand_lencmp(matrix))
 
     lower = _AtomLowering(fresh)
     matrix = fold_consts(map_atoms(matrix, lower.atom))
-    work = [map_atoms(g, lower.atom) for g in work]
-    guards = tuple(work + lower.guards)
+    guards = tuple([map_atoms(g, lower.atom) for g in sub_guards] + lower.guards)
 
     for g in guards:
         validate_core(g)

@@ -28,14 +28,16 @@ h_x is exactly the encoding of the first element of x under the
 
 The matrix arrives from elaborate in negation normal form, with Not
 only on sequence equations and memberships, so the translation is a
-structural map and every comparison is encoded positively: sign cases
-are memberships whose contradictions cancel by automaton intersection,
-and the shared magnitude witness p in b+ is pinned by the equations of
-whichever case uses it. Nothing about p or a sign ever sits under a
-negation, which is what makes the case splits cheap to discharge.
-The frame and the witness memberships are conjoined with the result:
-every problem is existential, validity being decided by refuting the
-negation.
+structural map: a word formula is the same ast connectives (And, Or,
+Not, BoolLit) over two word atoms, WEq (an equation between sides)
+and WIn (a variable's membership in a Dfa). Every comparison is
+encoded positively: sign cases are memberships whose contradictions
+cancel by automaton intersection, and the shared magnitude witness p
+in b+ is pinned by the equations of whichever case uses it. Nothing
+about p or a sign ever sits under a negation, which is what makes the
+case splits cheap to discharge. The frame and the witness memberships
+are conjoined with the result: every problem is existential, validity
+being decided by refuting the negation.
 
 Each side of a word equation is a plain str, the form the search works
 on: letters are "abcd", and each word variable is interned once to its
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 from .ast import (
     And,
@@ -84,8 +85,12 @@ from .ast import (
     ZSet,
     ZStar,
     ZUnion,
+    check_magnitude,
+    conj,
+    disj,
 )
-from .dfa import Dfa, concat, empty_dfa, lit, plus, power, star, union
+from .ast import LiteralTooLarge, MAX_MAGNITUDE  # noqa: F401 (re-exported)
+from .dfa import Dfa, concat, lit, plus, power, star, union
 from .elaborate import Elaboration, elaborate, validate_core
 from .oracle import search_names
 
@@ -94,30 +99,8 @@ class DecodeError(ValueError):
     pass
 
 
-class LiteralTooLarge(ValueError):
-    pass
-
-
-# Magnitudes are spelled in unary, so the encoding of a literal is as
-# long as its value and the work on it grows at least as fast: a formula
-# with a literal of 10^5 already runs for more than 30 s. Past this
-# bound a literal is refused rather than left to exhaust time or memory
-# (above sys.maxsize its spelling cannot be built at all). A repetition
-# count, which lengths and slices elaborate to, is a magnitude too: its
-# automaton is a chain of that many copies.
-MAX_MAGNITUDE = 10**6
-
-
-def _check_magnitude(what: str, k: int) -> None:
-    if abs(k) > MAX_MAGNITUDE:
-        raise LiteralTooLarge(
-            f"{what} {k} is too large to encode"
-            f" (magnitudes are unary, at most {MAX_MAGNITUDE})"
-        )
-
-
 def encode_int(k: int) -> str:
-    _check_magnitude("integer literal", k)
+    check_magnitude("integer literal", k)
     if k >= 0:
         return "ac" + "b" * k + "a"
     return "ad" + "b" * (-k) + "a"
@@ -183,23 +166,17 @@ def encode_regex(r: ZRegex) -> Dfa:
         case ZAny():
             return frame_dfa()
         case ZSet(values=vs):
-            if not vs:
-                return empty_dfa()
             return union(*(lit(encode_int(v)) for v in vs))
         case ZCat(parts=ps):
-            if not ps:
-                return lit("")
             return concat(*(encode_regex(p) for p in ps))
         case ZUnion(parts=ps):
-            if not ps:
-                return empty_dfa()
             return union(*(encode_regex(p) for p in ps))
         case ZStar(arg=a):
             return star(encode_regex(a))
         case ZPlus(arg=a):
             return plus(encode_regex(a))
         case ZPow(arg=a, power=k):
-            _check_magnitude("repetition count", k)
+            check_magnitude("repetition count", k)
             return power(encode_regex(a), k)
     raise TypeError(f"not a regex: {r!r}")
 
@@ -244,49 +221,6 @@ class WIn:
     dfa: Dfa
 
 
-@dataclass(frozen=True)
-class WBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class WNot:
-    arg: "WFormula"
-
-
-@dataclass(frozen=True)
-class WAnd:
-    left: "WFormula"
-    right: "WFormula"
-
-
-@dataclass(frozen=True)
-class WOr:
-    left: "WFormula"
-    right: "WFormula"
-
-
-WFormula = Union[WEq, WIn, WBool, WNot, WAnd, WOr]
-
-
-def wconj(parts: list) -> WFormula:
-    if not parts:
-        return WBool(True)
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = WAnd(p, out)
-    return out
-
-
-def wdisj(parts: list) -> WFormula:
-    if not parts:
-        return WBool(False)
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = WOr(p, out)
-    return out
-
-
 def h_of(x: str) -> str:
     return f"$h_{x}"
 
@@ -308,19 +242,19 @@ class WordProblem:
     """Is there a word for each variable that makes the matrix true?"""
 
     variables: tuple[str, ...]  # every word variable, in a fixed order
-    matrix: WFormula  # frame and witness memberships already conjoined
+    matrix: Matrix  # over WEq and WIn; frame and witness memberships conjoined
 
     def to_json(self) -> dict:
         eqs, diseqs, members, rest = [], [], {}, []
 
-        def peel(w: WFormula):
+        def peel(w: Matrix):
             match w:
-                case WAnd(left=l, right=r):
+                case And(left=l, right=r):
                     peel(l)
                     peel(r)
                 case WEq(left=l, right=r):
                     eqs.append({"left": side_json(l), "right": side_json(r)})
-                case WNot(arg=WEq(left=l, right=r)):
+                case Not(arg=WEq(left=l, right=r)):
                     diseqs.append({"left": side_json(l), "right": side_json(r)})
                 case WIn(var=c, dfa=d):
                     x = var_name(c)
@@ -328,19 +262,19 @@ class WordProblem:
                 case _:
                     rest.append(w)
 
-        def matrix_json(w: WFormula) -> dict:
+        def matrix_json(w: Matrix) -> dict:
             match w:
-                case WBool(value=v):
+                case BoolLit(value=v):
                     return {"op": "true" if v else "false"}
                 case WEq(left=l, right=r):
                     return {"op": "eq", "left": side_json(l), "right": side_json(r)}
                 case WIn(var=x, dfa=d):
                     return {"op": "member", "var": var_name(x), "dfa": dfa_json(d)}
-                case WNot(arg=a):
+                case Not(arg=a):
                     return {"op": "not", "arg": matrix_json(a)}
-                case WAnd(left=l, right=r):
+                case And(left=l, right=r):
                     return {"op": "and", "left": matrix_json(l), "right": matrix_json(r)}
-                case WOr(left=l, right=r):
+                case Or(left=l, right=r):
                     return {"op": "or", "left": matrix_json(l), "right": matrix_json(r)}
             raise TypeError(f"not a word formula: {w!r}")
 
@@ -352,7 +286,7 @@ class WordProblem:
             "equations": eqs,
             "disequations": diseqs,
             "memberships": {x: dfa_json(d) for x, d in sorted(members.items())},
-            "matrix": matrix_json(wconj(rest)) if rest else {"op": "true"},
+            "matrix": matrix_json(conj(rest)),
         }
 
 
@@ -371,7 +305,7 @@ def dfa_json(d: Dfa) -> dict:
 
 class _Translator:
     def __init__(self):
-        self.extra: list[WFormula] = []  # witness memberships
+        self.extra: list[WIn] = []  # witness memberships
         self.pair_witness: dict[frozenset, str] = {}
         self.pair_order: list[str] = []
         self.used_components: set[str] = set()
@@ -403,50 +337,50 @@ class _Translator:
                 return self.side(l) + self.side(r)
         raise ValueError(f"not a core sequence term: {t!r}")
 
-    def sign_pair(self, x: str, cx: str, y: str, cy: str) -> WFormula:
+    def sign_pair(self, x: str, cx: str, y: str, cy: str) -> Matrix:
         # membership rather than an equation: contradictory sign cases
         # then cancel during clause assembly instead of surviving as
         # disequations
-        return WAnd(WIn(var(sg_of(x)), lit(cx)), WIn(var(sg_of(y)), lit(cy)))
+        return And(WIn(var(sg_of(x)), lit(cx)), WIn(var(sg_of(y)), lit(cy)))
 
-    def less_than(self, x: str, y: str) -> WFormula:
+    def less_than(self, x: str, y: str) -> Matrix:
         pv = self.witness(x, y)
         mx, my = var(m_of(x)), var(m_of(y))
-        return wdisj(
+        return disj(
             [
                 self.sign_pair(x, "d", y, "c"),
-                WAnd(self.sign_pair(x, "c", y, "c"), WEq(my, mx + pv)),
-                WAnd(self.sign_pair(x, "d", y, "d"), WEq(mx, my + pv)),
+                And(self.sign_pair(x, "c", y, "c"), WEq(my, mx + pv)),
+                And(self.sign_pair(x, "d", y, "d"), WEq(mx, my + pv)),
             ]
         )
 
-    def sum_atom(self, k: str, i: str, j: str) -> WFormula:
+    def sum_atom(self, k: str, i: str, j: str) -> Matrix:
         pv = self.witness(i, j)
         hk = var(h_of(k))
         mi, mj = var(m_of(i)), var(m_of(j))
         si, sj = var(sg_of(i)), var(sg_of(j))
-        same = wdisj(
+        same = disj(
             [
-                WAnd(self.sign_pair(i, "c", j, "c"), WEq(hk, "a" + si + mi + mj + "a")),
-                WAnd(self.sign_pair(i, "d", j, "d"), WEq(hk, "a" + si + mi + mj + "a")),
+                And(self.sign_pair(i, "c", j, "c"), WEq(hk, "a" + si + mi + mj + "a")),
+                And(self.sign_pair(i, "d", j, "d"), WEq(hk, "a" + si + mi + mj + "a")),
             ]
         )
         differ_cases = []
         for ci, cj in (("c", "d"), ("d", "c")):
             signs = self.sign_pair(i, ci, j, cj)
-            differ_cases.append(WAnd(signs, WAnd(WEq(mi, mj), WEq(hk, "aca"))))
+            differ_cases.append(And(signs, And(WEq(mi, mj), WEq(hk, "aca"))))
             differ_cases.append(
-                WAnd(signs, WAnd(WEq(mi, mj + pv), WEq(hk, "a" + si + pv + "a")))
+                And(signs, And(WEq(mi, mj + pv), WEq(hk, "a" + si + pv + "a")))
             )
             differ_cases.append(
-                WAnd(signs, WAnd(WEq(mj, mi + pv), WEq(hk, "a" + sj + pv + "a")))
+                And(signs, And(WEq(mj, mi + pv), WEq(hk, "a" + sj + pv + "a")))
             )
-        return wdisj([same] + differ_cases)
+        return disj([same] + differ_cases)
 
-    def atom(self, m: Matrix) -> WFormula:
+    def atom(self, m: Matrix) -> Matrix:
         match m:
-            case BoolLit(value=v):
-                return WBool(v)
+            case BoolLit():
+                return m
             case SeqEq(left=l, right=r):
                 return WEq(self.side(l), self.side(r))
             case InRe(arg=SVar(name=x), regex=rx):
@@ -471,18 +405,18 @@ class _Translator:
                 return self.less_than(x, y)
         raise ValueError(f"not a core atom: {m!r}")
 
-    def mat(self, m: Matrix) -> WFormula:
+    def mat(self, m: Matrix) -> Matrix:
         match m:
             case And(left=l, right=r):
-                return WAnd(self.mat(l), self.mat(r))
+                return And(self.mat(l), self.mat(r))
             case Or(left=l, right=r):
-                return WOr(self.mat(l), self.mat(r))
+                return Or(self.mat(l), self.mat(r))
             case Not(arg=SeqEq() | InRe() as a):
-                return WNot(self.atom(a))
+                return Not(self.atom(a))
         return self.atom(m)  # any other connective is refused there
 
 
-def frame_constraints(x: str) -> list[WFormula]:
+def frame_constraints(x: str) -> list[Matrix]:
     xv, h, sg, m, t = var(x), var(h_of(x)), var(sg_of(x)), var(m_of(x)), var(t_of(x))
     return [
         WIn(xv, lstar_dfa()),
@@ -504,7 +438,7 @@ def encode_elaboration(elab: Elaboration) -> WordProblem:
 
     # Every variable ranges over encodings; the full component frame is
     # attached only where some atom looks at the first block.
-    frame: list[WFormula] = []
+    frame: list[Matrix] = []
     variables = list(core_vars)
     for x in core_vars:
         if x in tr.used_components:
@@ -517,7 +451,7 @@ def encode_elaboration(elab: Elaboration) -> WordProblem:
 
     return WordProblem(
         variables=tuple(variables),
-        matrix=WAnd(wconj(frame), wmatrix) if frame else wmatrix,
+        matrix=And(conj(frame), wmatrix) if frame else wmatrix,
     )
 
 
@@ -600,17 +534,17 @@ def problem_size(wp: WordProblem) -> int:
     """Connective count, word-equation symbol count, and total
     automaton state count of an encoded problem."""
 
-    def wf(w: WFormula) -> int:
+    def wf(w: Matrix) -> int:
         match w:
-            case WBool():
+            case BoolLit():
                 return 1
             case WEq(left=l, right=r):
                 return 1 + len(l) + len(r)
             case WIn(dfa=d):
                 return 1 + d.n
-            case WNot(arg=a):
+            case Not(arg=a):
                 return 1 + wf(a)
-            case WAnd(left=l, right=r) | WOr(left=l, right=r):
+            case And(left=l, right=r) | Or(left=l, right=r):
                 return 1 + wf(l) + wf(r)
         raise TypeError(f"not a word formula: {w!r}")
 

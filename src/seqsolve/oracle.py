@@ -72,6 +72,7 @@ from .ast import (
     ZSet,
     ZStar,
     ZUnion,
+    check_magnitude,
     free_vars,
 )
 
@@ -174,6 +175,7 @@ class _Nfa:
                 self.add(a, mid, mid)
                 self.eps.append((mid, dst))
             case ZPow(arg=a, power=k):
+                check_magnitude("repetition count", k)  # one state per copy
                 cur = src
                 for _ in range(max(k, 0)):
                     nxt = self.state()

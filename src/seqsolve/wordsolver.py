@@ -104,17 +104,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .ast import EXISTS, FORALL, Formula, Not
+from .ast import EXISTS, FORALL, And, BoolLit, Formula, Not, Or
 from .dfa import ALPHABET, Dfa, empty_dfa, lit, union
 from .elaborate import Elaboration, elaborate
 from . import oracle
 from .encode import (
-    WAnd,
-    WBool,
     WEq,
     WIn,
-    WNot,
-    WOr,
     WordProblem,
     decode_word,
     encode_elaboration,
@@ -459,12 +455,12 @@ def _clauses(w, cap: int):
         while todo is not None:
             a, todo = todo
             match a:
-                case WAnd(left=l, right=r):
+                case And(left=l, right=r):
                     todo = (l, (r, todo))
-                case WOr(left=l, right=r):
+                case Or(left=l, right=r):
                     stack.append((eqs, diseqs, members, fix, th, (r, todo)))
                     todo = (l, todo)
-                case WBool(value=v):
+                case BoolLit(value=v):
                     if not v:
                         break
                 case WEq(left=u, right=v):
@@ -478,13 +474,13 @@ def _clauses(w, cap: int):
                     th = _lengths_add(th, row, members)
                     if th is None:
                         break
-                case WNot(arg=WEq(left=u, right=v)):
+                case Not(arg=WEq(left=u, right=v)):
                     diseqs += ((u, v),)
                     fix = _extend(fix, [], [(u, v)]) if fix else _fixpoint(eqs, diseqs, members)
                     if fix is None:
                         break
-                case WIn(var=x, dfa=d) | WNot(arg=WIn(var=x, dfa=d)):
-                    if isinstance(a, WNot):
+                case WIn(var=x, dfa=d) | Not(arg=WIn(var=x, dfa=d)):
+                    if isinstance(a, Not):
                         d = d.complement()
                     if x in members:
                         d = members[x].intersect(d)
@@ -711,22 +707,16 @@ def _propagate(rows: dict, box: dict, todo: list, touched, members: dict):
                 # sum of the other terms, where those are finite
                 l, h = box.get(x, _FREE)
                 nl, nh = l, h
-                if a > 0:
-                    up, down = smax - const, const - smin
-                    if nmax == 0:
-                        nl = max(l, h - up // a)
-                    elif nmax == 1 and h is None:
-                        nl = max(l, -(up // a))
-                    if nmin == 0:
-                        nh = l + down // a if h is None else min(h, l + down // a)
-                else:
-                    up, down = smin - const, const - smax
-                    if nmin == 0:
-                        nl = max(l, h - up // a)
-                    elif nmin == 1 and h is None:
-                        nl = max(l, -(up // a))
-                    if nmax == 0:
-                        nh = l + down // a if h is None else min(h, l + down // a)
+                # hi is the sum that holds a * h (smax when a > 0, smin
+                # when a < 0) with its count, lo the one that holds a * l
+                hi, nhi, lo, nlo = (smax, nmax, smin, nmin) if a > 0 else (smin, nmin, smax, nmax)
+                up, down = hi - const, const - lo
+                if nhi == 0:
+                    nl = max(l, h - up // a)
+                elif nhi == 1 and h is None:
+                    nl = max(l, -(up // a))
+                if nlo == 0:
+                    nh = l + down // a if h is None else min(h, l + down // a)
                 if nl == l and nh == h:
                     continue
                 if nh is not None and nl > nh:

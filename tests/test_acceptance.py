@@ -19,6 +19,7 @@ pytest -s or -rA); failures carry the same detail in the assertion.
 """
 
 import collections
+import hashlib
 import itertools
 import json
 import random
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from seqsolve.ast import FORALL
+from seqsolve.ast import FORALL, conj
 from seqsolve.elaborate import elaborate
 from seqsolve.encode import (
     WEq,
@@ -38,7 +39,6 @@ from seqsolve.encode import (
     formula_size,
     problem_size,
     var_name,
-    wconj,
 )
 from seqsolve.oracle import Bounds, brute_force_sat, matrix_value
 from seqsolve.parser import parse_formula
@@ -118,6 +118,53 @@ def test_property_corpus_statuses():
         f"({len(TRUTH)} files over {len(FAMILIES)} property families, "
         f"all statuses as frozen, {elapsed:.1f}s)"
     )
+
+
+# The wp-1 dump of the word problem each corpus file is decided by (the
+# negation, for a file decided under `valid`), as the first 16 hex
+# digits of the SHA-256 of its sorted-key JSON. A change to elaboration
+# or encoding that alters any clause, side or automaton moves a digest;
+# one that moves it on purpose re-pins it and says why in CHANGES.md.
+CORPUS_ENCODING_DIGESTS = {
+    "bounded_equality_hold.seq": "031ff18502598d8f",
+    "bounded_equality_viol.seq": "45bf8372e7938adc",
+    "boundedness_hold.seq": "b88b5ada1d3b7485",
+    "boundedness_viol.seq": "6038439855a08824",
+    "comparison_hold.seq": "1d9433010a9929e3",
+    "comparison_viol.seq": "b0349d7c0589fe83",
+    "disjunction_hold.seq": "b8055e12011925a6",
+    "disjunction_viol.seq": "a4cce4d814a4034e",
+    "equality_hold.seq": "82f9868f139cb1b9",
+    "equality_viol.seq": "3ecd2bd7f575274a",
+    "injectivity_121.seq": "2fd7cf0827188c76",
+    "injectivity_hold.seq": "965531deed171816",
+    "len_clash.seq": "4f46df1f70446892",
+    "membership_hold.seq": "dfc489f33c552e76",
+    "membership_viol.seq": "82a3ac84552081a0",
+    "mergesort_final_vc.seq": "903bc7cafb1487a7",
+    "nonmembership_hold.seq": "ac4e5ce57e367a23",
+    "nonmembership_viol.seq": "ac993c605d05127f",
+    "partitioning_hold.seq": "1acf2994d94213c1",
+    "partitioning_viol.seq": "dc214f57403a2718",
+    "periodicity_101.seq": "d102b7481f9889ce",
+    "periodicity_viol.seq": "2c54974bc79103a5",
+    "reversal_step_vc.seq": "0c58e27bd84d0f4a",
+    "sorted_123.seq": "dff06ae5239de098",
+    "sorted_21.seq": "22e467918b02b08a",
+    "sorted_nonstrict_112.seq": "30cc878bd12bd59b",
+    "sorted_nonstrict_21.seq": "ef5e52def7de3aa9",
+}
+
+
+def test_corpus_encodings_pinned():
+    got = {}
+    for name in sorted(TRUTH):
+        f = parse_formula((CORPUS / name).read_text())
+        if TRUTH[name]["command"] == "valid" or f.quantifier == FORALL:
+            f = negation(f)
+        doc = encode_elaboration(elaborate(f)).to_json()
+        got[name] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    assert got == CORPUS_ENCODING_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +453,7 @@ def test_quadratic_clauses_decided_completely():
         names = sorted({var_name(c) for l, r in eqs for c in l + r if c > "d"})
         wp = WordProblem(
             variables=tuple(names),
-            matrix=wconj([WEq(l, r) for l, r in eqs]),
+            matrix=conj([WEq(l, r) for l, r in eqs]),
         )
         status, sigma, _, _ = solve_problem(wp)
         assert status != "unknown", f"clause #{i} returned unknown: {eqs}"

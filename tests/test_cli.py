@@ -10,6 +10,7 @@ schemas.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -429,6 +430,28 @@ def test_repetition_too_large_to_encode_exits_3(capsys, tmp_path, formula):
     src = tmp_path / "f.seq"
     src.write_text(formula + "\n")
     code, out, err = run_cli(capsys, "sat", str(src))
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "seqsolve: error: repetition count 99999999999999999999 is too large"
+    )
+
+
+def test_oracle_refuses_a_huge_repetition_count(capsys, tmp_path):
+    # the oracle's automaton has a state per repetition, so the count is
+    # refused at once, as the encoder refuses it, rather than built
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . x in INT^99999999999999999999\n")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("oracle still running after 1 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run_cli(capsys, "oracle", str(src))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
     assert code == 3 and out == ""
     assert err.startswith(
         "seqsolve: error: repetition count 99999999999999999999 is too large"

@@ -41,12 +41,8 @@ from seqsolve.encode import (
     MAX_MAGNITUDE,
     DecodeError,
     LiteralTooLarge,
-    WAnd,
-    WBool,
     WEq,
     WIn,
-    WNot,
-    WOr,
     WordProblem,
     bplus_dfa,
     decode_word,
@@ -210,17 +206,17 @@ def test_frame_split_is_unique():
 
 def weval(w, env) -> bool:
     match w:
-        case WBool(value=v):
+        case BoolLit(value=v):
             return v
         case WEq(left=l, right=r):
             return _join(l, env) == _join(r, env)
         case WIn(var=x, dfa=d):
             return d.accepts(env[var_name(x)])
-        case WNot(arg=a):
+        case Not(arg=a):
             return not weval(a, env)
-        case WAnd(left=l, right=r):
+        case And(left=l, right=r):
             return weval(l, env) and weval(r, env)
-        case WOr(left=l, right=r):
+        case Or(left=l, right=r):
             return weval(l, env) or weval(r, env)
     raise TypeError(w)
 
@@ -419,13 +415,13 @@ def test_universal_problem_shape():
     with pytest.raises(ValueError):
         encode(f)
     wp = encode(negation(f))
-    assert isinstance(wp.matrix, WAnd)
-    assert wp.matrix.right == WNot(WEq(var("x"), var("x")))
+    assert isinstance(wp.matrix, And)
+    assert wp.matrix.right == Not(WEq(var("x"), var("x")))
 
 
 def test_existential_problem_shape():
     wp = encode(parse_formula("exists x . x = eps"))
-    assert isinstance(wp.matrix, WAnd)
+    assert isinstance(wp.matrix, And)
     # no atom looks at an element of x, so x only needs its range
     # membership, not the component frame
     assert wp.variables == ("x",)

@@ -22,16 +22,12 @@ from typing import NamedTuple
 import pytest
 
 from seqsolve import dfa, oracle, wordsolver
-from seqsolve.ast import FORALL, matrix_vars
+from seqsolve.ast import FORALL, And, BoolLit, Not, Or, conj, matrix_vars
 from seqsolve.dfa import ALPHABET, concat, empty_dfa, lit, make_dfa, plus, star, union
 from seqsolve.elaborate import ElaborationError, elaborate
 from seqsolve.encode import (
-    WAnd,
-    WBool,
     WEq,
     WIn,
-    WNot,
-    WOr,
     WordProblem,
     bplus_dfa,
     bstar_dfa,
@@ -42,7 +38,6 @@ from seqsolve.encode import (
     sign_dfa,
     var,
     var_name,
-    wconj,
 )
 from seqsolve.oracle import Bounds
 from seqsolve.parser import parse_formula
@@ -104,7 +99,7 @@ def _quadratic_problems() -> list[WordProblem]:
     for _ in range(200):
         eqs = gen_quadratic_clause(rng)
         names = tuple(sorted({var_name(c) for l, r in eqs for c in l + r if c > "d"}))
-        matrix = wconj([WEq(l, r) for l, r in eqs])
+        matrix = conj([WEq(l, r) for l, r in eqs])
         out.append(WordProblem(names, matrix))
     return out
 
@@ -127,12 +122,12 @@ def test_dnf_single_equation():
 
 
 def test_dnf_negated_equation_is_disequation():
-    clauses = nnf_dnf(WNot(WEq(X, Y)))
+    clauses = nnf_dnf(Not(WEq(X, Y)))
     assert clauses == [([], [(X, Y)], {}, [])]
 
 
 def test_dnf_negated_membership_complements():
-    clauses = nnf_dnf(WNot(WIn(X, lit("ab"))))
+    clauses = nnf_dnf(Not(WIn(X, lit("ab"))))
     assert len(clauses) == 1
     eqs, diseqs, members, log = clauses[0]
     assert (eqs, diseqs, list(members), log) == ([], [], [X], [])
@@ -143,9 +138,9 @@ def test_dnf_negated_membership_complements():
 
 
 def test_dnf_distributes_or_under_and():
-    w = WAnd(
-        WOr(WEq(X, ""), WEq(X, "a")),
-        WOr(WEq(Y, ""), WEq(Y, "b")),
+    w = And(
+        Or(WEq(X, ""), WEq(X, "a")),
+        Or(WEq(Y, ""), WEq(Y, "b")),
     )
     clauses = nnf_dnf(w)
     assert len(clauses) == 4
@@ -159,7 +154,7 @@ def test_dnf_distributes_or_under_and():
 
 
 def test_dnf_merges_memberships():
-    w = WAnd(WIn(X, star(lit("a"))), WIn(X, union(lit(""), lit("a"))))
+    w = And(WIn(X, star(lit("a"))), WIn(X, union(lit(""), lit("a"))))
     clauses = nnf_dnf(w)
     assert len(clauses) == 1
     d = clauses[0][2][X]
@@ -167,14 +162,14 @@ def test_dnf_merges_memberships():
 
 
 def test_dnf_drops_contradictory_membership_clause():
-    w = WAnd(WIn(X, lit("a")), WIn(X, lit("b")))
+    w = And(WIn(X, lit("a")), WIn(X, lit("b")))
     assert nnf_dnf(w) == []
 
 
 def test_dnf_clause_cap():
     w = WEq(X, "")
     for ch in "abcd":
-        w = WOr(w, WEq(X, ch))
+        w = Or(w, WEq(X, ch))
     with pytest.raises(ClauseCapExceeded):
         nnf_dnf(w, cap=3)
 
@@ -211,22 +206,22 @@ def _eager_dnf(w):
     nothing. It is the eager normal form, yielded in order so that a
     test can take a prefix of a large one."""
     match w:
-        case WBool(value=v):
+        case BoolLit(value=v):
             if v:
                 yield RawClause()
         case WEq(left=l, right=r):
             yield RawClause(eqs=[(l, r)])
-        case WNot(arg=WEq(left=l, right=r)):
+        case Not(arg=WEq(left=l, right=r)):
             yield RawClause(diseqs=[(l, r)])
         case WIn(var=x, dfa=d):
             if not d.is_empty():
                 yield RawClause(members={x: d})
-        case WNot(arg=WIn(var=x, dfa=d)):
+        case Not(arg=WIn(var=x, dfa=d)):
             yield from _eager_dnf(WIn(x, d.complement()))
-        case WOr(left=l, right=r):
+        case Or(left=l, right=r):
             yield from _eager_dnf(l)
             yield from _eager_dnf(r)
-        case WAnd(left=l, right=r):
+        case And(left=l, right=r):
             rights = _replayable(_eager_dnf(r))
             for c1 in _eager_dnf(l):
                 for c2 in rights():
@@ -345,13 +340,13 @@ def test_lazy_clauses_prune_a_ground_contradiction():
     # elaboration folds such an atom to false, so the formula is built
     # by hand: each partial clause of the first disjunction is refuted
     # at the contradiction, and the second is never expanded
-    w = wconj(
+    w = conj(
         [
             WIn(X, bstar_dfa()),
             WIn(Y, bstar_dfa()),
-            WOr(WOr(WEq(X, Y + "b"), WEq(Y, X + "b")), WNot(WEq(X, Y))),
+            Or(Or(WEq(X, Y + "b"), WEq(Y, X + "b")), Not(WEq(X, Y))),
             WEq("", encode_int(-1)),
-            WOr(WEq(X, Y + Y), WOr(WEq(Y, ""), WNot(WEq(Y, X)))),
+            Or(WEq(X, Y + Y), Or(WEq(Y, ""), Not(WEq(Y, X)))),
         ]
     )
     assert _assert_pruned_reference(w) == len(list(_eager_dnf(w))) == 9
@@ -360,9 +355,9 @@ def test_lazy_clauses_prune_a_ground_contradiction():
 
 def test_lazy_clauses_drop_contradictory_memberships():
     a_star = star(lit("a"))
-    w = WOr(
-        WAnd(WIn(X, a_star), WAnd(WEq(Y, ""), WNot(WIn(X, a_star)))),
-        WAnd(WIn(X, lit("a")), WIn(Y, lit("b"))),
+    w = Or(
+        And(WIn(X, a_star), And(WEq(Y, ""), Not(WIn(X, a_star)))),
+        And(WIn(X, lit("a")), WIn(Y, lit("b"))),
     )
     assert _assert_pruned_reference(w) == 0
     # the singleton memberships pin x and y
@@ -371,11 +366,11 @@ def test_lazy_clauses_drop_contradictory_memberships():
 
 def test_lazy_clause_cap_counts_clauses_after_pruning():
     # eight clauses, of which the ground equation refutes four
-    w = WAnd(
-        WOr(WEq("a", "b"), WEq(X, "")),
-        WOr(
-            WOr(WEq(Y, ""), WEq(Y, "a")),
-            WOr(WEq(Z, ""), WEq(Z, "a")),
+    w = And(
+        Or(WEq("a", "b"), WEq(X, "")),
+        Or(
+            Or(WEq(Y, ""), WEq(Y, "a")),
+            Or(WEq(Z, ""), WEq(Z, "a")),
         ),
     )
     assert len(list(_eager_dnf(w))) == 8
