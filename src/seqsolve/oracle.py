@@ -10,6 +10,9 @@ following the definitions:
   * t[k1:k2] uses 1-based positions; non-positive positions count from
     the end (0 is the last element, -1 the one before it, and so on).
     If the requested window does not fit, the result is empty.
+  * t in R holds if R matches all of t: each regex is read as the set
+    of positions where its match can end, given those where it can
+    start, so R^k costs at most len(t) + 2 rounds for any count k.
 
 Quantified formulas are decided by a bounded search over all sequences
 of a finite pool of element values up to a length bound, so a True from
@@ -34,9 +37,9 @@ every environment of ``iter_envs`` in turn.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
+from operator import eq, ge, gt, le, lt, ne
 
 from .ast import (
     And,
@@ -123,109 +126,63 @@ def int_value(i: IntTerm, env: dict[str, Seq]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# regular membership over integer sequences, via a symbolic NFA whose
-# edges carry element predicates
+# regular membership over integer sequences: a regex read as a relation
+# between the positions of a sequence where a match starts and ends
 
 
-@dataclass(frozen=True)
-class _Pred:
-    kind: str  # "lit" | "any" | "set"
-    values: frozenset[int] = frozenset()
-
-    def holds(self, x: int) -> bool:
-        return self.kind == "any" or x in self.values
-
-
-class _Nfa:
-    def __init__(self):
-        self.eps: list[tuple[int, int]] = []
-        self.edges: list[tuple[int, _Pred, int]] = []
-        self.n = 0
-
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def add(self, r: ZRegex, src: int, dst: int) -> None:
-        match r:
-            case ZLit(value=k):
-                self.edges.append((src, _Pred("lit", frozenset([k])), dst))
-            case ZAny():
-                self.edges.append((src, _Pred("any"), dst))
-            case ZSet(values=vs):
-                self.edges.append((src, _Pred("set", frozenset(vs)), dst))
-            case ZCat(parts=ps):
-                cur = src
-                for p in ps:
-                    nxt = self.state()
-                    self.add(p, cur, nxt)
-                    cur = nxt
-                self.eps.append((cur, dst))
-            case ZUnion(parts=ps):
-                for p in ps:
-                    self.add(p, src, dst)
-            case ZStar(arg=a):
-                mid = self.state()
-                self.eps.append((src, mid))
-                self.add(a, mid, mid)
-                self.eps.append((mid, dst))
-            case ZPlus(arg=a):
-                mid = self.state()
-                self.add(a, src, mid)
-                self.add(a, mid, mid)
-                self.eps.append((mid, dst))
-            case ZPow(arg=a, power=k):
-                check_magnitude("repetition count", k)  # one state per copy
-                cur = src
-                for _ in range(max(k, 0)):
-                    nxt = self.state()
-                    self.add(a, cur, nxt)
-                    cur = nxt
-                self.eps.append((cur, dst))
-            case _:
-                raise TypeError(f"not a regex: {r!r}")
-
-    def closures(self) -> list[frozenset[int]]:
-        """The ε-closure of each state."""
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for s, d in self.eps:
-            succ[s].append(d)
-        out = []
-        for s in range(self.n):
-            seen, todo = {s}, [s]
-            while todo:
-                for d in succ[todo.pop()]:
-                    if d not in seen:
-                        seen.add(d)
-                        todo.append(d)
-            out.append(frozenset(seen))
-        return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _compiled(
-    r: ZRegex,
-) -> tuple[frozenset[int], int, tuple[tuple[int, _Pred, frozenset[int]], ...]]:
-    """The NFA of r as the closure of its start state, its accepting
-    state, and its edges, each leading to the closure of its target."""
-    nfa = _Nfa()
-    start, accept = nfa.state(), nfa.state()
-    nfa.add(r, start, accept)
-    close = nfa.closures()
-    return close[start], accept, tuple((src, p, close[d]) for src, p, d in nfa.edges)
+def _ends(r: ZRegex, s: Seq, starts: frozenset[int]) -> frozenset[int]:
+    """The positions j such that r matches s[i:j] for some i in starts."""
+    match r:
+        case ZLit(value=k):
+            return frozenset(i + 1 for i in starts if i < len(s) and s[i] == k)
+        case ZAny():
+            return frozenset(i + 1 for i in starts if i < len(s))
+        case ZSet(values=vs):
+            return frozenset(i + 1 for i in starts if i < len(s) and s[i] in vs)
+        case ZCat(parts=ps):
+            for p in ps:
+                starts = _ends(p, s, starts)
+            return starts
+        case ZUnion(parts=ps):
+            return frozenset().union(*[_ends(p, s, starts) for p in ps])
+        case ZStar(arg=a):
+            reached = frontier = starts
+            while frontier:
+                frontier = _ends(a, s, frontier) - reached
+                reached |= frontier
+            return reached
+        case ZPlus(arg=a):
+            return _ends(ZStar(a), s, _ends(a, s, starts))
+        case ZPow(arg=a, power=k):
+            # at most len(s) + 2 rounds for any k: an a that matches the
+            # empty sequence only adds ends, any other moves every end on,
+            # and a round that changes nothing ends the loop. A count too
+            # large for sat is refused here too.
+            check_magnitude("repetition count", k)
+            for _ in range(k):
+                before, starts = starts, _ends(a, s, starts)
+                if starts == before:
+                    break
+            return starts
+    raise TypeError(f"not a regex: {r!r}")
 
 
 def regex_match(r: ZRegex, s: Seq) -> bool:
-    cur, accept, edges = _compiled(r)
-    for x in s:
-        cur = frozenset().union(*[c for src, p, c in edges if src in cur and p.holds(x)])
-        if not cur:
-            return False
-    return accept in cur
+    return len(s) in _ends(r, s, frozenset([0]))
 
 
 # ---------------------------------------------------------------------------
 # formulas
+
+_COMPARISONS = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _compare(op: str, a: int, b: int) -> bool:
+    try:
+        holds = _COMPARISONS[op]
+    except KeyError:
+        raise ValueError(f"unknown comparison {op!r}") from None
+    return holds(a, b)
 
 
 def matrix_value(m: Matrix, env: dict[str, Seq]) -> bool:
@@ -247,37 +204,9 @@ def matrix_value(m: Matrix, env: dict[str, Seq]) -> bool:
         case InRe(arg=t, regex=rx):
             return regex_match(rx, seq_value(t, env))
         case IntCmp(op=op, left=l, right=r):
-            a, b = int_value(l, env), int_value(r, env)
-            match op:
-                case "==":
-                    return a == b
-                case "!=":
-                    return a != b
-                case "<":
-                    return a < b
-                case "<=":
-                    return a <= b
-                case ">":
-                    return a > b
-                case ">=":
-                    return a >= b
-            raise ValueError(f"unknown comparison {op!r}")
+            return _compare(op, int_value(l, env), int_value(r, env))
         case LenCmp(arg=t, op=op, bound=k):
-            n = len(seq_value(t, env))
-            match op:
-                case "==":
-                    return n == k
-                case "!=":
-                    return n != k
-                case "<":
-                    return n < k
-                case "<=":
-                    return n <= k
-                case ">":
-                    return n > k
-                case ">=":
-                    return n >= k
-            raise ValueError(f"unknown comparison {op!r}")
+            return _compare(op, len(seq_value(t, env)), k)
     raise TypeError(f"not a matrix node: {m!r}")
 
 

@@ -436,9 +436,29 @@ def test_repetition_too_large_to_encode_exits_3(capsys, tmp_path, formula):
     )
 
 
+def test_oracle_answers_a_long_power_at_once(capsys, tmp_path):
+    # a power costs the oracle a round per position of the sequence at
+    # most, not one per repetition
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . x in INT^1000000\n")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("oracle still running after 2 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, out, err = run_cli(capsys, "oracle", str(src))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, err) == (1, "")
+    assert out.startswith("status: unsat\n")
+
+
 def test_oracle_refuses_a_huge_repetition_count(capsys, tmp_path):
-    # the oracle's automaton has a state per repetition, so the count is
-    # refused at once, as the encoder refuses it, rather than built
+    # the count is refused at once, as the encoder refuses it, so that
+    # oracle and sat accept the same inputs
     src = tmp_path / "f.seq"
     src.write_text("exists x . x in INT^99999999999999999999\n")
 

@@ -9,6 +9,7 @@ two to agree on every assignment.
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -32,7 +33,12 @@ from seqsolve.ast import (
     SVar,
     SeqEq,
     ZAny,
+    ZCat,
+    ZLit,
+    ZPlus,
     ZPow,
+    ZSet,
+    ZStar,
     ZUnion,
     matrix_vars,
 )
@@ -150,13 +156,48 @@ REGEX_SOURCES = [
 ]
 
 
-@pytest.mark.parametrize("src", REGEX_SOURCES)
-def test_encode_regex_matches_oracle(src):
-    rx = parse_matrix(f"x in {src}").regex
+def draw_regex(rng: random.Random, depth: int):
+    """A seeded regex of exactly ``depth`` nested constructors above its
+    leaves. Every constructor can occur, with empty sets and unions, eps
+    and powers 0 to 4 among them."""
+    kind = rng.randrange(5, 10) if depth else rng.randrange(5)
+    if kind == 0:
+        return ZLit(rng.randint(-2, 2))
+    if kind == 1:
+        return ZAny()
+    if kind == 2:
+        return ZSet(tuple(rng.sample(range(-2, 3), rng.randint(0, 2))))
+    if kind == 3:
+        return ZCat(())  # eps
+    if kind == 4:
+        return ZUnion(())
+    if kind == 5:
+        return ZCat(tuple(draw_regex(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    if kind == 6:
+        return ZUnion(tuple(draw_regex(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    arg = draw_regex(rng, depth - 1)
+    if kind == 7:
+        return ZStar(arg)
+    if kind == 8:
+        return ZPlus(arg)
+    return ZPow(arg, rng.randint(0, 4))
+
+
+def drawn_regexes(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [draw_regex(rng, rng.randint(0, 3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "rx",
+    [pytest.param(parse_matrix(f"x in {src}").regex, id=src) for src in REGEX_SOURCES]
+    + [pytest.param(rx, id=f"drawn{i}") for i, rx in enumerate(drawn_regexes(0, 200))],
+)
+def test_encode_regex_matches_oracle(rx):
     d = encode_regex(rx)
     for s in enum_seqs(Bounds(max_len=3, values=(-2, -1, 0, 1, 2))):
         w = "".join(encode_int(e) for e in s)
-        assert d.accepts(w) == oracle.regex_match(rx, s), (src, s)
+        assert d.accepts(w) == oracle.regex_match(rx, s), (rx, s)
 
 
 def test_length_bound_is_the_union_of_powers():

@@ -7,12 +7,25 @@ it must match model for model. The rest are small direct checks of the
 evaluator [TRIVIAL].
 """
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from seqsolve.ast import FORALL, IConst, IOfSeq, LenCmp, SEmpty, SInt, SVar, atoms
+from seqsolve.ast import (
+    FORALL,
+    IConst,
+    IOfSeq,
+    IntCmp,
+    LenCmp,
+    SEmpty,
+    SInt,
+    SVar,
+    atoms,
+)
 from seqsolve import oracle
 from seqsolve.oracle import (
     Bounds,
@@ -31,7 +44,8 @@ from seqsolve.parser import parse_formula, parse_matrix
 from seqsolve.randgen import gen_formula
 from seqsolve.wordsolver import negation
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 # [DERIVED] frozen from the 4-case definition
@@ -102,6 +116,10 @@ REGEX_CASES = [
     ("-4 INT*", (4, 9), False),
     ("1 | 2 2", (2, 2), True),
     ("1 | 2 2", (1, 2), False),
+    ("INT^0", (), True),
+    # the largest count that is not refused
+    ("INT^1000000", (1, 1, 1), False),
+    ("(INT*)^1000000", (1, 1, 1), True),
 ]
 
 
@@ -109,6 +127,36 @@ REGEX_CASES = [
 def test_regex_match(rx, s, expected):
     m = parse_matrix(f"x in {rx}")
     assert regex_match(m.regex, s) is expected
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [
+        IntCmp("=<", IConst(1), IConst(2)),
+        LenCmp(SEmpty(), "=<", 2),
+    ],
+    ids=["IntCmp", "LenCmp"],
+)
+def test_unknown_comparison_raises(atom):
+    with pytest.raises(ValueError, match="unknown comparison '=<'"):
+        matrix_value(atom, {})
+
+
+def test_oracle_imports_none_of_the_solver():
+    # the reference interpreter shares only the syntax with the pipeline
+    # it checks
+    code = (
+        "import sys, seqsolve.oracle\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('seqsolve.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "seqsolve.oracle" in loaded
+    for name in ("dfa", "elaborate", "encode", "wordsolver"):
+        assert f"seqsolve.{name}" not in loaded
 
 
 def test_enum_order_is_length_then_position():
