@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .elaborate import ElaborationError, elaborate
-from .encode import LiteralTooLarge, encode_elaboration
+from .encode import LiteralTooLarge, encode
 from .oracle import Bounds, brute_force_sat, search_names
 from .parser import ParseError, parse_formula
 from .printer import print_formula
@@ -39,7 +39,7 @@ from .vcgen import (
     parse_program,
     vcs,
 )
-from .wordsolver import Budget, check_sat, check_valid, negation
+from .wordsolver import Budget, SolverResult, check_sat, check_valid, negation
 from .ast import FORALL, Formula, Not
 
 
@@ -169,13 +169,6 @@ def _env_json(env: dict | None):
     return {name: list(value) for name, value in sorted(env.items())}
 
 
-def _emit(args, report: dict, text: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=False))
-    else:
-        print("\n".join(text))
-
-
 def _read_source(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -193,39 +186,36 @@ def _load_formula(path: Path) -> Formula:
         raise CliError(f"{path}:{e}")
 
 
-def _report_skeleton(args, status: str) -> dict:
-    return {
-        "schema": "res-1",
-        "command": args.command,
-        "input": str(args.input),
-        "status": status,
-    }
+def _report(args, status: str, fields: dict, text: list[str]) -> int:
+    """Print a res-1 report and return its exit code: in JSON, the
+    fields follow the status; in text, the lines are the report."""
+    if args.format == "json":
+        report = {
+            "schema": "res-1",
+            "command": args.command,
+            "input": str(args.input),
+            "status": status,
+        }
+        print(json.dumps(report | fields, indent=2))
+    else:
+        print("\n".join(text))
+    return _STATUS_EXIT[status]
 
 
-def _verdict(
-    args,
-    status: str,
-    fields: dict,
-    note: str | None = None,
-    witness: dict | None = None,
-    counterexample: dict | None = None,
-    reason: str = "",
-) -> int:
-    """Print the res-1 report of one decision and return its exit
-    code. ``fields`` follow the status in the JSON, ``note`` in the
-    text."""
-    report = _report_skeleton(args, status) | fields
-    text = [f"status: {status}"] + ([note] if note else [])
-    for key, env in (("witness", witness), ("counterexample", counterexample)):
+def _answer(args, r: SolverResult, fields: dict, note: str | None = None) -> int:
+    """Report one decision. ``fields``, which gain the witness, the
+    counterexample and the reason, follow the status in the JSON,
+    ``note`` in the text."""
+    text = [f"status: {r.status}"] + ([note] if note else [])
+    for key, env in (("witness", r.witness), ("counterexample", r.counterexample)):
         if env is not None:
-            report[key] = _env_json(env)
+            fields[key] = _env_json(env)
             text.append(f"{key}:")
             _env_lines(env, text)
-    if status == "unknown":
-        report["reason"] = reason
-        text.append(f"reason: {reason}")
-    _emit(args, report, text)
-    return _STATUS_EXIT[status]
+    if r.status == "unknown":
+        fields["reason"] = r.reason
+        text.append(f"reason: {r.reason}")
+    return _report(args, r.status, fields, text)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +226,7 @@ def _run_check(args) -> int:
     f = _load_formula(args.input)
     check = check_sat if args.command == "sat" else check_valid
     r = check(f, _budget(args))
-    return _verdict(
-        args,
-        r.status,
-        {"nodes": r.nodes, "clauses": r.clauses},
-        witness=r.witness,
-        counterexample=r.counterexample,
-        reason=r.reason,
-    )
+    return _answer(args, r, {"nodes": r.nodes, "clauses": r.clauses})
 
 
 def _side_text(side: list) -> str:
@@ -265,14 +248,11 @@ def _side_text(side: list) -> str:
 
 def _encode_text(doc: dict) -> list[str]:
     text = [f"kind: {doc['kind']}", "vars: " + ", ".join(doc["vars"])]
-    if doc["equations"]:
-        text.append("equations:")
-        for eq in doc["equations"]:
-            text.append(f"  {_side_text(eq['left'])} = {_side_text(eq['right'])}")
-    if doc["disequations"]:
-        text.append("disequations:")
-        for eq in doc["disequations"]:
-            text.append(f"  {_side_text(eq['left'])} != {_side_text(eq['right'])}")
+    for key, op in (("equations", "="), ("disequations", "!=")):
+        if doc[key]:
+            text.append(f"{key}:")
+            for eq in doc[key]:
+                text.append(f"  {_side_text(eq['left'])} {op} {_side_text(eq['right'])}")
     if doc["memberships"]:
         text.append("memberships:")
         for var, dfa in doc["memberships"].items():
@@ -284,29 +264,15 @@ def _encode_text(doc: dict) -> list[str]:
 
 def _run_encode(args) -> int:
     f = _load_formula(args.input)
-    if args.stop_after == "parse":
-        report = _report_skeleton(args, "ok")
-        report["stage"] = "parse"
-        report["formulas"] = [print_formula(f)]
-        _emit(args, report, [print_formula(f)])
+    g = negation(f) if f.quantifier == FORALL else f  # the problem `valid` refutes
+    if args.stop_after == "encode":
+        doc = encode(g).to_json()
+        doc["input"] = str(args.input)
+        print(json.dumps(doc, indent=2) if args.format == "json"
+              else "\n".join(_encode_text(doc)))
         return 0
-    if f.quantifier == FORALL:
-        f = negation(f)  # the problem `valid` refutes
-    try:
-        elab = elaborate(f)
-    except ElaborationError as e:
-        raise CliError(f"{args.input}: outside the supported fragment: {e}")
-    if args.stop_after == "elaborate":
-        report = _report_skeleton(args, "ok")
-        report["stage"] = "elaborate"
-        report["formulas"] = [print_formula(elab.formula)]
-        _emit(args, report, [print_formula(elab.formula)])
-        return 0
-    wp = encode_elaboration(elab)
-    doc = wp.to_json()
-    doc["input"] = str(args.input)
-    _emit(args, doc, _encode_text(doc))
-    return 0
+    shown = print_formula(f if args.stop_after == "parse" else elaborate(g).formula)
+    return _report(args, "ok", {"stage": args.stop_after, "formulas": [shown]}, [shown])
 
 
 def _run_oracle(args) -> int:
@@ -317,11 +283,11 @@ def _run_oracle(args) -> int:
     names = search_names(f)
     if f.quantifier == FORALL:
         cex = brute_force_sat(Not(f.matrix), names, bounds)
-        status = "invalid" if cex is not None else "valid"
-        return _verdict(args, status, fields, note, counterexample=cex)
-    witness = brute_force_sat(f.matrix, names, bounds)
-    status = "sat" if witness is not None else "unsat"
-    return _verdict(args, status, fields, note, witness=witness)
+        r = SolverResult("invalid" if cex is not None else "valid", counterexample=cex)
+    else:
+        witness = brute_force_sat(f.matrix, names, bounds)
+        r = SolverResult("sat" if witness is not None else "unsat", witness=witness)
+    return _answer(args, r, fields, note)
 
 
 def _vc_json(vc: VC, result: Discharge | None) -> dict:
@@ -351,18 +317,12 @@ def _run_vc(args) -> int:
         raise CliError(str(e))
     conditions = vcs(program)
     results: list[Discharge | None] = [None] * len(conditions)
+    status = "ok"
     if args.discharge:
         results = discharge(conditions, _budget(args))
-        status_code = max((_STATUS_EXIT[r.verdict] for r in results), default=0)
-        status = {0: "valid", 1: "invalid", 2: "unknown"}[status_code]
-    else:
-        status, status_code = "ok", 0
+        worst = max((_STATUS_EXIT[r.verdict] for r in results), default=0)
+        status = ("valid", "invalid", "unknown")[worst]
 
-    report = _report_skeleton(args, status)
-    report["program"] = program.name
-    report["vcs"] = [
-        _vc_json(vc, res) for vc, res in zip(conditions, results)
-    ]
     text = [f"program: {program.name} ({len(conditions)} conditions)"]
     for vc, res in zip(conditions, results):
         text.append(f"[{vc.label}] {vc.description}")
@@ -378,8 +338,11 @@ def _run_vc(args) -> int:
                 text.append("  counterexample:")
                 _env_lines(res.counterexample, text)
     text.append(f"status: {status}")
-    _emit(args, report, text)
-    return status_code
+    fields = {
+        "program": program.name,
+        "vcs": [_vc_json(vc, res) for vc, res in zip(conditions, results)],
+    }
+    return _report(args, status, fields, text)
 
 
 _COMMANDS = {
@@ -400,7 +363,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"seqsolve: error: {e}", file=sys.stderr)
         return 3
     except ElaborationError as e:
-        print(f"seqsolve: error: outside the supported fragment: {e}", file=sys.stderr)
+        print(
+            f"seqsolve: error: {args.input}: outside the supported fragment: {e}",
+            file=sys.stderr,
+        )
         return 3
     except RecursionError:
         print("seqsolve: error: input nested too deeply", file=sys.stderr)

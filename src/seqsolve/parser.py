@@ -472,21 +472,21 @@ class _Parser:
         out = self.prim_term()
         while self.at_punct("["):
             self.next()
-            lo = self.signed_int()
+            lo = self.signed_int("an integer index")
             self.expect_punct(":")
-            hi = self.signed_int()
+            hi = self.signed_int("an integer index")
             self.expect_punct("]")
             out = _PTerm("sub", self._span(start), args=(out,), lo=lo, hi=hi)
         return out
 
-    def signed_int(self) -> int:
+    def signed_int(self, what: str) -> int:
         neg = False
         if self.at_punct("-"):
             self.next()
             neg = True
         t = self.peek()
         if t.kind != "int":
-            raise self.err("expected an integer index")
+            raise self.err(f"expected {what}")
         self.next()
         return -int(t.text) if neg else int(t.text)
 
@@ -627,13 +627,13 @@ class _Parser:
             self.next()
             return ZCat((), loc=self._span(t))
         if t.kind == "int" or self.at_punct("-"):
-            return ZLit(self.signed_int(), loc=self._span(t))
+            return ZLit(self.signed_int("digits after '-'"), loc=self._span(t))
         if self.at_punct("{"):
             self.next()
-            vals = [self.signed_int()]
+            vals = [self.signed_int("an integer set element")]
             while self.at_punct(","):
                 self.next()
-                vals.append(self.signed_int())
+                vals.append(self.signed_int("an integer set element"))
             self.expect_punct("}")
             return ZSet(tuple(vals), loc=self._span(t))
         if self.at_punct("("):

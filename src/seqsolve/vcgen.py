@@ -644,9 +644,7 @@ def discharge(conditions: list[VC], budget: Budget | None = None) -> list[Discha
             out.append(Discharge(vc, "unencodable", vc.unencodable))
             continue
         r = check_valid(vc.formula, budget, vc.elaboration)
-        if r.status == "valid":
-            out.append(Discharge(vc, "valid"))
-        elif r.status == "invalid" and vc.weakened:
+        if r.status == "invalid" and vc.weakened:
             out.append(
                 Discharge(
                     vc,
@@ -655,8 +653,6 @@ def discharge(conditions: list[VC], budget: Budget | None = None) -> list[Discha
                     "counterexample",
                 )
             )
-        elif r.status == "invalid":
-            out.append(Discharge(vc, "invalid", counterexample=r.counterexample))
         else:
-            out.append(Discharge(vc, "unknown", r.reason))
+            out.append(Discharge(vc, r.status, r.reason, r.counterexample))
     return out

@@ -889,10 +889,7 @@ def _components(eqs: list, members: dict):
     return [groups[k] for k in sorted(groups)]
 
 
-@lambda f: f()
-def _any_letter():
-    d = union(*(lit(ch) for ch in ALPHABET))
-    return lambda: d
+_ANY_LETTER = union(*(lit(ch) for ch in ALPHABET))
 
 
 def _diseq_branches(u: str, v: str, n: int):
@@ -902,8 +899,8 @@ def _diseq_branches(u: str, v: str, n: int):
     out = []
     for a, b in itertools.permutations(ALPHABET, 2):
         out.append(([(u, w + a + s1), (v, w + b + s2)], {}))
-    out.append(([(v, u + l + s1)], {l: _any_letter()}))
-    out.append(([(u, v + l + s1)], {l: _any_letter()}))
+    out.append(([(v, u + l + s1)], {l: _ANY_LETTER}))
+    out.append(([(u, v + l + s1)], {l: _ANY_LETTER}))
     return out
 
 
@@ -1037,28 +1034,16 @@ def _decode_witness(sigma: dict, f: Formula, elab: Elaboration) -> dict:
     return env
 
 
-def check_sat(
-    f: Formula, budget: Budget | None = None, elab: Elaboration | None = None
-) -> SolverResult:
-    """Decide satisfiability. A universal formula is treated as the
-    sentence it denotes: it is sat when valid, and unsat with the
-    counterexample when invalid. elab, when the caller already has it,
-    is the elaboration of the existential formula solved: f, or
-    negation(f) when f is universal."""
-    budget = budget or Budget()
-    if f.quantifier == FORALL:
-        r = check_valid(f, budget, elab)
-        r.status = {"valid": "sat", "invalid": "unsat", "unknown": "unknown"}[r.status]
-        return r
-
+def _solve(g: Formula, budget: Budget | None, elab: Elaboration | None) -> SolverResult:
+    """Decide the existential or prefix-free g, and verify a witness
+    against its matrix. elab, when the caller already has it, is g's."""
     if elab is None:
-        elab = elaborate(f)
-    wp = encode_elaboration(elab)
-    status, sigma, ctl, nclauses = solve_problem(wp, budget)
+        elab = elaborate(g)
+    status, sigma, ctl, nclauses = solve_problem(encode_elaboration(elab), budget)
     result = SolverResult(status=status, nodes=ctl.nodes, clauses=nclauses)
     if status == "sat":
-        env = _decode_witness(sigma, f, elab)
-        if not oracle.matrix_value(f.matrix, env):
+        env = _decode_witness(sigma, g, elab)
+        if not oracle.matrix_value(g.matrix, env):
             raise RuntimeError(f"witness failed verification: {env!r}")
         result.witness = env
     elif status == "unknown":
@@ -1077,6 +1062,31 @@ def negation(f: Formula) -> Formula:
     return Formula(EXISTS, oracle.search_names(f), Not(f.matrix))
 
 
+def _refute(
+    f: Formula, budget: Budget | None, elab: Elaboration | None, holds: str, fails: str
+) -> SolverResult:
+    """Decide f's universal closure by solving negation(f): the status
+    is holds when that has no model and fails when it has one, which is
+    the counterexample."""
+    r = _solve(negation(f), budget, elab)
+    r.status = {"unsat": holds, "sat": fails, "unknown": "unknown"}[r.status]
+    r.witness, r.counterexample = None, r.witness
+    return r
+
+
+def check_sat(
+    f: Formula, budget: Budget | None = None, elab: Elaboration | None = None
+) -> SolverResult:
+    """Decide satisfiability. A universal formula is treated as the
+    sentence it denotes: it is sat when valid, and unsat with the
+    counterexample when invalid. elab, when the caller already has it,
+    is the elaboration of the existential formula solved: f, or
+    negation(f) when f is universal."""
+    if f.quantifier == FORALL:
+        return _refute(f, budget, elab, "sat", "unsat")
+    return _solve(f, budget, elab)
+
+
 def check_valid(
     f: Formula, budget: Budget | None = None, elab: Elaboration | None = None
 ) -> SolverResult:
@@ -1084,12 +1094,4 @@ def check_valid(
     negation. A counterexample assignment is reported when one
     exists. elab, when the caller already has it, is the elaboration of
     negation(f)."""
-    inner = check_sat(negation(f), budget, elab)
-    status = {"sat": "invalid", "unsat": "valid", "unknown": "unknown"}[inner.status]
-    return SolverResult(
-        status=status,
-        counterexample=inner.witness,
-        nodes=inner.nodes,
-        clauses=inner.clauses,
-        reason=inner.reason,
-    )
+    return _refute(f, budget, elab, "valid", "invalid")

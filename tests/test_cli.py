@@ -176,6 +176,19 @@ def test_encode_outside_fragment_exits_3(capsys, tmp_path):
     assert "outside the supported fragment" in err
 
 
+def test_outside_fragment_is_one_line_for_every_command(capsys, tmp_path):
+    # sat, valid and encode all elaborate the input, and each names it
+    src = tmp_path / "f.seq"
+    src.write_text("exists x . rev(x) = x ++ 1 & x[1:2] = x\n")
+    lines = set()
+    for command in ("sat", "valid", "encode"):
+        code, out, err = run_cli(capsys, command, str(src))
+        assert (code, out) == (3, "")
+        lines.add(err)
+    (line,) = lines
+    assert line.startswith(f"seqsolve: error: {src}: outside the supported fragment: ")
+
+
 def _wp_tokens(doc):
     """Every side token and membership variable of a wp-1 document:
     the equations, the disequations, the memberships and the matrix."""

@@ -319,6 +319,24 @@ def test_error_positions():
         parse_formula("forall in . in = eps")
 
 
+@pytest.mark.parametrize(
+    "src,msg,col",
+    [
+        ("exists x . x[1:] = x", "expected an integer index", 16),
+        ("exists x . x[-a:2] = x", "expected an integer index", 15),
+        ("exists x . x in {}", "expected an integer set element", 18),
+        ("exists x . x in {1, -}", "expected an integer set element", 22),
+        ("exists x . x in (1 | -)*", "expected digits after '-'", 23),
+    ],
+)
+def test_signed_integer_errors_name_their_context(src, msg, col):
+    # a subrange index, a set element and a regex literal each say
+    # which integer is missing, at the token that stands in its place
+    with pytest.raises(ParseError) as e:
+        parse_formula(src)
+    assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, col)
+
+
 def test_prefix_must_bind_every_variable():
     # without a prefix the free names are the variables
     assert parse_formula("x = y").quantifier is None

@@ -42,7 +42,7 @@ from seqsolve.encode import (
 from seqsolve.oracle import Bounds
 from seqsolve.parser import parse_formula
 from seqsolve.randgen import gen_formula, gen_quadratic_clause
-from seqsolve.vcgen import parse_program_file, vcs
+from seqsolve.vcgen import discharge, parse_program_file, vcs
 from seqsolve.wordsolver import (
     Budget,
     ClauseCapExceeded,
@@ -1610,6 +1610,42 @@ def test_search_exploration_pinned(name, status, nodes, clauses, counterexample)
     r = check_valid(parse_formula((CORPUS / name).read_text()), BUDGET)
     assert (r.status, r.nodes, r.clauses) == (status, nodes, clauses)
     assert r.counterexample == counterexample
+
+
+UNIVERSAL = sorted(
+    p.name for p in CORPUS.glob("*.seq") if parse_formula(p.read_text()).quantifier == FORALL
+)
+
+
+@pytest.mark.parametrize("name", UNIVERSAL)
+def test_sat_and_valid_of_a_universal_formula_are_one_search(name):
+    # check_sat reads a universal formula as the sentence it denotes: it
+    # runs the search check_valid runs, and only the status is renamed
+    f = parse_formula((CORPUS / name).read_text())
+    s, v = check_sat(f), check_valid(f)
+    assert {"sat": "valid", "unsat": "invalid"}.get(s.status, s.status) == v.status
+    assert (s.nodes, s.clauses, s.counterexample, s.reason) == (
+        v.nodes, v.clauses, v.counterexample, v.reason
+    )
+    assert s.witness is None and v.witness is None
+
+
+@pytest.mark.parametrize("program", ["reverse.sqp", "merge_sort.sqp"])
+def test_discharge_passes_the_verdict_of_check_valid_through(program):
+    # only an invalid condition whose sorted(...) hypothesis was dropped
+    # is renamed, to undetermined; every other verdict is check_valid's
+    conditions = vcs(parse_program_file(PROGRAMS / program))
+    for vc, d in zip(conditions, discharge(conditions)):
+        if vc.unencodable:
+            assert (d.verdict, d.detail) == ("unencodable", vc.unencodable)
+            continue
+        r = check_valid(vc.formula, elab=vc.elaboration)
+        if r.status == "invalid" and vc.weakened:
+            assert (d.verdict, d.counterexample) == ("undetermined", None)
+        else:
+            assert (d.verdict, d.detail, d.counterexample) == (
+                r.status, r.reason, r.counterexample
+            )
 
 
 def test_a_branch_the_clause_theory_refutes_starts_no_search(monkeypatch):
