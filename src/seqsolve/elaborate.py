@@ -1,6 +1,7 @@
 """Rewriting of parsed formulas into the core constraint language.
 
-The core language the encoder accepts:
+The core language the encoder accepts, as encode._Translator defines
+and checks it (a non-core node raises ElaborationError there):
 
   sequence terms   variables, eps, integer singletons, concatenations
   atoms            t = t' between core sequence terms,
@@ -25,11 +26,12 @@ conjoining them preserves the meaning of an existential formula. Only
 existential (or prefix-free) formulas are elaborated: a universal one
 is decided by refuting its negation, which is existential.
 
-The stages run in order: reversal, subranges, length bounds, negations,
-arithmetic (with the constant atoms), and last ast.fold_consts on the
-guarded matrix. Each stage but negation pushing and that last fold is
-an atom rewrite: a function on one atom that ast.map_atoms runs over
-the Boolean skeleton, with any change inside terms made by a rule that
+The stages run in order: reversal, subranges (which also fold
+first(t[1:1]) to first(t)), length bounds, negations, arithmetic (with
+the constant atoms), and last ast.fold_consts on the guarded matrix.
+Each stage but negation pushing and that last fold is an atom rewrite:
+a function on one atom that ast.map_atoms runs over the Boolean
+skeleton, with any change inside terms made by a rule that
 ast.map_terms runs top-down over each term of the atom.
 
 Reversal has no core form. It is removed in two stages. First rev is
@@ -103,7 +105,6 @@ from .ast import (
     map_atom_terms,
     map_atoms,
     map_terms,
-    seq_subterms,
 )
 
 
@@ -115,11 +116,14 @@ class ElaborationError(ValueError):
 class Elaboration:
     """Result of rewriting a formula into core form.
 
-    ``formula`` carries the guards already conjoined with the matrix
-    and the fresh variables appended to the prefix. ``rev_map`` maps
-    each reversal-abstracted original variable to the fresh variable
-    that denotes its reversal; a model value for the original variable
-    is the reversal of the fresh one's value.
+    ``core_matrix`` is the rewritten matrix and ``guards`` the
+    constraints that pin ``fresh_vars``; the encoder, not elaborate,
+    checks that they are in core form. ``formula`` carries the guards
+    already conjoined with the matrix and the fresh variables appended
+    to the prefix. ``rev_map`` maps each reversal-abstracted original
+    variable to the fresh variable that denotes its reversal; a model
+    value for the original variable is the reversal of the fresh one's
+    value.
     """
 
     formula: Formula
@@ -335,32 +339,46 @@ class _Fresh:
         return name
 
 
-def _fold_first(t: Term) -> Term | None:
-    """map_terms rule: rewrite fst(t[1:1]) to fst(t). The two agree on
-    every sequence: both pick the first element when t is nonempty and
-    denote 0 when t is empty. Folding before subrange expansion avoids
-    a pointless split for the common first(t) sugar in integer
-    position."""
-    if not isinstance(t, IOfSeq):
-        return None
-    a = map_terms(t.arg, _fold_first)
-    while isinstance(a, SSub) and a.lo == 1 and a.hi == 1:
-        a = a.arg
-    return IOfSeq(a)
-
-
-def _collect_subs(m: Matrix) -> list[SSub]:
-    """Innermost subrange nodes (argument free of subranges), deduplicated,
-    in first-occurrence order."""
-    return list(
-        dict.fromkeys(
-            t
-            for a in atoms(m)
-            for t in atom_seq_terms(a)
-            if isinstance(t, SSub)
-            and not any(isinstance(s, SSub) for s in seq_subterms(t.arg))
-        )
+def _split(arg: SeqTerm, k1: int, k2: int, fresh: _Fresh, guards: list[Matrix]) -> SeqTerm:
+    """The value of arg[k1:k2] for an arg free of subranges: eps or a
+    singleton when it is decided statically, else the middle part v of
+    a split pinned by the guards it appends."""
+    if isinstance(arg, SEmpty):
+        return SEmpty()
+    if isinstance(arg, SInt):
+        return _sub_of_singleton(arg.value, k1, k2)
+    kappa = _static_kappa(k1, k2)
+    if kappa is None:
+        return SEmpty()
+    if isinstance(arg, SVar):
+        subject = arg
+    else:
+        subject = SVar(fresh.new("g"))
+        guards.append(SeqEq(subject, arg))
+    u = SVar(fresh.new("u"))
+    v = SVar(fresh.new("v"))
+    w = SVar(fresh.new("w"))
+    split = SeqEq(subject, SConcat(u, SConcat(v, w)))
+    if kappa == "head":
+        threshold = k2
+        lengths = [InRe(u, z_exact(k1 - 1)), InRe(v, z_exact(k2 - k1 + 1))]
+    elif kappa == "tail":
+        threshold = k1 - k2
+        lengths = [InRe(u, z_exact(k1 - 1)), InRe(w, z_exact(-k2))]
+    else:  # "end"
+        threshold = 1 - k1
+        lengths = [InRe(v, z_exact(k2 - k1 + 1)), InRe(w, z_exact(-k2))]
+    long_enough = conj([InRe(subject, z_at_least(threshold)), split] + lengths)
+    too_short = conj(
+        [
+            InRe(subject, z_at_most(threshold - 1)),
+            SeqEq(u, SEmpty()),
+            SeqEq(v, SEmpty()),
+            SeqEq(w, SEmpty()),
+        ]
     )
+    guards.append(Or(long_enough, too_short))
+    return v
 
 
 def expand_subs(m: Matrix, fresh: _Fresh) -> tuple[Matrix, list[Matrix]]:
@@ -371,60 +389,30 @@ def expand_subs(m: Matrix, fresh: _Fresh) -> tuple[Matrix, list[Matrix]]:
                     three parts fixed by the indices; the result is v
       too short:    the result is empty (u, v, w all pinned to eps)
 
-    Identical subrange terms share one expansion."""
+    One map_terms rule runs over each atom. It rewrites the argument of
+    a subrange first, so the innermost subrange expands first, and
+    identical rewritten subranges share one expansion. It also folds
+    first(t[1:1]) to first(t): the two agree on every sequence (the
+    first element when t is nonempty, 0 when it is empty), so the
+    common first(t) sugar in integer position needs no split."""
     guards: list[Matrix] = []
-    while True:
-        subs = _collect_subs(m)
-        if not subs:
-            return m, guards
-        table: dict[SeqTerm, SeqTerm] = {}
-        for node in subs:
-            arg, k1, k2 = node.arg, node.lo, node.hi
-            if isinstance(arg, SEmpty):
-                table[node] = SEmpty()
-                continue
-            if isinstance(arg, SInt):
-                table[node] = _sub_of_singleton(arg.value, k1, k2)
-                continue
-            kappa = _static_kappa(k1, k2)
-            if kappa is None:
-                table[node] = SEmpty()
-                continue
-            if isinstance(arg, SVar):
-                subject = arg
-            else:
-                subject = SVar(fresh.new("g"))
-                guards.append(SeqEq(subject, arg))
-            u = SVar(fresh.new("u"))
-            v = SVar(fresh.new("v"))
-            w = SVar(fresh.new("w"))
-            split = SeqEq(subject, SConcat(u, SConcat(v, w)))
-            if kappa == "head":
-                threshold = k2
-                lengths = [InRe(u, z_exact(k1 - 1)), InRe(v, z_exact(k2 - k1 + 1))]
-            elif kappa == "tail":
-                threshold = k1 - k2
-                lengths = [InRe(u, z_exact(k1 - 1)), InRe(w, z_exact(-k2))]
-            else:  # "end"
-                threshold = 1 - k1
-                lengths = [InRe(v, z_exact(k2 - k1 + 1)), InRe(w, z_exact(-k2))]
-            long_enough = conj([InRe(subject, z_at_least(threshold)), split] + lengths)
-            too_short = conj(
-                [
-                    InRe(subject, z_at_most(threshold - 1)),
-                    SeqEq(u, SEmpty()),
-                    SeqEq(v, SEmpty()),
-                    SeqEq(w, SEmpty()),
-                ]
-            )
-            guards.append(Or(long_enough, too_short))
-            table[node] = v
+    memo: dict[SSub, SeqTerm] = {}
 
-        def replace(a: Atom) -> Atom:
-            return map_atom_terms(a, table.get)
+    def rule(t: Term) -> Term | None:
+        kind = type(t)
+        if kind is IOfSeq:
+            a = t.arg
+            while type(a) is SSub and a.lo == 1 and a.hi == 1:
+                a = a.arg
+            return IOfSeq(map_terms(a, rule))
+        if kind is not SSub:
+            return None
+        node = SSub(map_terms(t.arg, rule), t.lo, t.hi)
+        if node not in memo:
+            memo[node] = _split(node.arg, node.lo, node.hi, fresh, guards)
+        return memo[node]
 
-        m = map_atoms(m, replace)
-        guards = [map_atoms(g, replace) for g in guards]
+    return map_atoms(m, lambda a: map_atom_terms(a, rule)), guards
 
 
 # ---------------------------------------------------------------------------
@@ -709,51 +697,6 @@ def _ground_value(t: SeqTerm) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# core form check
-
-
-def _core_seq(t: SeqTerm) -> bool:
-    match t:
-        case SVar() | SEmpty():
-            return True
-        case SInt(value=IConst()) | SInt(value=IOfSeq(arg=SVar())):
-            return True
-        case SConcat(left=l, right=r):
-            return _core_seq(l) and _core_seq(r)
-        case _:
-            return False
-
-
-def _core_atom(a: Atom) -> bool:
-    match a:
-        case BoolLit():
-            return True
-        case SeqEq(left=l, right=r):
-            return _core_seq(l) and _core_seq(r)
-        case InRe(arg=SVar()):
-            return True
-        case IntCmp(op="==", left=IOfSeq(arg=SVar()), right=IConst(value=0 | 1)):
-            return True
-        case IntCmp(op="==" | "<", left=IOfSeq(arg=SVar()), right=IOfSeq(arg=SVar())):
-            return True
-        case IntCmp(
-            op="==",
-            left=IOfSeq(arg=SVar()),
-            right=IAdd(left=IOfSeq(arg=SVar()), right=IOfSeq(arg=SVar())),
-        ):
-            return True
-        case _:
-            return False
-
-
-def validate_core(m: Matrix) -> None:
-    """Raise ElaborationError if the matrix is not in core form."""
-    for a in atoms(m):
-        if not _core_atom(a):
-            raise ElaborationError(f"not in core form: {a!r}")
-
-
-# ---------------------------------------------------------------------------
 # driver
 
 
@@ -765,8 +708,10 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
     every assignment to the original variables and pins the fresh
     values the rewritten matrix depends on. The result is in negation
     normal form: Not sits only on sequence equations and memberships.
-    ``reading`` must be EXISTS; a universal formula raises ValueError
-    (its validity is decided through wordsolver.negation).
+    The core form is checked where it is read, by
+    encode.encode_elaboration. ``reading`` must be EXISTS; a universal
+    formula raises ValueError (its validity is decided through
+    wordsolver.negation).
     """
     if reading != EXISTS:
         raise ValueError(f"unknown reading {reading!r}: only EXISTS is elaborated")
@@ -775,7 +720,6 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
 
     matrix, rev_map = eliminate_rev(f.matrix)
     prefix = tuple(rev_map.get(x, x) for x in f.prefix)
-    matrix = map_atoms(matrix, lambda a: map_atom_terms(a, _fold_first))
 
     fresh = _Fresh()
     # subrange guards hold no length bound and no negation to rewrite
@@ -785,10 +729,6 @@ def elaborate(f: Formula, reading: str = EXISTS) -> Elaboration:
     lower = _AtomLowering(fresh)
     matrix = fold_consts(map_atoms(matrix, lower.atom))
     guards = tuple([map_atoms(g, lower.atom) for g in sub_guards] + lower.guards)
-
-    for g in guards:
-        validate_core(g)
-    validate_core(matrix)
 
     fresh_vars = tuple(fresh.names)
     if isinstance(matrix, BoolLit):

@@ -91,7 +91,7 @@ from .ast import (
 )
 from .ast import LiteralTooLarge, MAX_MAGNITUDE  # noqa: F401 (re-exported)
 from .dfa import Dfa, concat, lit, plus, power, star, union
-from .elaborate import Elaboration, elaborate, validate_core
+from .elaborate import Elaboration, ElaborationError, elaborate
 from .oracle import search_names
 
 
@@ -304,6 +304,12 @@ def dfa_json(d: Dfa) -> dict:
 
 
 class _Translator:
+    """Translates a core matrix to a word formula. Its match cases are
+    the one definition of the core form (listed in elaborate's module
+    docstring): And, Or, and Not on a sequence equation or membership,
+    over the core atoms and sequence terms. Anything else raises
+    ElaborationError."""
+
     def __init__(self):
         self.extra: list[WIn] = []  # witness memberships
         self.pair_witness: dict[frozenset, str] = {}
@@ -335,7 +341,7 @@ class _Translator:
                 return var(h_of(n))
             case SConcat(left=l, right=r):
                 return self.side(l) + self.side(r)
-        raise ValueError(f"not a core sequence term: {t!r}")
+        raise ElaborationError(f"not in core form: {t!r}")
 
     def sign_pair(self, x: str, cx: str, y: str, cy: str) -> Matrix:
         # membership rather than an equation: contradictory sign cases
@@ -403,7 +409,7 @@ class _Translator:
                 return WEq(var(h_of(x)), var(h_of(y)))
             case IntCmp(op="<", left=IOfSeq(arg=SVar(name=x)), right=IOfSeq(arg=SVar(name=y))):
                 return self.less_than(x, y)
-        raise ValueError(f"not a core atom: {m!r}")
+        raise ElaborationError(f"not in core form: {m!r}")
 
     def mat(self, m: Matrix) -> Matrix:
         match m:
@@ -413,7 +419,7 @@ class _Translator:
                 return Or(self.mat(l), self.mat(r))
             case Not(arg=SeqEq() | InRe() as a):
                 return Not(self.atom(a))
-        return self.atom(m)  # any other connective is refused there
+        return self.atom(m)  # Imp, Iff or any other Not raises there
 
 
 def frame_constraints(x: str) -> list[Matrix]:
@@ -429,12 +435,12 @@ def frame_constraints(x: str) -> list[Matrix]:
 
 
 def encode_elaboration(elab: Elaboration) -> WordProblem:
-    matrix = elab.formula.matrix
-    validate_core(matrix)
+    """Encode an elaborated formula; ElaborationError if its matrix is
+    not in core form."""
     core_vars = search_names(elab.formula)
 
     tr = _Translator()
-    wmatrix = tr.mat(matrix)
+    wmatrix = tr.mat(elab.formula.matrix)
 
     # Every variable ranges over encodings; the full component frame is
     # attached only where some atom looks at the first block.

@@ -1074,17 +1074,13 @@ def _refute(
     return r
 
 
-def check_sat(
-    f: Formula, budget: Budget | None = None, elab: Elaboration | None = None
-) -> SolverResult:
+def check_sat(f: Formula, budget: Budget | None = None) -> SolverResult:
     """Decide satisfiability. A universal formula is treated as the
     sentence it denotes: it is sat when valid, and unsat with the
-    counterexample when invalid. elab, when the caller already has it,
-    is the elaboration of the existential formula solved: f, or
-    negation(f) when f is universal."""
+    counterexample when invalid."""
     if f.quantifier == FORALL:
-        return _refute(f, budget, elab, "sat", "unsat")
-    return _solve(f, budget, elab)
+        return _refute(f, budget, None, "sat", "unsat")
+    return _solve(f, budget, None)
 
 
 def check_valid(

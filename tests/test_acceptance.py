@@ -167,6 +167,32 @@ def test_corpus_encodings_pinned():
     assert got == CORPUS_ENCODING_DIGESTS
 
 
+# the encodings of both programs' conditions, in vcs order; merge_sort's
+# hold the only nested subranges of the shipped inputs
+PROGRAM_ENCODING_DIGESTS = {
+    "merge_sort.sqp": [
+        "48283dcc0c19ce1b", "8f77cde93c1f7e5d", "9f58243968e59be3", "eb115661afe14368",
+        "9c681cf564be6fa0", "6bc5368f15523a09", "d83e511a4ae78706", "cfec91510d4c3efb",
+        "643a5fece8dd9559", "3077021da9ba9402", "3e5c3cf1b7ed9cef", "28604155c20ef75d",
+        "98749389546c7088", "0cf5ce40cea25188", "1d783d13918d5dbf", "6d4f9a3ca1eaec19",
+        "36ca2332fea6b7b4", "6cd068930ecdf2ed", "bce2d9d5eb9b41e3",
+    ],
+    "reverse.sqp": [
+        "9b2493c59d711141", "adedeece3ec81663", "2b86e82142b74231", "bee50b0977da831a",
+        "4d2798315f0b451b",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAM_ENCODING_DIGESTS))
+def test_program_encodings_pinned(name):
+    got = []
+    for vc in vcs(parse_program_file(PROGRAMS / name)):
+        doc = encode_elaboration(vc.elaboration).to_json()
+        got.append(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16])
+    assert got == PROGRAM_ENCODING_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # 2. annotated programs: the two reference conditions are generated
 #    and discharged valid

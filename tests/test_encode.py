@@ -491,14 +491,24 @@ def test_shared_pair_witness():
     assert p_vars(wp) == ["$p1"]
 
 
-def test_encode_rejects_non_core():
-    from seqsolve.ast import LenCmp
-
-    m = LenCmp(SVar("x"), "==", 2)
-    f = Formula(EXISTS, ("x",), m)
-    elab = Elaboration(formula=f, core_matrix=m, guards=(), fresh_vars=())
-    with pytest.raises(ElaborationError):
-        encode_elaboration(elab)
+@pytest.mark.parametrize(
+    "src, core",
+    [
+        ("len(x) == 1", False),
+        ("x > y", False),
+        ("x = y ++ z & x < y | x in INT*", True),
+    ],
+    ids=["lencmp", "gt", "core"],
+)
+def test_encode_rejects_non_core(src, core):
+    # the translator is the one definition of the core form: shorthand
+    # elaborate rewrites away is refused, a core matrix encodes
+    m = parse_matrix(src)
+    if core:
+        core_problem(m, ("x", "y", "z"))
+    else:
+        with pytest.raises(ElaborationError):
+            core_problem(m, ("x", "y"))
 
 
 @pytest.mark.parametrize(
