@@ -745,10 +745,6 @@ def _final_assignment(members: dict) -> dict:
     return {x: d.shortest_word() for x, d in members.items()}
 
 
-def _total_len(eqs: list) -> int:
-    return sum([len(u) + len(v) for u, v in eqs])
-
-
 # A system's turn is this many nodes per distinct variable of its
 # equations, because the search widens with them; every system of the
 # corpus and the programs ends within 12 nodes per variable.
@@ -792,7 +788,7 @@ def _solve_system(eqs: list, members: dict, ctl: _Search):
         if key in store:
             return
         store[key] = (eqs2, members2, parent_key, elog, g2)
-        heapq.heappush(heap, (g2, _total_len(eqs2), next(tick), key))
+        heapq.heappush(heap, (g2, len(used), next(tick), key))
 
     while heap:
         if spent == turn:
@@ -890,15 +886,16 @@ def _components(eqs: list, members: dict):
 
 
 _ANY_LETTER = union(*(lit(ch) for ch in ALPHABET))
+_OTHER_LETTER = {a: union(*(lit(b) for b in ALPHABET if b != a)) for a in ALPHABET}
 
 
 def _diseq_branches(u: str, v: str, n: int):
-    """The fourteen ways two words can differ: a common prefix followed
-    by different letters, or one side a strict prefix of the other."""
+    """The six disjoint ways two words can differ: for each letter a, a
+    common prefix w followed by a on u's side and a letter l other than
+    a on v's (so w is the longest common prefix), or one side a strict
+    prefix of the other."""
     w, s1, s2, l = (var(f"${p}{n}") for p in ("dw", "da", "db", "dl"))
-    out = []
-    for a, b in itertools.permutations(ALPHABET, 2):
-        out.append(([(u, w + a + s1), (v, w + b + s2)], {}))
+    out = [([(u, w + a + s1), (v, w + l + s2)], {l: d}) for a, d in _OTHER_LETTER.items()]
     out.append(([(v, u + l + s1)], {l: _ANY_LETTER}))
     out.append(([(u, v + l + s1)], {l: _ANY_LETTER}))
     return out
@@ -952,7 +949,8 @@ def _solve_constraints(clause, th, ctl: _Search):
             if bth is None:
                 continue
             # l's membership is neither empty nor a singleton and l occurs
-            # in no equation of the fixpoint, so it is settled as well
+            # only in the branch's own equations, which _extend examines
+            # anyway, so l's membership is settled as well
             branch = _extend((eqs, rest, mem, log), extra_eqs, [])
             if branch is not None:
                 yield _solve_constraints(branch, bth, ctl)

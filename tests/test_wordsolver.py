@@ -73,7 +73,6 @@ from seqsolve.wordsolver import (
     _solve_system,
     _strip,
     _subst_eqs,
-    _total_len,
 )
 
 BUDGET = Budget(max_nodes=200_000)
@@ -966,7 +965,7 @@ def test_implied_matches_the_reference():
 
 def test_extending_a_fixpoint_by_a_branch_matches_a_rescan():
     # a branch of a split disequation extends its clause's fixpoint by
-    # its equations and the fresh any-letter membership; simplifying the
+    # its equations and the fresh one-letter membership; simplifying the
     # same system from scratch must give the same fixpoint, and the
     # branch's log is the clause's followed by the rescan's
     rng = random.Random(0)
@@ -1155,10 +1154,30 @@ def test_length_theory_refutes_only_unsolvable_systems():
 def test_diseq_branch_count_and_freshness():
     b1 = _diseq_branches(X, Y, 1)
     b2 = _diseq_branches(X, Y, 2)
-    assert len(b1) == len(b2) == 14
+    assert len(b1) == len(b2) == 6
     names1 = {c for eqs, _ in b1 for u, v in eqs for c in u + v if c > "d"}
     names2 = {c for eqs, _ in b2 for u, v in eqs for c in u + v if c > "d"}
     assert names1 & names2 == {X, Y}
+
+
+def test_diseq_branches_partition_the_disequation():
+    # for every pair of words up to length 3, exactly one branch of
+    # u != v has a model when the words differ, and none when they are
+    # equal; each model found satisfies its branch
+    words = ["".join(p) for k in range(4) for p in itertools.product(ALPHABET, repeat=k)]
+    for u, v in itertools.product(words, repeat=2):
+        models = 0
+        for eqs, members in _diseq_branches(u, v, 1):
+            res = _simplify(eqs, [], members)
+            if res[0] == "fail":
+                continue
+            _, eqs2, _, members2, log = res
+            st, sigma = _answer(_solve_equations(eqs2, members2, _Search(BUDGET)))
+            assert st in ("sat", "unsat"), (u, v, eqs)
+            if st == "sat":
+                assert _is_model(eqs, members, _replay(log, sigma)), (u, v, eqs)
+                models += 1
+        assert models == (u != v), (u, v)
 
 
 def test_equations_model_that_separates_needs_no_split():
@@ -1322,7 +1341,7 @@ def _reference_solve_system(eqs: list, members: dict, ctl: _Search, allowance: i
         if key in store:
             return
         store[key] = (eqs2, members2, parent_key, elog, g2)
-        heapq.heappush(heap, (g2, _total_len(eqs2), next(tick), key))
+        heapq.heappush(heap, (g2, sum(len(u) + len(v) for u, v in eqs2), next(tick), key))
 
     while heap:
         if allowance is not None and ctl.nodes - start_nodes >= allowance:
@@ -1662,8 +1681,8 @@ def test_a_branch_the_clause_theory_refutes_starts_no_search(monkeypatch):
 
     monkeypatch.setattr(wordsolver, "_solve_system", record)
     r = check_valid(parse_formula((CORPUS / "reversal_step_vc.seq").read_text()), BUDGET)
-    assert (r.status, r.nodes, r.clauses) == ("valid", 710, 2)
-    assert len(systems) == 58
+    assert (r.status, r.nodes, r.clauses) == ("valid", 297, 2)
+    assert len(systems) == 26
 
 
 def test_quadratic_exploration_pinned():
@@ -1701,7 +1720,7 @@ def test_clause_cap_is_reported():
 
 
 def _ladder_branch():
-    """A letter-pair branch of exists x, y . x ++ y = y ++ x & !(x = y),
+    """The first letter branch of exists x, y . x ++ y = y ++ x & !(x = y),
     the formula of the test below: one system with no model, whose
     search never ends."""
     f = parse_formula("exists x, y . x ++ y = y ++ x & !(x = y)")
@@ -1719,22 +1738,22 @@ def test_ladder_finds_a_model_past_a_hard_first_branch():
     r = check_sat(f)
     assert r.status == "sat"
     assert oracle.matrix_value(f.matrix, r.witness)
-    # each of the twelve letter-pair branches yields its turn after
-    # 5 x 32 nodes, and the thirteenth branch, started before any of them
-    # resumes, has the model; pinned so that a race that spends more
-    # before reaching it shows
-    assert r.nodes == 1_938
+    # each of the four letter branches yields its turn after 6 x 32
+    # nodes, and the fifth branch, started before any of them resumes,
+    # has the model; pinned so that a race that spends more before
+    # reaching it shows
+    assert r.nodes == 778
 
 
 def test_allowance_is_per_variable_of_the_system(monkeypatch):
-    # a letter-pair branch has no model, and its search never ends: it
-    # yields after its allowance per variable times the branch's five
+    # a letter branch has no model, and its search never ends: it
+    # yields after its allowance per variable times the branch's six
     # variables, and resumed, it yields again after as many more nodes.
     # It went on and did not start over: no node of the first turn is
     # popped again in the second
     eqs, members = _ladder_branch()
     assert len(_components(eqs, members)) == 1
-    assert len({c for u, v in eqs for c in u + v if c > "d"}) == 5
+    assert len({c for u, v in eqs for c in u + v if c > "d"}) == 6
     popped = []
 
     def heappop(heap):
@@ -1746,9 +1765,9 @@ def test_allowance_is_per_variable_of_the_system(monkeypatch):
     ctl = _Search(BUDGET)
     search = _solve_system(eqs, members, ctl)
     next(search)
-    assert ctl.nodes == len(popped) == 5 * _ALLOWANCE
+    assert ctl.nodes == len(popped) == 6 * _ALLOWANCE
     next(search)
-    assert ctl.nodes == len(set(popped)) == 10 * _ALLOWANCE
+    assert ctl.nodes == len(set(popped)) == 12 * _ALLOWANCE
 
 
 def test_race_starts_new_searches_before_resuming_suspended_ones():
@@ -1770,15 +1789,15 @@ def test_race_starts_new_searches_before_resuming_suspended_ones():
 
 
 def test_a_component_that_never_ends_does_not_starve_an_unsat_one():
-    # z a = b z has no model; its component comes after the letter-pair
-    # branch's, which yields its turn after 5 x 32 nodes, and the next
+    # z a = b z has no model; its component comes after the letter
+    # branch's, which yields its turn after 6 x 32 nodes, and the next
     # node refutes z's
     eqs, members = _ladder_branch()
     eqs, members = eqs + [(Z + "a", "b" + Z)], members | {Z: lstar_dfa()}
     assert [len(e) for e, _ in _components(eqs, members)] == [3, 1]
     ctl = _Search(BUDGET)
     assert _answer(_solve_equations(eqs, members, ctl)) == ("unsat", None)
-    assert ctl.nodes == 5 * _ALLOWANCE + 1
+    assert ctl.nodes == 6 * _ALLOWANCE + 1
 
 
 def test_results_are_deterministic():
