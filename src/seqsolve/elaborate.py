@@ -504,8 +504,9 @@ class _AtomLowering:
 
     An integer term or comparison is read as its linear form
     sum(c * first(n)) + k over variable names n (first(eps) is 0,
-    first(k) is k, any other first(t) aliases t), so equivalent
-    spellings give one atom. A comparison is the bound `form op 0`,
+    first(k) and first(k ++ t) are k, first(eps ++ t) is first(t), a
+    left-nested concatenation is read right-nested, and any other
+    first(t) aliases t), so equivalent spellings give one atom. A comparison is the bound `form op 0`,
     negated with op mirrored if every c is negative:
 
       no terms               true or false
@@ -575,8 +576,12 @@ class _AtomLowering:
                     todo += ((b, -sign), (a, sign))
                 case IOfSeq(arg=SEmpty()):
                     pass
-                case IOfSeq(arg=SInt(value=j)):
+                case IOfSeq(arg=SInt(value=j)) | IOfSeq(arg=SConcat(left=SInt(value=j))):
                     todo.append((j, sign))
+                case IOfSeq(arg=SConcat(left=SEmpty(), right=t)):
+                    todo.append((IOfSeq(t), sign))
+                case IOfSeq(arg=SConcat(left=SConcat(left=a, right=b), right=c)):
+                    todo.append((IOfSeq(SConcat(a, SConcat(b, c))), sign))
                 case IOfSeq(arg=t):
                     coeffs[t] = coeffs.get(t, 0) + sign
                 case _:

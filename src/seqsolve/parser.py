@@ -659,10 +659,10 @@ def parse_formula(src: str) -> Formula:
     return f
 
 
-def parse_matrix(src: str, annotations: bool = False) -> Matrix:
-    """Parse a bare matrix (no quantifier prefix allowed);
-    ``annotations`` admits old(x), top(t) and sorted(t)."""
-    p = _Parser(tokenize(src), annotations)
+def parse_matrix(src: str | list[Token], annotations: bool = False) -> Matrix:
+    """Parse a bare matrix (no quantifier prefix allowed) from text or
+    eof-ended tokens; ``annotations`` admits old(x), top(t) and sorted(t)."""
+    p = _Parser(tokenize(src) if isinstance(src, str) else src, annotations)
     start = p.peek()
     f = p.formula()
     if f.quantifier is not None:
@@ -670,10 +670,10 @@ def parse_matrix(src: str, annotations: bool = False) -> Matrix:
     return f.matrix
 
 
-def parse_seq_term(src: str, annotations: bool = False) -> SeqTerm:
-    """Parse a single sequence-valued term, e.g. an assignment right
-    side in a program file; ``annotations`` admits old(x) and top(t)."""
-    p = _Parser(tokenize(src), annotations)
+def parse_seq_term(src: str | list[Token], annotations: bool = False) -> SeqTerm:
+    """Parse one sequence-valued term, such as an assignment right side,
+    from text or eof-ended tokens; ``annotations`` admits old(x), top(t)."""
+    p = _Parser(tokenize(src) if isinstance(src, str) else src, annotations)
     t = p.coerce_seq(p.term())
     tok = p.peek()
     if tok.kind != "eof":

@@ -18,12 +18,16 @@ A program file (.sqp) is line oriented::
               | from ... invariant <matrix> until <matrix> loop ... end
 
 push/pop/extend are assignment sugar (s := s ++ e, s := s[1:-1],
-r := r ++ e). Annotations and assigned terms are read by the formula
-parser in annotation mode, which adds three forms: top(s) is last(s),
-old(x) is the value of x at entry (a snapshot variable, equated with
-x in the hypotheses of the entry condition), and sorted(t), "adjacent
-elements of t are nondecreasing", is a Sorted atom. Parse errors give
-the line and column of the program text.
+r := r ++ e). The file is read by the formula tokenizer, so comments
+and columns work as in formulas. Each line is one row of tokens, and a
+statement or header line is known by its first token, compared as a
+whole token (`requires` is not `require`). Annotations and assigned
+terms are parsed from their own tokens by the formula parser in
+annotation mode, which adds three forms: top(s) is last(s), old(x) is
+the value of x at entry (a snapshot variable, equated with x in the
+hypotheses of the entry condition), and sorted(t), "adjacent elements
+of t are nondecreasing", is a Sorted atom. Every error gives
+FILE:LINE:COLUMN of the program text.
 
 Verification conditions come from backward weakest preconditions:
 assignments substitute, assume adds an implication, assert a
@@ -44,8 +48,8 @@ and discharge reports "undetermined" instead of "invalid".
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from .ast import (
@@ -77,7 +81,7 @@ from .ast import (
     seq_subterms,
 )
 from .elaborate import Elaboration, ElaborationError, elaborate
-from .parser import OLD_PREFIX, ParseError, parse_matrix, parse_seq_term
+from .parser import KEYWORDS, OLD_PREFIX, ParseError, Token, parse_matrix, parse_seq_term, tokenize
 from .wordsolver import Budget, check_valid, negation
 
 
@@ -181,49 +185,60 @@ class VC:
 # .sqp parsing
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].rstrip()
-
-
 class _ProgramParser:
+    """Reads a program from the tokens of parser.tokenize, one row of
+    tokens per source line. A statement is chosen by the first token of
+    its row, and each annotation or term is parsed from its own tokens."""
+
     def __init__(self, text: str, path: str):
         self.path = path
-        self.rows = []
-        self.indent: dict[int, int] = {}
-        for n, raw in enumerate(text.splitlines(), start=1):
-            if s := _strip_comment(raw).strip():
-                self.rows.append((n, s))
-                self.indent[n] = len(raw) - len(raw.lstrip())
+        self.lines = text.split("\n")
+        try:
+            toks = tokenize(text)
+        except ParseError as e:
+            raise VcError(f"{path}:{e}") from e
+        self.eof = toks.pop()
+        self.rows = [list(row) for _, row in groupby(toks, lambda t: t.line)]
         self.i = 0
         self.variables: tuple[str, ...] = ()
         self.old_names: set[str] = set()
 
-    def err(self, line: int, msg: str, col: int | None = None) -> VcError:
-        where = f"{line}:{col}" if col is not None else f"{line}"
-        return VcError(f"{self.path}:{where}: {msg}")
+    def err(self, at, msg: str, cls: type[VcError] = VcError) -> VcError:
+        """An error at the line and column of a token, span or ParseError."""
+        return cls(f"{self.path}:{at.line}:{at.col}: {msg}")
 
-    def peek(self) -> tuple[int, str]:
-        if self.i >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 1
-            return (last, "")
-        return self.rows[self.i]
+    def peek(self) -> list[Token]:
+        return self.rows[self.i] if self.i < len(self.rows) else [self.eof]
 
-    def take(self) -> tuple[int, str]:
+    def take(self) -> list[Token]:
         row = self.peek()
         self.i += 1
         return row
 
-    # -- annotations and terms ----------------------------------------------
+    def text(self, row: list[Token]) -> str:
+        """The source text of a row, without its comment."""
+        first, last = row[0], row[-1]
+        return self.lines[first.line - 1][first.col - 1 : last.col - 1 + len(last.text)]
 
-    def _parse(self, line: int, row: str, start: int, end: int | None, term: bool):
-        """Parse row[start:end], an annotation or (``term``) a sequence
-        term, so that errors carry the columns of the source line."""
-        src = " " * (self.indent[line] + start) + row[start:end]
+    def word(self, keyword: str) -> None:
+        """Take a row that is the keyword alone."""
+        row = self.take()
+        if [t.text for t in row] != [keyword]:
+            found = self.text(row) or "end of file"
+            raise self.err(row[0], f"expected {keyword!r}, found {found!r}")
+
+    # -- annotations, terms and names -----------------------------------------
+
+    def parse(self, row: list[Token], start: int, stop: int | None = None, term: bool = False):
+        """Parse row[start:stop], an annotation or (``term``) a sequence
+        term, ended by an eof token right after row[stop - 1]."""
+        last = row[(stop or len(row)) - 1]
+        toks = row[start:stop] + [Token("eof", "", last.line, last.col + len(last.text))]
         what = "term" if term else "annotation"
         try:
-            out = (parse_seq_term if term else parse_matrix)(src, annotations=True)
+            out = (parse_seq_term if term else parse_matrix)(toks, annotations=True)
         except ParseError as e:
-            raise self.err(line, f"bad {what}: {e.msg}", e.col) from e
+            raise self.err(e, f"bad {what}: {e.msg}") from e
         terms = seq_subterms(out) if term else (
             t for a in atoms(out) for t in atom_seq_terms(a)
         )
@@ -232,64 +247,57 @@ class _ProgramParser:
                 x = t.name[len(OLD_PREFIX) :]
                 if x not in self.variables:
                     msg = f"bad {what}: old({x}): {x!r} is not a program variable"
-                    raise self.err(line, msg, t.loc.col)
+                    raise self.err(t.loc, msg)
                 self.old_names.add(x)
         return out
 
-    def annotation(self, line: int, row: str, start: int, end: int | None = None) -> Matrix:
-        return self._parse(line, row, start, end, term=False)
+    def declare(self, toks: list[Token]) -> None:
+        """Declare the entries of a comma-separated list as variables."""
+        for k, t in enumerate(toks):
+            if k % 2 and t.text == ",":
+                continue
+            if k % 2 or t.kind != "ident" or t.text in KEYWORDS or t.text.startswith("$") \
+                    or t.text in self.variables:
+                raise self.err(t, f"bad variable list entry {t.text!r}")
+            self.variables += (t.text,)
 
-    def seq_term(self, line: int, row: str, start: int, end: int | None = None) -> SeqTerm:
-        return self._parse(line, row, start, end, term=True)
-
-    def check_assignable(self, name: str, line: int) -> None:
-        if name not in self.variables:
-            raise self.err(line, f"{name!r} is not a parameter or local")
+    def assignable(self, t: Token) -> str:
+        if t.text not in self.variables:
+            raise self.err(t, f"{t.text!r} is not a parameter or local")
+        return t.text
 
     # -- header and trailer ---------------------------------------------------
 
     def program(self) -> Program:
-        line, head = self.take()
-        m = re.fullmatch(r"program\s+([A-Za-z_]\w*)\s*\(([^)]*)\)", head)
-        if not m:
-            raise self.err(line, "expected 'program name(params)'")
-        name = m.group(1)
-        params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
-
-        locs: list[str] = []
-        while self.peek()[1].startswith("local"):
-            line, row = self.take()
-            locs.extend(p.strip() for p in row[len("local") :].split(",") if p.strip())
-        self.variables = params + tuple(locs)
-        seen: set[str] = set()
-        for v in self.variables:
-            if not re.fullmatch(r"[A-Za-z_]\w*", v) or v in seen:
-                raise self.err(line, f"bad variable list entry {v!r}")
-            seen.add(v)
+        row = self.take()
+        texts = [t.text for t in row]
+        if texts[:1] != ["program"] or texts[2:3] != ["("] or texts[-1] != ")" \
+                or row[1].kind != "ident":
+            raise self.err(row[0], "expected 'program name(params)'")
+        self.declare(row[3:-1])
+        params = self.variables
+        while self.peek()[0].text == "local":
+            self.declare(self.take()[1:])
 
         requires: list[Matrix] = []
-        while self.peek()[1].startswith("require"):
-            line, row = self.take()
-            requires.append(self.annotation(line, row, len("require")))
+        while self.peek()[0].text == "require":
+            requires.append(self.parse(self.take(), 1))
 
-        line, row = self.take()
-        if row != "do":
-            raise self.err(line, f"expected 'do', found {row!r}")
+        self.word("do")
         body = self.block(("end",))
-        self.take()  # end
+        self.word("end")
 
         ensures: list[Matrix] = []
-        while self.peek()[1].startswith("ensure"):
-            line, row = self.take()
-            ensures.append(self.annotation(line, row, len("ensure")))
-        line, row = self.peek()
-        if row:
-            raise self.err(line, f"unexpected trailing line {row!r}")
+        while self.peek()[0].text == "ensure":
+            ensures.append(self.parse(self.take(), 1))
+        row = self.peek()
+        if row[0].kind != "eof":
+            raise self.err(row[0], f"unexpected trailing line {self.text(row)!r}")
 
         return Program(
-            name=name,
+            name=texts[1],
             params=params,
-            locals=tuple(locs),
+            locals=self.variables[len(params) :],
             requires=conj(requires),
             body=body,
             ensures=conj(ensures),
@@ -301,91 +309,65 @@ class _ProgramParser:
 
     def block(self, stop: tuple[str, ...]) -> tuple[Stmt, ...]:
         out: list[Stmt] = []
-        while True:
-            line, row = self.peek()
-            if not row:
-                raise self.err(line, f"unexpected end of file, expected {stop[0]!r}")
-            if row.split()[0] in stop:
-                return tuple(out)
+        while (t := self.peek()[0]).text not in stop:
+            if t.kind == "eof":
+                raise self.err(t, f"unexpected end of file, expected {stop[0]!r}")
             out.append(self.statement())
+        return tuple(out)
 
     def statement(self) -> Stmt:
-        line, row = self.take()
-        head = row.split()[0]
-        if row == "skip":
+        row = self.take()
+        line, head = row[0].line, row[0].text
+        texts = [t.text for t in row]
+        if texts == ["skip"]:
             return Skip(line)
-        if head == "havoc":
-            name = row[len("havoc") :].strip()
-            self.check_assignable(name, line)
-            return Havoc(name, line)
-        if head == "assume":
-            return Assume(self.annotation(line, row, len("assume")), line)
-        if head == "assert":
-            return Assert(self.annotation(line, row, len("assert")), line)
-        if m := re.fullmatch(r"(push|pop|extend)\s*\((.*)\)", row):
-            return self.sugar(m.group(1), line, row, m.start(2))
-        if m := re.fullmatch(r"([A-Za-z_]\w*)\s*:=\s*(.+)", row):
-            self.check_assignable(m.group(1), line)
-            return Assign(m.group(1), self.seq_term(line, row, m.start(2)), line)
-        if m := re.fullmatch(r"if\s+(.+?)\s+then", row):
-            cond = self.annotation(line, row, m.start(1), m.end(1))
+        if head == "havoc" and len(row) == 2:
+            return Havoc(self.assignable(row[1]), line)
+        if head in ("assume", "assert"):
+            return (Assume if head == "assume" else Assert)(self.parse(row, 1), line)
+        if head in ("push", "pop", "extend") and texts[1:2] == ["("] and texts[-1] == ")":
+            return self.sugar(row)
+        if texts[1:3] == [":", "="] and row[2].col == row[1].col + 1:  # x := e
+            return Assign(self.assignable(row[0]), self.parse(row, 3, term=True), line)
+        if head == "if" and texts[-1] == "then":
+            cond = self.parse(row, 1, -1)
             then = self.block(("else", "end"))
             orelse: tuple[Stmt, ...] = ()
-            if self.peek()[1] == "else":
-                self.take()
+            if self.peek()[0].text == "else":
+                self.word("else")
                 orelse = self.block(("end",))
-            self.take()  # end
+            self.word("end")
             return If(cond, then, orelse, line)
-        if row == "from":
-            return self.loop(line)
-        raise UnsupportedStatement(f"{self.path}:{line}: cannot parse {row!r}")
+        if texts == ["from"]:
+            return self.loop(row[0])
+        raise self.err(row[0], f"cannot parse {self.text(row)!r}", UnsupportedStatement)
 
-    def sugar(self, op: str, line: int, row: str, start: int) -> Assign:
-        """push/pop/extend, whose arguments are row[start:-1]."""
-        args = _split_args(row[start:-1])
+    def sugar(self, row: list[Token]) -> Assign:
+        """push(s, e), pop(s) or extend(s, e), whose s is row[2]."""
+        op, s, line = row[0].text, row[2], row[0].line
         if op == "pop":
-            if len(args) != 1:
-                raise self.err(line, "pop takes one argument")
-            s = args[0].strip()
-            self.check_assignable(s, line)
-            return Assign(s, SSub(SVar(s), 1, -1), line)
-        if len(args) != 2:
-            raise self.err(line, f"{op} takes two arguments")
-        s = args[0].strip()
-        self.check_assignable(s, line)
-        e = self.seq_term(line, row, start + len(args[0]) + 1, -1)
-        return Assign(s, SConcat(SVar(s), e), line)
+            if len(row) != 4:
+                raise self.err(row[0], "pop takes one argument")
+            return Assign(self.assignable(s), SSub(SVar(s.text), 1, -1), line)
+        if len(row) < 5 or row[3].text != ",":
+            raise self.err(row[0], f"{op} takes two arguments")
+        e = SConcat(SVar(self.assignable(s)), self.parse(row, 4, -1, term=True))
+        return Assign(s.text, e, line)
 
-    def loop(self, line: int) -> Loop:
+    def loop(self, start: Token) -> Loop:
         init = self.block(("invariant", "until"))
-        inv_line, row = self.peek()
-        if not row.startswith("invariant"):
-            raise MissingInvariant(f"{self.path}:{line}: loop has no invariant")
-        self.take()
-        invariant = self.annotation(inv_line, row, len("invariant"))
-        until_line, row = self.take()
-        if not row.startswith("until"):
-            raise self.err(until_line, f"expected 'until', found {row!r}")
-        exit_cond = self.annotation(until_line, row, len("until"))
-        loop_line, row = self.take()
-        if row != "loop":
-            raise self.err(loop_line, f"expected 'loop', found {row!r}")
+        row = self.take()
+        if row[0].text != "invariant":
+            raise self.err(start, "loop has no invariant", MissingInvariant)
+        invariant = self.parse(row, 1)
+        row = self.take()
+        if row[0].text != "until":
+            raise self.err(row[0], f"expected 'until', found {self.text(row)!r}")
+        exit_cond = self.parse(row, 1)
+        self.word("loop")
         body = self.block(("end",))
-        self.take()  # end
-        return Loop(init, invariant, exit_cond, body, line)
-
-
-def _split_args(src: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    for ch in src:
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-            continue
-        depth += {"(": 1, ")": -1, "[": 1, "]": -1}.get(ch, 0)
-        cur.append(ch)
-    out.append("".join(cur))
-    return out
+        self.word("end")
+        return Loop(init, invariant, exit_cond, body, start.line)
 
 
 def parse_program(text: str, path: str = "<string>") -> Program:
@@ -546,17 +528,6 @@ def _split_pieces(hyps: list[Matrix], concl: Matrix, folded: bool):
             yield hyps, concl, folded
 
 
-def _contains_loop(stmts: tuple[Stmt, ...]) -> bool:
-    for s in stmts:
-        match s:
-            case Loop():
-                return True
-            case If(then=t, orelse=e):
-                if _contains_loop(t) or _contains_loop(e):
-                    return True
-    return False
-
-
 def _finalize(ob: _Obligation, program: Program) -> list[VC]:
     expander = _Expander()
     try:
@@ -612,9 +583,8 @@ def vcs(program: Program) -> list[VC]:
     entry_hyps = tuple(snapshots) + (
         (program.requires,) if program.requires != BoolLit(True) else ()
     )
-    entry_label = (
-        "invariant-init" if _contains_loop(program.body) else "postcondition"
-    )
+    # every loop _wp met left its two obligations in st.side
+    entry_label = "invariant-init" if st.side else "postcondition"
     entry = _Obligation(entry_label, "entry", 1, entry_hyps, concl)
 
     rank = {"invariant-inductive": 0, "postcondition": 1}

@@ -148,6 +148,8 @@ def test_subrange_of_concatenation_faithful():
         "x + x < y",
         "z + 1 == x + y",
         "x = first(y) - 1",
+        "first(1 ++ x) == y",
+        "first(eps ++ x) < y",
     ],
 )
 def test_arithmetic_lowering_faithful(src):
@@ -429,11 +431,11 @@ ELABORATED = {
         '$v2 ++ $rev_res = olda'
     ),
     "comparison_hold.seq": (
-        'exists h, t, v, $u1, $v1, $w1, $g1, $c4, $s1, $c1 . ((h in INT^1 INT* & h = '
+        'exists h, t, v, $u1, $v1, $w1, $s1, $c1 . ((h in INT^1 INT* & h = '
         '$u1 ++ $v1 ++ $w1 & $v1 in INT^1 & ($w1 in INT^0) | h in (INT | eps)^0 & '
-        '$u1 = eps & $v1 = eps & $w1 = eps) & $g1 = 4 ++ 5 ++ 6 & $c4 in 4 & $c1 in 1 & $s1 == '
-        'v + $c1) & (($g1 < $c4 | $c4 < $g1) | (4 ++ 5 ++ 6 = h ++ t & h in INT^1 '
-        'INT* & t in INT^1 INT* & $v1 == v) & (t < $s1 | $s1 < t))'
+        '$u1 = eps & $v1 = eps & $w1 = eps) & $c1 in 1 & $s1 == v + $c1) & '
+        '(4 ++ 5 ++ 6 = h ++ t & h in INT^1 INT* & t in INT^1 INT* & $v1 == v) & '
+        '(t < $s1 | $s1 < t)'
     ),
 }
 

@@ -1,8 +1,8 @@
 """Every Python source of the project parses as Python 3.10, the oldest
 version CI runs, whatever interpreter runs the tests, the runtime
-imports nothing outside the standard library, and no runtime module
-but the command line interface and the generator writes to the
-standard streams."""
+imports nothing outside the standard library nor the regex module,
+and no runtime module but the command line interface and the
+generator writes to the standard streams."""
 
 import ast
 import sys
@@ -28,19 +28,30 @@ def test_parses_as_python_3_10(path):
 RUNTIME = [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "seqsolve")]
 
 
+def _absolute_imports(path):
+    """(line, module) for each module a source imports by absolute name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: str(p.relative_to(ROOT)))
 def test_runtime_imports_only_the_stdlib(path):
     # the runtime has no third-party dependency; tests and the bench may
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        for m in modules:
-            assert m.split(".")[0] in sys.stdlib_module_names, (node.lineno, m)
+    for line, m in _absolute_imports(path):
+        assert m.split(".")[0] in sys.stdlib_module_names, (line, m)
+
+
+def test_runtime_uses_no_regexes():
+    # formulas and programs are read by one tokenizer, parser.tokenize;
+    # no runtime module matches or rewrites text with regexes
+    importers = [
+        f"{path.name}:{line}" for path in RUNTIME for line, m in _absolute_imports(path)
+        if m == "re"
+    ]
+    assert importers == []
 
 
 QUIET = [p for p in RUNTIME if p.name not in ("cli.py", "randgen.py")]

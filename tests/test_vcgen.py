@@ -169,6 +169,37 @@ def test_old_of_non_variable_errors_with_its_line():
     assert msg == "<string>:3:11: bad term: old(q): 'q' is not a program variable"
 
 
+def test_keywords_are_whole_tokens():
+    # requires, ensures and locals are not require, ensure and local
+    # with a stray letter, and a keyword needs no space before a bracket
+    assert annotation_error("program p(x)\nrequires len(x) > 0\ndo\nend\n") == (
+        "<string>:2:1: expected 'do', found 'requires len(x) > 0'"
+    )
+    assert annotation_error("program p(x)\ndo\nend\nensures x = x\n") == (
+        "<string>:4:1: unexpected trailing line 'ensures x = x'"
+    )
+    assert annotation_error("program p(x)\nlocals y\ndo\nend\n") == (
+        "<string>:2:1: expected 'do', found 'locals y'"
+    )
+    prog = parse_program(
+        "program p(x)\ndo\n  assume(x = x)\n  if(x = x)then\n    x:=x\n  end\nend\n"
+    )
+    xx = SeqEq(SVar("x"), SVar("x"))
+    assert prog.body == (Assume(xx, 3), If(xx, (Assign("x", SVar("x"), 5),), (), 4))
+
+
+def test_every_program_error_has_a_column():
+    assert annotation_error("program p(x) ;\ndo\nend\n") == (
+        "<string>:1:14: unexpected character ';'"
+    )
+    assert annotation_error("program p(x)\ndo\n  frobnicate x  # no such\nend\n") == (
+        "<string>:3:3: cannot parse 'frobnicate x'"
+    )
+    assert annotation_error("program p(x, x)\ndo\nend\n") == (
+        "<string>:1:14: bad variable list entry 'x'"
+    )
+
+
 def test_old_names_come_from_every_annotation_and_term():
     prog = parse_program(
         "program p(a, b, c)\nrequire len(old(c)) == 1\ndo\n"

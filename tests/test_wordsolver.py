@@ -1406,7 +1406,7 @@ def _reference_solve_system(eqs: list, members: dict, ctl: _Search, allowance: i
 
 def test_solve_system_matches_the_reference():
     # the same status as the search that keeps finished memberships, on
-    # the components of the 200 quadratic clauses, of two corpus files'
+    # the components of the 200 quadratic clauses, of four corpus files'
     # clauses and of seeded random fixpoints over SMALL_AUTOMATA, and
     # every model satisfies its system. The random systems are shallow
     # and rarely leave a variable behind; the corpus's sign and
@@ -1418,7 +1418,10 @@ def test_solve_system_matches_the_reference():
     # answer sat, and the statuses and nodes are compared on the rest
     problems = _quadratic_problems() + [
         _problem(parse_formula((CORPUS / name).read_text()))
-        for name in ("comparison_hold.seq", "mergesort_final_vc.seq")
+        for name in (
+            "comparison_hold.seq", "comparison_viol.seq", "mergesort_final_vc.seq",
+            "periodicity_101.seq",
+        )
     ]
     systems = [
         (eqs, members, BUDGET)
@@ -1616,8 +1619,8 @@ def test_universal_problem_cannot_be_solved_directly():
 # and say why in CHANGES.md. Each case is named by its file alone, so
 # re-pinning a figure does not rename the test.
 EXPLORATION = [
-    ("comparison_hold.seq", "valid", 1309, 27, None),
-    ("comparison_viol.seq", "invalid", 478, 5, {"h": (4, 5), "t": (7,), "v": (5,)}),
+    ("comparison_hold.seq", "valid", 731, 11, None),
+    ("comparison_viol.seq", "invalid", 372, 3, {"h": (4, 5), "t": (7,), "v": (5,)}),
     ("mergesort_final_vc.seq", "valid", 174, 4, None),
 ]
 
